@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race serve serve-test bench bench-short bench-check profile microbench experiments examples fmt vet cover clean
+.PHONY: all build test race serve serve-test bench profile microbench experiments examples fmt vet cover clean
 
 all: build test
 
@@ -26,30 +26,17 @@ serve-test:
 	$(GO) test -race -run 'TestServe|TestRunner|TestClamp' -timeout 15m \
 		. ./internal/serve/ ./internal/pool/ ./internal/runctl/
 
-# Performance-tracking harness: event-engine ns+allocs/event, per-kernel
-# events/sec, the per-subsystem allocation breakdown, and the
-# serial-vs-parallel fan-out speedup, written to BENCH_results.json for
-# commit-to-commit comparison.
+# The repository benchmark (bench/README.md): all five workloads, each
+# printing its end-to-end metrics and its count of failed operations.
 bench:
-	$(GO) run ./cmd/cohesion-bench
+	bash bench/run.sh
 
-# The CI smoke variant: two kernels, small sweep.
-bench-short:
-	$(GO) run ./cmd/cohesion-bench -short
-
-# The regression gate: short suite compared against the committed
-# baseline; a >10% ns/event or allocs/event regression exits 2.
-bench-check:
-	$(GO) run ./cmd/cohesion-bench -short -max-ns-regress 10 \
-		-out BENCH_current.json -baseline BENCH_baseline.json
-
-# Hot-path profiling: ~10s of simulated event loop (all kernels x all
-# modes, bench-parity config) under the pprof CPU and allocation
-# profilers. Prints the top flat costs and leaves cpu.pprof/alloc.pprof
-# for `go tool pprof`.
+# Hot-path profiling: one traced round of the sim workload under the CPU
+# profiler, then the top flat costs. The profile, the per-layer metrics
+# and a Perfetto-loadable trace stay under .bench_build/trace/.
 profile:
-	$(GO) run ./cmd/cohesion-profile -seconds 10 -top 15 \
-		-cpu cpu.pprof -alloc alloc.pprof
+	bash bench/run.sh --workload sim --trace 1
+	$(GO) tool pprof -top -nodecount 15 .bench_build/trace/sim.cpu.pprof
 
 # The go-test micro-benchmarks (per-package, -benchmem).
 microbench:

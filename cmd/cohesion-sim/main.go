@@ -207,7 +207,8 @@ func main() {
 		fmt.Printf("  memory fingerprint %#x (fault seed %d)\n", res.MemFingerprint, *faultSeed)
 	}
 	if res.Stats.Trace != nil {
-		fmt.Printf("\n== last %d protocol events ==\n%s", *traceN, res.Stats.Trace.Dump())
+		fmt.Printf("\n== last %d protocol events ==\n", *traceN)
+		res.Stats.Trace.WriteText(os.Stdout)
 	}
 	if *phases {
 		fmt.Println("\nphase,end_cycle,cycles,messages")

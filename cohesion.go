@@ -237,9 +237,9 @@ func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
 
 // Prepared is an assembled machine with its kernel spawned, stopped just
 // before the first event — the construction half of Run split out so
-// harnesses (cohesion-bench's steady-state measurements) can time and
-// meter the simulation separately from machine assembly and workload
-// setup. A Prepared is single-use: Run consumes it.
+// harnesses (the benchmark's sim workload, bench/) can time and meter the
+// simulation separately from machine assembly and workload setup. A
+// Prepared is single-use: Run consumes it.
 type Prepared struct {
 	p *preparedRun
 }

@@ -1,6 +1,7 @@
 package cohesion
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -124,10 +125,11 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// TestObservabilityDoesNotPerturbSimulation runs the same simulation bare
-// and with every observability consumer attached (trace sink, edge
-// coverage, metrics, trace ring). The observers only read sim state, so
-// cycles and the memory fingerprint must be bit-identical.
+// TestObservabilityDoesNotPerturbSimulation runs the same simulation bare,
+// with every observability consumer attached (trace sink, edge coverage,
+// metrics, trace ring), and under armed lifecycle limits. The observers
+// and limits only read sim state, so cycles and the memory fingerprint
+// must be bit-identical.
 func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 	base := RunConfig{
 		Machine: ScaledConfig(2).WithMode(Cohesion),
@@ -165,6 +167,25 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 	}
 	if traced.Stats.Metrics == nil || traced.Stats.Metrics.MsgLatency[MsgReadReq].Count == 0 {
 		t.Fatal("instrumented run collected no latency observations")
+	}
+
+	// Lifecycle controls armed but never tripping: a cancelable context and
+	// an event budget far beyond the run's length. The budget compare runs
+	// every event and the context is polled, but neither may change what
+	// the machine computes.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	limited := base
+	limited.Limits = RunLimits{MaxEvents: 1 << 62}
+	armed, err := RunCtx(ctx, limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.MemFingerprint != armed.MemFingerprint || plain.Cycles() != armed.Cycles() ||
+		plain.Stats.Events != armed.Stats.Events {
+		t.Fatalf("armed limits perturbed the run: fingerprint %#x vs %#x, cycles %d vs %d, events %d vs %d",
+			plain.MemFingerprint, armed.MemFingerprint, plain.Cycles(), armed.Cycles(),
+			plain.Stats.Events, armed.Stats.Events)
 	}
 }
 

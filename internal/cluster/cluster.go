@@ -33,12 +33,6 @@ import (
 	"cohesion/internal/trace"
 )
 
-// Debug mirrors L2 trace events to stdout in addition to the run's
-// bounded TraceLog; tests may flip it while diagnosing failures. The
-// stdout mirror prints the shared trace.Record rendering, so every line
-// carries the sim-time column.
-var Debug = false
-
 // HomeSend routes a request to the home bank of its line and delivers the
 // response; installed by the machine assembly.
 type HomeSend func(req msg.Req, onResp func(msg.Resp))
@@ -552,19 +546,15 @@ func (cl *Cluster) execute(c *Core) {
 	}
 }
 
-// trace records an L2-side protocol event in the run's TraceLog and
-// structured sink (and on stdout when Debug is set). Hot call sites guard
-// on run.Tracing() || Debug themselves: a variadic call boxes its
-// arguments at the call site even when tracing is off.
+// trace records an L2-side protocol event in the run's trace ring and
+// structured sink. Hot call sites guard on run.Tracing() themselves: a
+// variadic call boxes its arguments at the call site even when tracing is
+// off.
 func (cl *Cluster) trace(format string, args ...any) {
-	if !cl.run.Tracing() && !Debug {
+	if !cl.run.Tracing() {
 		return
 	}
-	rec := stats.TraceEntry{Cycle: uint64(cl.q.Now()), Site: cl.name, Event: fmt.Sprintf(format, args...)}
-	cl.run.Emit(rec)
-	if Debug {
-		fmt.Println(rec.String())
-	}
+	cl.run.Emit(stats.TraceEntry{Cycle: uint64(cl.q.Now()), Site: cl.name, Event: fmt.Sprintf(format, args...)})
 }
 
 // traceTxn records one endpoint of a tracked transaction's lifecycle span
@@ -779,7 +769,7 @@ func (cl *Cluster) handleResp(line addr.Line, t *l2txn, resp msg.Resp) {
 		cl.nackBackoff(line, t)
 		return
 	}
-	if cl.run.Tracing() || Debug {
+	if cl.run.Tracing() {
 		cl.trace("install line=%#x grant=%v", uint64(line), resp.Grant)
 		if t.id != 0 {
 			cl.traceTxn('e', t.id, "%v line=%#x grant=%v", t.kind, uint64(line), resp.Grant)
@@ -1076,7 +1066,7 @@ func (cl *Cluster) HandleProbe(p msg.Probe, reply func(msg.ProbeReply)) {
 		}
 	}
 	e := cl.l2.Peek(p.Line)
-	if cl.run.Tracing() || Debug {
+	if cl.run.Tracing() {
 		cl.trace("probe %v line=%#x present=%v", p.Kind, uint64(p.Line), e != nil)
 	}
 	base := msg.ProbeReply{Cluster: cl.ID, Line: p.Line}

@@ -485,18 +485,13 @@ func (h *Home) stage(fn func()) {
 	h.q.At(start+event.Cycle(h.cfg.L3Latency), fn)
 }
 
-// trace records a home-side protocol event in the run's TraceLog and
-// structured sink (and on stdout when Debug is set). The Debug mirror
-// prints the shared Record rendering, sim-time column included.
+// trace records a home-side protocol event in the run's trace ring and
+// structured sink.
 func (h *Home) trace(format string, args ...any) {
-	if !h.run.Tracing() && !Debug {
+	if !h.run.Tracing() {
 		return
 	}
-	rec := stats.TraceEntry{Cycle: uint64(h.q.Now()), Site: h.name, Event: fmt.Sprintf(format, args...)}
-	h.run.Emit(rec)
-	if Debug {
-		fmt.Println(rec.String())
-	}
+	h.run.Emit(stats.TraceEntry{Cycle: uint64(h.q.Now()), Site: h.name, Event: fmt.Sprintf(format, args...)})
 }
 
 func (h *Home) process(s *svc) {
@@ -552,7 +547,7 @@ func (h *Home) start(s *svc) {
 			"transaction collision servicing %v from cluster %d", req.Kind, req.Cluster))
 	}
 	h.txns.Put(line, h.allocTxn())
-	if h.run.Tracing() || Debug {
+	if h.run.Tracing() {
 		h.trace("start %v line=%#x cluster=%d", req.Kind, uint64(line), req.Cluster)
 	}
 	switch req.Kind {
@@ -573,7 +568,7 @@ func (h *Home) start(s *svc) {
 func (h *Home) finish(s *svc, resp msg.Resp) {
 	req, reply := s.req, s.reply
 	resp.ID = req.ID // echo so the requester can discard late aliases
-	if h.run.Tracing() || Debug {
+	if h.run.Tracing() {
 		h.trace("done %v line=%#x cluster=%d grant=%v", req.Kind, uint64(req.Line), req.Cluster, resp.Grant)
 	}
 	if h.orc != nil {
@@ -892,7 +887,7 @@ func (h *Home) atomicFlow(s *svc) {
 // current in the L3/store and absent from every L2 — exactly the paper's
 // Figure 7(a) right-hand states.
 func (h *Home) recallEntry(line addr.Line, e *directory.Entry, cont func()) {
-	if h.run.Tracing() || Debug {
+	if h.run.Tracing() {
 		h.trace("recall line=%#x state=%v owner=%d", uint64(line), e.State, e.Owner)
 	}
 	e.Pinned = true
@@ -1002,7 +997,7 @@ func (h *Home) probeTargets(e *directory.Entry, skip int) []int {
 // the port pipeline — and a recall would then grant pre-writeback data.
 func (h *Home) sendProbe(cluster int, p msg.Probe, onReply func(msg.ProbeReply)) {
 	h.run.ProbesSent++
-	if h.run.Tracing() || Debug {
+	if h.run.Tracing() {
 		h.trace("%v line=%#x -> cl%d", p.Kind, uint64(p.Line), cluster)
 	}
 	pr := h.allocProbeRet()

@@ -554,10 +554,10 @@ func (m *Machine) diagnostic(reason string) string {
 	}
 	detail := fmt.Sprintf("%s; %d of %d started cores unfinished\n  %s",
 		reason, m.activeCores, m.started, strings.Join(lines, "\n  "))
-	if m.Run.Trace != nil {
-		if dump := m.Run.Trace.Dump(); dump != "" {
-			detail += "\n--- protocol trace (most recent last) ---\n" + dump
-		}
+	if m.Run.Trace != nil && m.Run.Trace.Total() > 0 {
+		var b strings.Builder
+		m.Run.Trace.WriteText(&b)
+		detail += "\n--- protocol trace (most recent last) ---\n" + b.String()
 	}
 	return detail
 }
@@ -578,9 +578,10 @@ func (m *Machine) abortError(s *runctl.Stop) *simerr.Error {
 
 // EnableTrace retains the last capacity protocol events (home-side request
 // service, probes, transitions; L2-side installs and probe handling) for
-// post-mortem inspection via Run.Trace.
+// post-mortem inspection via Run.Trace. A non-positive capacity selects
+// trace.DefaultSinkCapacity.
 func (m *Machine) EnableTrace(capacity int) {
-	m.Run.Trace = stats.NewTraceLog(capacity)
+	m.Run.Trace = trace.NewSink(capacity)
 }
 
 func (m *Machine) hasDirectory() bool { return m.Cfg.Directory != config.DirNone }

@@ -657,7 +657,11 @@ func TestTraceCapturesProtocolEvents(t *testing.T) {
 		_ = ld(c, a) // forces a recall: probe + writeback events
 	})
 	simulate(t, m)
-	dump := m.Run.Trace.Dump()
+	var b strings.Builder
+	if err := m.Run.Trace.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	dump := b.String()
 	for _, want := range []string{"WrReq", "RdReq", "ProbeWB", "recall", "grant"} {
 		if !strings.Contains(dump, want) {
 			t.Fatalf("trace missing %q:\n%s", want, dump)

@@ -72,8 +72,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return h.Max
 }
 
-// HistSummary is a histogram's exportable digest (BENCH_results.json and
-// the -json outputs).
+// HistSummary is a histogram's exportable digest (the -json outputs).
 type HistSummary struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`

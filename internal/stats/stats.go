@@ -66,8 +66,8 @@ type Run struct {
 
 	// Events counts discrete events executed by the simulation's event
 	// queue (filled in by the machine at the end of a run). Events per
-	// wall-clock second is the simulator's throughput metric, tracked by
-	// cmd/cohesion-bench.
+	// wall-clock second is the simulator's throughput metric; the
+	// benchmark (bench/) reports its inverse as cohesion.ns_per_event.
 	Events uint64
 
 	// Network load (filled in by the machine at the end of a run).
@@ -79,8 +79,9 @@ type Run struct {
 	Occupancy OccupancySampler
 
 	// Trace, when non-nil, retains the tail of the protocol event history
-	// (see TraceLog). Enabled via machine.Machine.EnableTrace.
-	Trace *TraceLog
+	// for post-mortem reports (deadlock diagnostics, fuzz repros).
+	// Enabled via machine.Machine.EnableTrace.
+	Trace *trace.Sink
 
 	// Sink, when non-nil, streams every protocol event into the bounded
 	// structured-trace ring for Chrome-trace/text export (internal/trace).

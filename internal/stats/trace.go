@@ -2,79 +2,15 @@ package stats
 
 import (
 	"fmt"
-	"strings"
 
 	"cohesion/internal/trace"
 )
 
-// TraceEntry is one protocol event retained by the bounded trace log. It
-// is the shared record type of internal/trace, so the post-mortem ring,
-// the streaming sink, and the Debug stdout mirrors all render events
-// identically (sim-time column included).
+// TraceEntry is one protocol event retained by the run's trace ring. It
+// is the shared record type of internal/trace, so the post-mortem ring
+// and the streaming sink render events identically (sim-time column
+// included).
 type TraceEntry = trace.Record
-
-// TraceLog is a fixed-capacity ring of protocol events. When full, the
-// oldest entries are overwritten — after a run it holds the tail of the
-// protocol history, which is what post-mortem debugging wants.
-type TraceLog struct {
-	cap     int
-	entries []TraceEntry
-	next    int
-	total   uint64
-}
-
-// NewTraceLog builds a ring holding up to capacity entries.
-func NewTraceLog(capacity int) *TraceLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceLog{cap: capacity}
-}
-
-// Add appends an event, evicting the oldest when full.
-func (l *TraceLog) Add(cycle uint64, site, event string) {
-	l.AddRecord(TraceEntry{Cycle: cycle, Site: site, Event: event})
-}
-
-// AddRecord appends a prepared record, evicting the oldest when full.
-func (l *TraceLog) AddRecord(e TraceEntry) {
-	l.total++
-	if len(l.entries) < l.cap {
-		l.entries = append(l.entries, e)
-		return
-	}
-	l.entries[l.next] = e
-	l.next = (l.next + 1) % l.cap
-}
-
-// Total reports how many events were ever added.
-func (l *TraceLog) Total() uint64 { return l.total }
-
-// Entries returns the retained events, oldest first.
-func (l *TraceLog) Entries() []TraceEntry {
-	if len(l.entries) < l.cap {
-		out := make([]TraceEntry, len(l.entries))
-		copy(out, l.entries)
-		return out
-	}
-	out := make([]TraceEntry, 0, l.cap)
-	out = append(out, l.entries[l.next:]...)
-	out = append(out, l.entries[:l.next]...)
-	return out
-}
-
-// Dump renders the retained tail of the trace.
-func (l *TraceLog) Dump() string {
-	var b strings.Builder
-	if dropped := l.total - uint64(len(l.entries)); dropped > 0 {
-		fmt.Fprintf(&b, "... %d earlier events dropped ...\n", dropped)
-	}
-	for _, e := range l.Entries() {
-		b.WriteString(e.String())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
 
 // Tracing reports whether any event consumer is attached; emitters use it
 // to skip the Sprintf that renders an event's detail.
@@ -83,7 +19,7 @@ func (r *Run) Tracing() bool { return r.Trace != nil || r.Sink != nil }
 // Emit hands a prepared record to every attached consumer.
 func (r *Run) Emit(rec TraceEntry) {
 	if r.Trace != nil {
-		r.Trace.AddRecord(rec)
+		r.Trace.Add(rec)
 	}
 	if r.Sink != nil {
 		r.Sink.Add(rec)

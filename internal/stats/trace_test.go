@@ -3,92 +3,20 @@ package stats
 import (
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"cohesion/internal/trace"
 )
-
-func TestTraceLogRingBasics(t *testing.T) {
-	l := NewTraceLog(3)
-	if l.Total() != 0 || len(l.Entries()) != 0 {
-		t.Fatal("fresh log not empty")
-	}
-	l.Add(1, "a", "one")
-	l.Add(2, "b", "two")
-	es := l.Entries()
-	if len(es) != 2 || es[0].Event != "one" || es[1].Event != "two" {
-		t.Fatalf("entries = %+v", es)
-	}
-	l.Add(3, "c", "three")
-	l.Add(4, "d", "four") // evicts "one"
-	l.Add(5, "e", "five") // evicts "two"
-	es = l.Entries()
-	if len(es) != 3 {
-		t.Fatalf("%d entries, want 3", len(es))
-	}
-	want := []string{"three", "four", "five"}
-	for i, w := range want {
-		if es[i].Event != w {
-			t.Fatalf("entries = %+v", es)
-		}
-	}
-	if l.Total() != 5 {
-		t.Fatalf("Total = %d", l.Total())
-	}
-	d := l.Dump()
-	if !strings.Contains(d, "2 earlier events dropped") || !strings.Contains(d, "five") {
-		t.Fatalf("Dump:\n%s", d)
-	}
-}
-
-func TestTraceLogMinimumCapacity(t *testing.T) {
-	l := NewTraceLog(0)
-	l.Add(1, "x", "a")
-	l.Add(2, "x", "b")
-	es := l.Entries()
-	if len(es) != 1 || es[0].Event != "b" {
-		t.Fatalf("entries = %+v", es)
-	}
-}
 
 func TestTraceEventNilSafe(t *testing.T) {
 	var r Run
 	r.TraceEvent(1, "x", "should be dropped %d", 1) // Trace is nil: no-op
-	r.Trace = NewTraceLog(4)
+	r.Trace = trace.NewSink(4)
 	r.TraceEvent(2, "home0", "line %#x", 0x40)
-	es := r.Trace.Entries()
+	es := r.Trace.Records()
 	if len(es) != 1 || es[0].Site != "home0" || !strings.Contains(es[0].Event, "0x40") {
 		t.Fatalf("entries = %+v", es)
 	}
 	if es[0].String() == "" {
 		t.Fatal("empty render")
-	}
-}
-
-// Property: the ring always keeps exactly the last min(n, cap) events in
-// insertion order.
-func TestQuickTraceRingKeepsTail(t *testing.T) {
-	f := func(capRaw uint8, n uint8) bool {
-		capacity := int(capRaw%16) + 1
-		l := NewTraceLog(capacity)
-		for i := 0; i < int(n); i++ {
-			l.Add(uint64(i), "s", string(rune('a'+i%26)))
-		}
-		es := l.Entries()
-		want := int(n)
-		if want > capacity {
-			want = capacity
-		}
-		if len(es) != want {
-			return false
-		}
-		for i, e := range es {
-			expect := int(n) - want + i
-			if e.Cycle != uint64(expect) {
-				return false
-			}
-		}
-		return l.Total() == uint64(n)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

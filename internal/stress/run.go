@@ -167,7 +167,7 @@ func RunProgramOpts(p Program, opts RunOpts) (res Result) {
 	res.Events = m.Q.Fired()
 	res.Err = err
 	if m.Run.Trace != nil {
-		res.Trace = m.Run.Trace.Entries()
+		res.Trace = m.Run.Trace.Records()
 	}
 	if o := m.Oracle(); o != nil {
 		res.Checks = o.Checks

@@ -1,8 +1,7 @@
 // Package trace is the simulator's structured observability layer: one
-// shared Record type for protocol events (used by the bounded post-mortem
-// ring in internal/stats, the Debug mirrors in internal/core and
-// internal/cluster, and the streaming Sink here), a bounded Sink that
-// retains per-message lifecycle records and exports them as Chrome
+// shared Record type for protocol events, a bounded Sink ring that
+// retains them (both the post-mortem ring stats.Run.Trace and the
+// streaming stats.Run.Sink are Sinks) and exports them as Chrome
 // trace-event JSON or plain text, and a protocol-transition Coverage
 // tracker (coverage.go) that turns "did we actually exercise the
 // protocol?" into an asserted property.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestRecordStringKeepsSimTimeColumn(t *testing.T) {
@@ -86,6 +87,36 @@ func TestWriteTextMentionsDrops(t *testing.T) {
 	}
 	if n := strings.Count(out, "net"); n != 2 {
 		t.Fatalf("%d record lines, want 2:\n%s", n, out)
+	}
+}
+
+// Property: the ring always keeps exactly the last min(n, cap) records in
+// insertion order.
+func TestQuickTraceRingKeepsTail(t *testing.T) {
+	f := func(capRaw uint8, n uint8) bool {
+		capacity := int(capRaw%16) + 1
+		s := NewSink(capacity)
+		for i := 0; i < int(n); i++ {
+			s.Add(Record{Cycle: uint64(i), Site: "s", Event: string(rune('a' + i%26))})
+		}
+		rs := s.Records()
+		want := int(n)
+		if want > capacity {
+			want = capacity
+		}
+		if len(rs) != want {
+			return false
+		}
+		for i, r := range rs {
+			expect := int(n) - want + i
+			if r.Cycle != uint64(expect) {
+				return false
+			}
+		}
+		return s.Total() == uint64(n)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
