@@ -53,23 +53,21 @@ func (s RunSpec) runConfig() RunConfig {
 	}
 }
 
-// RunSnapshot is the payload of a KindRun snapshot file: the run's spec,
-// the exact executed-event count of the capture, and the complete
-// serialized machine state with its per-layer digest vector.
+// RunSnapshot is the payload of a KindRun snapshot file: the run's spec
+// and the per-layer digest vector at the checkpoint, which carries its
+// exact executed-event count and cycle — all that a resume verifies.
 //
 // Resume follows the verified-deterministic-replay contract (see the
 // internal/snapshot package doc): the event queue holds closures and
 // core programs are goroutines parked in their next operation, so
-// continuations are not serialized. Instead ResumeRun rebuilds the
-// machine from Spec, replays deterministically to Events, verifies every
-// layer digest against State, and only then continues — so a resumed run
-// is provably bit-identical to an uninterrupted one, and any divergence
-// is caught at the resume point and named by layer.
+// neither continuations nor data state are serialized. Instead ResumeRun
+// rebuilds the machine from Spec, replays deterministically to
+// Digests.Events, verifies every layer digest, and only then continues —
+// so a resumed run is provably bit-identical to an uninterrupted one,
+// and any divergence is caught at the resume point and named by layer.
 type RunSnapshot struct {
-	Spec   RunSpec                `json:"spec"`
-	Events uint64                 `json:"events"`
-	Cycle  uint64                 `json:"cycle"`
-	State  *snapshot.MachineState `json:"state"`
+	Spec    RunSpec           `json:"spec"`
+	Digests *snapshot.Digests `json:"digests"`
 }
 
 // CheckpointConfig asks RunWithCheckpoints to persist snapshots.
@@ -99,9 +97,9 @@ func RunWithCheckpoints(ctx context.Context, rc RunConfig, ck CheckpointConfig) 
 		return nil, err
 	}
 	spec := specOf(rc)
-	p.m.SetCheckpointFunc(func(events, cycle uint64) error {
-		snap := RunSnapshot{Spec: spec, Events: events, Cycle: cycle, State: p.m.CaptureState()}
-		return snapshot.WriteAtomic(ck.Path, snapshot.KindRun, events, snap)
+	p.m.SetCheckpointFunc(func(events, _ uint64) error {
+		d := p.m.Digests()
+		return snapshot.WriteAtomic(ck.Path, snapshot.KindRun, events, RunSnapshot{Spec: spec, Digests: &d})
 	})
 	return p.run(ctx)
 }
@@ -163,28 +161,33 @@ type ResumeInfo struct {
 // (recovering from a torn last write automatically) and returns the
 // completed run's Result, bit-identical to an uninterrupted run. The
 // machine is rebuilt from the recorded spec and replayed to the
-// snapshot's exact event count, where every layer digest is verified
-// against the recorded state; a mismatch aborts with a *DivergenceError
-// (errors.Is(err, snapshot.ErrDiverged)) rather than continuing from
-// state that cannot be trusted.
+// snapshot's exact event count, where every layer digest is verified;
+// a mismatch aborts with a *DivergenceError (errors.Is(err,
+// snapshot.ErrDiverged)) rather than continuing from untrusted state.
+// A snapshot with no digest vector (the older full-state format) is
+// refused with snapshot.ErrVersion and a nil *ResumeInfo.
 func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *ResumeInfo, error) {
 	var snap RunSnapshot
 	env, src, err := snapshot.LoadRecover(path, snapshot.KindRun, &snap)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap.State == nil || snap.Events == 0 || snap.Events != env.Seq {
-		return nil, nil, fmt.Errorf("snapshot file %s: inconsistent run snapshot (events=%d seq=%d)", src, snap.Events, env.Seq)
+	if snap.Digests == nil {
+		return nil, nil, fmt.Errorf("%w: snapshot file %s predates digest-only checkpoints (no digest vector)", snapshot.ErrVersion, src)
 	}
-	info := &ResumeInfo{Source: src, Events: snap.Events, Cycle: snap.Cycle}
+	at := *snap.Digests
+	if at.Events == 0 || at.Events != env.Seq {
+		return nil, nil, fmt.Errorf("snapshot file %s: inconsistent run snapshot (events=%d seq=%d)", src, at.Events, env.Seq)
+	}
+	info := &ResumeInfo{Source: src, Events: at.Events, Cycle: at.Cycle}
 
-	if max := opt.Limits.MaxEvents; max != 0 && max <= snap.Events {
-		return nil, info, fmt.Errorf("cohesion: resume event budget %d is not past the snapshot's %d events", max, snap.Events)
+	if max := opt.Limits.MaxEvents; max != 0 && max <= at.Events {
+		return nil, info, fmt.Errorf("cohesion: resume event budget %d is not past the snapshot's %d events", max, at.Events)
 	}
 	rc := snap.Spec.runConfig()
 	rc.Limits = opt.Limits
 	rc.Limits.CheckpointEvery = opt.Every
-	rc.Limits.CheckpointAt = append(rc.Limits.CheckpointAt, snap.Events)
+	rc.Limits.CheckpointAt = append(rc.Limits.CheckpointAt, at.Events)
 	rc.Coverage = opt.Coverage
 	rc.Metrics = opt.Metrics
 
@@ -194,24 +197,24 @@ func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *R
 	}
 	verified := false
 	var diverged *DivergenceError
-	p.m.SetCheckpointFunc(func(events, cycle uint64) error {
-		if events == snap.Events {
+	p.m.SetCheckpointFunc(func(events, _ uint64) error {
+		if events == at.Events {
 			d := p.m.Digests()
 			if testDigestPerturb != nil {
 				testDigestPerturb(&d)
 			}
-			if diff := d.Diff(snap.State.Digests); len(diff) > 0 {
-				diverged = &DivergenceError{Events: snap.Events, Layers: diff, Path: src}
+			if diff := d.Diff(at); len(diff) > 0 {
+				diverged = &DivergenceError{Events: at.Events, Layers: diff, Path: src}
 				return diverged
 			}
 			verified = true
 			return nil
 		}
-		if !verified || events < snap.Events {
+		if !verified || events < at.Events {
 			return nil // not yet at the resume point; nothing worth persisting
 		}
-		next := RunSnapshot{Spec: snap.Spec, Events: events, Cycle: cycle, State: p.m.CaptureState()}
-		return snapshot.WriteAtomic(path, snapshot.KindRun, events, next)
+		d := p.m.Digests()
+		return snapshot.WriteAtomic(path, snapshot.KindRun, events, RunSnapshot{Spec: snap.Spec, Digests: &d})
 	})
 	res, err := p.run(ctx)
 	if diverged != nil {
@@ -241,7 +244,7 @@ type SelfCheckReport struct {
 	DivergentDepth uint64   // checkpoint depth that exposed it
 	FirstEvent     uint64   // first divergent event (bisected), 0 if bisect failed
 	Layers         []string // digest layers differing at FirstEvent
-	DumpA, DumpB   string   // diagnostic MachineState snapshot files
+	DumpA, DumpB   string   // diagnostic MachineState dumps (KindState files)
 }
 
 // SelfCheckResume is the resume-divergence self-check harness: it runs
@@ -364,8 +367,8 @@ func (r *SelfCheckReport) diagnose(ctx context.Context, rc RunConfig, depth uint
 	if errA == nil && errB == nil {
 		r.DumpA = filepath.Join(dir, fmt.Sprintf("diverge-%s-%d-a.json", rc.Kernel, first))
 		r.DumpB = filepath.Join(dir, fmt.Sprintf("diverge-%s-%d-b.json", rc.Kernel, first))
-		_ = snapshot.WriteAtomic(r.DumpA, snapshot.KindRun, first, a)
-		_ = snapshot.WriteAtomic(r.DumpB, snapshot.KindRun, first, b)
+		_ = snapshot.WriteAtomic(r.DumpA, snapshot.KindState, first, a)
+		_ = snapshot.WriteAtomic(r.DumpB, snapshot.KindState, first, b)
 	}
 	return fmt.Errorf("%w; first divergent event %d (layers %s), states dumped to %s / %s",
 		cause, first, strings.Join(r.Layers, ", "), r.DumpA, r.DumpB)

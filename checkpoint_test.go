@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cohesion/internal/snapshot"
@@ -176,12 +177,94 @@ func TestSelfCheckBisectsAndDumps(t *testing.T) {
 	}
 	for _, dump := range []string{report.DumpA, report.DumpB} {
 		var st snapshot.MachineState
-		if _, err := snapshot.Load(dump, snapshot.KindRun, &st); err != nil {
+		if _, err := snapshot.Load(dump, snapshot.KindState, &st); err != nil {
 			t.Fatalf("diagnostic dump %s unreadable: %v", dump, err)
 		}
 		if st.Events != firstBad {
 			t.Fatalf("dump %s captured event %d, want %d", dump, st.Events, firstBad)
 		}
+		// A dump carries events, cycle and digests but no spec: resuming
+		// from it must be refused by kind, not fail late on the empty spec.
+		if _, _, err := ResumeRun(context.Background(), dump, ResumeOptions{}); !errors.Is(err, snapshot.ErrKind) {
+			t.Fatalf("ResumeRun on dump %s = %v, want ErrKind", dump, err)
+		}
+	}
+}
+
+// TestRunCheckpointIsDigestOnly pins the size of a run checkpoint: it
+// records the spec and the digest vector, not the machine, so a
+// checkpoint of a large machine stays about a kilobyte of JSON. The size
+// does not depend on the event count, so the run stops early; the stop
+// writes the last checkpoint.
+func TestRunCheckpointIsDigestOnly(t *testing.T) {
+	rc := RunConfig{Machine: ScaledConfig(8).WithMode(Cohesion), Kernel: "heat", Scale: 8, Seed: 1, Verify: true,
+		Limits: RunLimits{MaxEvents: 50_000}}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := RunWithCheckpoints(context.Background(), rc, CheckpointConfig{Path: path, Every: 25_000}); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("RunWithCheckpoints: %v, want ErrBudgetExhausted", err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() >= 4<<10 {
+		t.Fatalf("checkpoint is %d bytes, want under 4 KiB", st.Size())
+	}
+}
+
+// TestResumeRefusesPreDigestSnapshot writes a run checkpoint in the
+// older full-state shape ({spec, events, cycle, state}, no digest
+// vector). ResumeRun must refuse it by name without claiming a
+// divergence, and the job engine must fall back to a fresh run.
+func TestResumeRefusesPreDigestSnapshot(t *testing.T) {
+	ctx := context.Background()
+	spec := JobSpec{Kernel: "heat", Mode: "cohesion", Verify: true}
+	rc, err := specRunConfig(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := rc
+	probe.Limits = RunLimits{MaxEvents: 2_000}
+	p, err := prepareRun(probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Spec   RunSpec                `json:"spec"`
+		Events uint64                 `json:"events"`
+		Cycle  uint64                 `json:"cycle"`
+		State  *snapshot.MachineState `json:"state"`
+	}
+	p.m.SetCheckpointFunc(func(events, cycle uint64) error {
+		old.Spec, old.Events, old.Cycle, old.State = specOf(rc), events, cycle, p.m.CaptureState()
+		return nil
+	})
+	if _, err := p.run(ctx); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("probe run: %v, want ErrBudgetExhausted", err)
+	}
+	path := filepath.Join(t.TempDir(), "job.ckpt")
+	if err := snapshot.WriteAtomic(path, snapshot.KindRun, old.Events, old); err != nil {
+		t.Fatal(err)
+	}
+
+	_, info, err := ResumeRun(ctx, path, ResumeOptions{})
+	if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "predates digest-only checkpoints") {
+		t.Fatalf("ResumeRun on a full-state snapshot = %v, want a predates-digest-only error", err)
+	}
+	if info != nil {
+		t.Fatalf("ResumeRun returned info %+v for an unusable snapshot, want nil", info)
+	}
+
+	out, resumed, err := jobEngine{}.Execute(ctx, spec, path, 0, RunLimits{}, true)
+	if err != nil || resumed {
+		t.Fatalf("Execute(resume) = resumed %v, err %v; want a fresh run", resumed, err)
+	}
+	ref, err := RunCtx(ctx, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%#016x", ref.MemFingerprint); out.MemFingerprint != want {
+		t.Fatalf("fresh-run fingerprint %s, want %s", out.MemFingerprint, want)
 	}
 }
 

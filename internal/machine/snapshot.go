@@ -13,7 +13,7 @@ import (
 // / CheckpointAt in runctl.Limits) comes due, and once more when a
 // lifecycle stop (budget, cancellation) ends the run. It runs at the
 // between-events boundary — the machine is quiescent mid-loop, no event
-// is executing — so the callback may capture a consistent MachineState.
+// is executing — so the callback may take a consistent Digests vector.
 // A non-nil error from the callback aborts the run.
 func (m *Machine) SetCheckpointFunc(fn func(events, cycle uint64) error) { m.ckpt = fn }
 
@@ -64,11 +64,12 @@ func (m *Machine) Digests() snapshot.Digests {
 }
 
 // CaptureState serializes the machine's complete data state at the
-// current between-events boundary: the DRAM image, every valid L2 entry
-// (dirty and clean), every allocated directory entry, the coarse region
-// table (the fine-grain bitmap lives inside the DRAM image), the
-// outstanding-transaction report, cumulative stats, and the digest
-// vector over all of it. Like Digests it never mutates the machine.
+// current between-events boundary for a divergence dump (checkpoints
+// record only Digests): the DRAM image, every valid L2 entry (dirty and
+// clean), every allocated directory entry, the coarse region table (the
+// fine-grain bitmap lives inside the DRAM image), the outstanding-
+// transaction report, cumulative stats, and the digest vector over all
+// of it. Like Digests it never mutates the machine.
 func (m *Machine) CaptureState() *snapshot.MachineState {
 	st := &snapshot.MachineState{
 		Events:   m.Q.Fired(),

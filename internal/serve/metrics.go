@@ -80,8 +80,8 @@ func (m *Metrics) finished(v JobView) {
 }
 
 // WriteProm renders the whole registry in Prometheus text exposition
-// format. The queue gauges are passed in by the server so the registry
-// itself stays lock-ordering-trivial.
+// format. The queue gauges are passed in by the server so m.mu stays a
+// leaf lock (the server takes it under its own lock).
 func (m *Metrics) WriteProm(w io.Writer, queueDepth, queueCap, inflight, workers int, uptime time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

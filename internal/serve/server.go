@@ -361,6 +361,7 @@ func (s *Server) finish(id string, out *Outcome, err error) {
 	}
 	rec := recordOf(j)
 	view := j.view()
+	s.metrics.finished(view) // under s.mu: whoever sees the state sees the count
 	s.mu.Unlock()
 
 	if perr := saveRecord(s.opt.StateDir, rec); perr != nil {
@@ -370,7 +371,6 @@ func (s *Server) finish(id string, out *Outcome, err error) {
 		// The checkpoint has served its purpose; keep the state dir tidy.
 		removeCheckpoint(s.opt.StateDir, id)
 	}
-	s.metrics.finished(view)
 	s.opt.Logf("job %s %s (%s/%s)", id, view.State, view.Spec.Kernel, view.Spec.Mode)
 }
 
@@ -394,12 +394,12 @@ func (s *Server) Cancel(id string) (JobView, bool) {
 		j.Error = "canceled while queued"
 		rec := recordOf(j)
 		view := j.view()
+		s.metrics.finished(view)
 		s.mu.Unlock()
 		if err := saveRecord(s.opt.StateDir, rec); err != nil {
 			s.opt.Logf("job %s: persisting cancel: %v", id, err)
 		}
 		removeCheckpoint(s.opt.StateDir, id)
-		s.metrics.finished(view)
 		return view, true
 	case StateRunning:
 		if j.cancel != nil {

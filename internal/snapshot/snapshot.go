@@ -1,7 +1,7 @@
 // Package snapshot is the checkpoint/restore substrate: a versioned,
-// checksummed file envelope with crash-safe atomic writes, plus the
-// serializable data types and per-layer digests that let a resumed run
-// prove it reconstructed the exact machine state the snapshot recorded.
+// checksummed file envelope with crash-safe atomic writes, the per-layer
+// digests that let a resumed run prove it replayed to the exact machine
+// state the snapshot recorded, and the state types of divergence dumps.
 //
 // Crash-safety protocol. A snapshot is always written to <path>.tmp
 // first, fsynced, then renamed over <path>. A reader that finds <path>
@@ -12,14 +12,15 @@
 //
 // Determinism contract. The simulator's event loop is a closure-driven
 // discrete-event engine whose core programs run as coroutines, so a
-// snapshot does not serialize continuations. Instead it records the
-// run's full data state (memory image, cache and directory entries,
-// region tables, stats) plus a per-layer digest vector at an exact
-// executed-event count. Restore rebuilds the machine from the recorded
-// spec and replays deterministically to that event count — replay from
-// the same seeds is bit-exact, which PRs 1-6 lock in with fingerprint
-// tests — then verifies every layer digest before continuing. A resumed
-// run is therefore bit-identical to an uninterrupted one, and any
+// snapshot serializes neither continuations nor the data they act on.
+// It records the run spec and a per-layer digest vector (memory image,
+// cache and directory entries, region table, oracle, stats, in-flight
+// work) at an exact executed-event count, so its size does not grow
+// with the machine. Restore rebuilds the machine from the spec and
+// replays deterministically to that event count — replay from the same
+// seeds is bit-exact, which the golden fingerprint tests lock in — then
+// verifies every layer digest before continuing. A resumed run is
+// therefore bit-identical to an uninterrupted one, and any
 // nondeterminism is caught at the resume point and named by layer
 // instead of silently corrupting results.
 package snapshot
@@ -34,8 +35,8 @@ import (
 )
 
 // Magic identifies snapshot files; Version is the envelope format
-// version. Payload-shape changes bump Version so stale snapshots are
-// rejected with a clear error instead of misdecoding.
+// version. It covers every kind, so a change to one kind's payload is
+// refused by that kind's loader, not by a bump that strands all kinds.
 const (
 	Magic   = "cohesion-snapshot"
 	Version = 1
@@ -50,6 +51,7 @@ const (
 	KindSweep Kind = "sweep" // an experiment sweep's per-cell results
 	KindFuzz  Kind = "fuzz"  // a fuzz batch's progress counters
 	KindJob   Kind = "job"   // a job-service record (internal/serve)
+	KindState Kind = "state" // a divergence dump (MachineState at the root)
 )
 
 // Structured load errors; match with errors.Is.

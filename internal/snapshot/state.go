@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"fmt"
-	"sort"
 
 	"cohesion/internal/addr"
 	"cohesion/internal/stats"
@@ -146,7 +145,8 @@ type RegionRange struct {
 // between-events boundary: the memory image, the dirty (and clean) cache
 // lines, the directory machine states, the Cohesion region map, the
 // in-flight transaction report, the oracle digest, and cumulative stats.
-// It is what a checkpoint persists and what a divergence dump contains.
+// It is what a divergence dump (KindState) contains; a checkpoint
+// persists only its Digests.
 type MachineState struct {
 	Events   uint64         `json:"events"`
 	Cycle    uint64         `json:"cycle"`
@@ -233,12 +233,6 @@ func firstStringDiff(a, b []string) string {
 		return fmt.Sprintf("#%d: present in one state only", n)
 	}
 	return ""
-}
-
-// SortMem orders a memory dump by line address (capture helpers build it
-// sorted already; dump consumers can re-sort defensively).
-func SortMem(mem []MemLine) {
-	sort.Slice(mem, func(i, j int) bool { return mem[i].Line < mem[j].Line })
 }
 
 // Bisect locates the first point in (lo, hi] at which agree reports

@@ -180,9 +180,9 @@ func (jobEngine) Execute(ctx context.Context, spec JobSpec, ckptPath string, ckp
 			// it means the snapshot and the replay disagree about history.
 			return nil, true, err
 		case info == nil:
-			// No usable snapshot (killed before the first checkpoint, or
-			// both files torn): deterministic replay from scratch is
-			// bit-identical anyway.
+			// No usable snapshot (killed before the first checkpoint, both
+			// files torn, or one that predates digest-only checkpoints): a
+			// fresh deterministic run is bit-identical anyway.
 		default:
 			// Snapshot loaded but the resume was rejected (e.g. the job's
 			// own event budget ends at or before the snapshot point). A
