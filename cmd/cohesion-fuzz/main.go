@@ -217,14 +217,22 @@ func main() {
 		if hi > *iters {
 			hi = *iters
 		}
-		results := pool.Map(hi-lo, nworkers, func(j int) iterResult {
+		results, errs := pool.MapCatch(hi-lo, nworkers, func(j int) (iterResult, error) {
 			cfg := cfgAt(lo + j)
 			p, err := stress.Generate(cfg)
 			if err != nil {
+				return iterResult{}, err
+			}
+			return iterResult{cfg: cfg, prog: p, res: stress.RunProgramOpts(p, stress.RunOpts{Coverage: cov, Ctx: ctx})}, nil
+		})
+		// A job failing outside the oracle-checked run (generation, or a
+		// panic the run did not contain) is a harness fault, not a
+		// verdict: stop on the lowest-index one.
+		for _, err := range errs {
+			if err != nil {
 				fatal("%v", err)
 			}
-			return iterResult{cfg: cfg, prog: p, res: stress.RunProgramOpts(p, stress.RunOpts{Coverage: cov, Ctx: ctx})}
-		})
+		}
 		for j, r := range results {
 			if errors.Is(r.res.Err, simerr.ErrCanceled) {
 				continue // interrupted mid-run by the signal: not a verdict

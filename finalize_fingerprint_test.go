@@ -7,15 +7,16 @@ import (
 
 // TestCohesionFinalizeFingerprintLockIn pins the finalize fingerprint's
 // optimized implementation to its byte-level definition on a real
-// Cohesion run — the case where the fast paths all engage: the preset
-// region table is digested through cached per-block affine transforms
-// and only run-dirtied blocks are rescanned. The reference below is a
-// deliberately naive reimplementation of the documented digest (FNV-1a
-// over lines in address order, line number then words, little-endian,
-// each widened to eight bytes) driven through the Store's public image
-// accessors, so any divergence between the optimized walk and the
-// architectural memory image fails here at full protocol scale, not
-// just on the synthetic stores the dram unit tests build.
+// Cohesion run — the case where the fast paths all engage: preset table
+// blocks still holding their painted pattern are digested through cached
+// per-block affine transforms, and blocks the run copied out are mixed
+// line by line. The reference below is a deliberately naive
+// reimplementation of the documented digest (FNV-1a over lines in
+// address order, line number then words, little-endian, each widened to
+// eight bytes) driven through the Store's public image accessors, so any
+// divergence between the optimized walk and the architectural memory
+// image fails here at full protocol scale, not just on the synthetic
+// stores the dram unit tests build.
 func TestCohesionFinalizeFingerprintLockIn(t *testing.T) {
 	for _, mode := range []Mode{SWcc, Cohesion} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -61,8 +62,7 @@ func TestCohesionFinalizeFingerprintLockIn(t *testing.T) {
 					mode, res.MemFingerprint, h)
 			}
 			// Recomputing on the drained store must be idempotent: the
-			// summary bookkeeping the first walk consulted may not have
-			// mutated the observable digest.
+			// first walk may not have mutated the observable digest.
 			if again := store.Fingerprint(); again != res.MemFingerprint {
 				t.Errorf("%v: fingerprint not idempotent: %#x then %#x",
 					mode, res.MemFingerprint, again)

@@ -52,7 +52,7 @@ func TestGoldenFingerprints(t *testing.T) {
 		key string
 		fp  uint64
 	}
-	results, err := pool.MapErr(len(runs), 0, func(i int) (outcome, error) {
+	results, errs := pool.MapCatch(len(runs), 0, func(i int) (outcome, error) {
 		r := runs[i]
 		res, err := Run(RunConfig{
 			Machine: ScaledConfig(2).WithMode(r.Mode),
@@ -66,8 +66,10 @@ func TestGoldenFingerprints(t *testing.T) {
 		}
 		return outcome{key: fmt.Sprintf("%s/%v", r.Kernel, r.Mode), fp: res.MemFingerprint}, nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := map[string]string{}
 	for _, o := range results {

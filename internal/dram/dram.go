@@ -11,6 +11,7 @@
 package dram
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -19,39 +20,77 @@ import (
 	"cohesion/internal/stats"
 )
 
-// Geometry of the dense fine-grain-table segment.
+// Geometry of the fine-grain-table segment: 8,192 blocks of 64 lines.
 const (
-	tblWords = addr.TableBytes / addr.WordBytes
-	tblLines = addr.TableBytes / addr.LineBytes
-	tblLine0 = addr.Line(addr.TableBase >> addr.LineShift)
+	tblLines   = addr.TableBytes / addr.LineBytes
+	tblLine0   = addr.Line(addr.TableBase >> addr.LineShift)
+	blockLines = 64
+	blockWords = blockLines * addr.WordsPerLine
+	blockBytes = blockWords * addr.WordBytes
+	tblBlocks  = tblLines / blockLines
 )
 
 // Store holds the architectural contents of memory, one 32-bit word at a
 // time, organized by cache line. Lines never written read as zero.
 //
 // The fine-grain region table segment [addr.TableBase, +TableBytes) is
-// held densely instead of in the line map: Cohesion presets table words
-// covering the whole incoherent heap at load time, which would swamp the
-// map (and the address-ordered fingerprint walk) with tens of thousands
-// of lines. The dense arrays are allocated lazily on the first
-// table-range write, so SWcc/HWcc machines never pay for them. The two
-// representations are observationally identical: Lines, ReadLine,
-// LinesTouched, and Fingerprint present the merged image in address
-// order, with a table line participating once any of its words has been
-// written (even with zero), exactly as a map entry would.
+// held as 64-line blocks instead of in the line map: Cohesion paints the
+// table over the whole incoherent heap at load time, which would swamp
+// the map (and the address-ordered fingerprint walk) with tens of
+// thousands of lines that, in all but a few blocks, repeat one word. A
+// block holds that word as its pattern and copies it out into real words
+// only when a write stores a different value. The block headers are
+// allocated on the first table write, so SWcc/HWcc machines never pay for
+// them. The two representations are observationally identical: Lines,
+// ReadLine, LinesTouched, and Fingerprint present the merged image in
+// address order, with a table line participating once any of its words
+// has been written (even with zero), exactly as a map entry would.
 type Store struct {
 	lines map[addr.Line]*[addr.WordsPerLine]uint32
+	tbl   []tblBlock // table segment by block; nil until the first table write
+}
 
-	tbl        []uint32 // table words, indexed by (addr-TableBase)/WordBytes
-	tblWritten []uint64 // one bit per table line: line has been written
+// tblBlock is one 64-line block of the table segment. While words is nil
+// every word of the block reads as pattern. written has one bit per line:
+// the line has been stored to and so belongs to the image. pattern is
+// nonzero only on a block FillTable painted, which is fully written, so
+// an unwritten line always reads as zero.
+type tblBlock struct {
+	written uint64
+	pattern uint32
+	words   *[blockWords]uint32
+}
 
-	// Per-block (64 lines = one tblWritten word) summaries feeding the
-	// fingerprint fast path: a dirty bit set on every table write, and a
-	// lazily recomputed "uniform" bit + pattern consulted by Fingerprint
-	// (see fingerprint.go).
-	tblDirty   []uint64
-	tblUniform []uint64
-	tblPattern []uint32
+// word returns word w of the block.
+func (b *tblBlock) word(w int) uint32 {
+	if b.words == nil {
+		return b.pattern
+	}
+	return b.words[w]
+}
+
+// write stores v into word w, copying the pattern out on the first write
+// of a different value.
+func (b *tblBlock) write(w int, v uint32) {
+	b.written |= 1 << (w / addr.WordsPerLine)
+	if b.words == nil {
+		if v == b.pattern {
+			return
+		}
+		b.words = new([blockWords]uint32)
+		for i := range b.words {
+			b.words[i] = b.pattern
+		}
+	}
+	b.words[w] = v
+}
+
+// line copies line j of the block.
+func (b *tblBlock) line(j int) (out [addr.WordsPerLine]uint32) {
+	for i := range out {
+		out[i] = b.word(j*addr.WordsPerLine + i)
+	}
+	return out
 }
 
 // NewStore returns an empty memory image.
@@ -59,21 +98,17 @@ func NewStore() *Store {
 	return &Store{lines: make(map[addr.Line]*[addr.WordsPerLine]uint32)}
 }
 
-// inTable reports whether a falls in the dense table segment.
+// inTable reports whether a falls in the table segment.
 func inTable(a addr.Addr) bool {
 	return a >= addr.TableBase && a-addr.TableBase < addr.TableBytes
 }
 
-// ensureTbl allocates the dense segment on first table-range write.
-func (s *Store) ensureTbl() {
+// table returns the table segment's blocks, allocating them on first use.
+func (s *Store) table() []tblBlock {
 	if s.tbl == nil {
-		s.tbl = make([]uint32, tblWords)
-		s.tblWritten = make([]uint64, tblLines/64)
-		nblocks := tblLines / blockLines
-		s.tblDirty = make([]uint64, (nblocks+63)/64)
-		s.tblUniform = make([]uint64, (nblocks+63)/64)
-		s.tblPattern = make([]uint32, nblocks)
+		s.tbl = make([]tblBlock, tblBlocks)
 	}
+	return s.tbl
 }
 
 // ReadWord returns the word containing address a.
@@ -82,7 +117,8 @@ func (s *Store) ReadWord(a addr.Addr) uint32 {
 		if s.tbl == nil {
 			return 0
 		}
-		return s.tbl[(a-addr.TableBase)>>addr.WordShift]
+		w := int(a-addr.TableBase) >> addr.WordShift
+		return s.tbl[w/blockWords].word(w % blockWords)
 	}
 	l := s.lines[addr.LineOf(a)]
 	if l == nil {
@@ -94,12 +130,8 @@ func (s *Store) ReadWord(a addr.Addr) uint32 {
 // WriteWord stores v into the word containing address a.
 func (s *Store) WriteWord(a addr.Addr, v uint32) {
 	if inTable(a) {
-		s.ensureTbl()
-		off := a - addr.TableBase
-		s.tbl[off>>addr.WordShift] = v
-		li := uint(off >> addr.LineShift)
-		s.tblWritten[li/64] |= 1 << (li % 64)
-		s.markTblDirty(li)
+		w := int(a-addr.TableBase) >> addr.WordShift
+		s.table()[w/blockWords].write(w%blockWords, v)
 		return
 	}
 	line := addr.LineOf(a)
@@ -111,15 +143,29 @@ func (s *Store) WriteWord(a addr.Addr, v uint32) {
 	l[addr.WordIndex(a)] = v
 }
 
+// FillTable stores v into every word of the table range r, which must
+// cover whole 64-line blocks (2 KiB-aligned base and size). Each block
+// becomes fully written and holds v as its pattern, dropping any words a
+// differing write had copied out.
+func (s *Store) FillTable(r addr.Range, v uint32) {
+	off := r.Base - addr.TableBase
+	if !inTable(r.Base) || off%blockBytes != 0 || r.Size%blockBytes != 0 || off+addr.Addr(r.Size) > addr.TableBytes {
+		panic(fmt.Sprintf("dram: FillTable range %v is not whole table blocks", r))
+	}
+	tbl := s.table()
+	for bi := int(off / blockBytes); bi < int((off+addr.Addr(r.Size))/blockBytes); bi++ {
+		tbl[bi] = tblBlock{written: ^uint64(0), pattern: v}
+	}
+}
+
 // ReadLine copies the full contents of a line.
 func (s *Store) ReadLine(line addr.Line) [addr.WordsPerLine]uint32 {
 	if base := line.Base(); inTable(base) {
-		var out [addr.WordsPerLine]uint32
-		if s.tbl != nil {
-			w0 := (base - addr.TableBase) >> addr.WordShift
-			copy(out[:], s.tbl[w0:w0+addr.WordsPerLine])
+		if s.tbl == nil {
+			return [addr.WordsPerLine]uint32{}
 		}
-		return out
+		li := int(line - tblLine0)
+		return s.tbl[li/blockLines].line(li % blockLines)
 	}
 	if l := s.lines[line]; l != nil {
 		return *l
@@ -136,16 +182,14 @@ func (s *Store) MergeLine(line addr.Line, mask uint8, data [addr.WordsPerLine]ui
 		return
 	}
 	if base := line.Base(); inTable(base) {
-		s.ensureTbl()
-		w0 := (base - addr.TableBase) >> addr.WordShift
+		li := int(line - tblLine0)
+		b := &s.table()[li/blockLines]
+		w0 := li % blockLines * addr.WordsPerLine
 		for w := 0; w < addr.WordsPerLine; w++ {
 			if mask&(1<<w) != 0 {
-				s.tbl[w0+addr.Addr(w)] = data[w]
+				b.write(w0+w, data[w])
 			}
 		}
-		li := uint(line - tblLine0)
-		s.tblWritten[li/64] |= 1 << (li % 64)
-		s.markTblDirty(li)
 		return
 	}
 	l := s.lines[line]
@@ -163,8 +207,8 @@ func (s *Store) MergeLine(line addr.Line, mask uint8, data [addr.WordsPerLine]ui
 // tblLinesTouched counts written table lines.
 func (s *Store) tblLinesTouched() int {
 	n := 0
-	for _, w := range s.tblWritten {
-		n += bits.OnesCount64(w)
+	for i := range s.tbl {
+		n += bits.OnesCount64(s.tbl[i].written)
 	}
 	return n
 }
@@ -172,8 +216,8 @@ func (s *Store) tblLinesTouched() int {
 // LinesTouched reports how many distinct lines have ever been written.
 func (s *Store) LinesTouched() int { return len(s.lines) + s.tblLinesTouched() }
 
-// Lines returns every written line in address order (the checkpoint layer
-// serializes the image line by line).
+// Lines returns every written line in address order (divergence dumps
+// capture the image line by line).
 func (s *Store) Lines() []addr.Line {
 	lines := make([]addr.Line, 0, len(s.lines)+s.tblLinesTouched())
 	for line := range s.lines {
@@ -182,10 +226,9 @@ func (s *Store) Lines() []addr.Line {
 	slices.Sort(lines)
 	// The table segment is the top of the address space: every written
 	// table line sorts after every map line.
-	for wi, w := range s.tblWritten {
-		for ; w != 0; w &= w - 1 {
-			li := wi*64 + bits.TrailingZeros64(w)
-			lines = append(lines, tblLine0+addr.Line(li))
+	for bi := range s.tbl {
+		for w := s.tbl[bi].written; w != 0; w &= w - 1 {
+			lines = append(lines, tblLine0+addr.Line(bi*blockLines+bits.TrailingZeros64(w)))
 		}
 	}
 	return lines
@@ -253,29 +296,23 @@ func (s *Store) Fingerprint() uint64 {
 		h = mixLine(h, line, s.lines[line])
 	}
 	// Table lines sort after everything in the map (top of the address
-	// space), so they are mixed last, in ascending order. A fully-written
-	// uniform block (the overwhelmingly common case: the Cohesion preset
-	// paints the table in solid runs) is folded in with one cached affine
-	// transform instead of ~4600 dependent multiplies; ragged or
-	// non-uniform blocks take the per-line path with the concrete running
-	// state, so the result is bit-identical either way.
-	var buf [addr.WordsPerLine]uint32
-	for wi, w := range s.tblWritten {
-		if w == 0 {
+	// space), so they are mixed last, in ascending order. A fully written
+	// block still holding its pattern (the common case: the Cohesion
+	// preset paints the table in whole blocks) is folded in with one
+	// cached affine transform instead of ~4600 dependent multiplies;
+	// ragged or copied-out blocks take the per-line path with the concrete
+	// running state, so the result is bit-identical either way.
+	for bi := range s.tbl {
+		b := &s.tbl[bi]
+		if b.written == ^uint64(0) && b.words == nil {
+			x := blockXformFor(bi, b.pattern)
+			h = h*x.mult + x.add[h&0xff]
 			continue
 		}
-		if w == ^uint64(0) {
-			if pattern, ok := s.blockUniform(wi); ok {
-				x := blockXformFor(wi, pattern)
-				h = h*x.mult + x.add[h&0xff]
-				continue
-			}
-		}
-		for ; w != 0; w &= w - 1 {
-			li := wi*64 + bits.TrailingZeros64(w)
-			w0 := li * addr.WordsPerLine
-			copy(buf[:], s.tbl[w0:w0+addr.WordsPerLine])
-			h = mixLine(h, tblLine0+addr.Line(li), &buf)
+		for w := b.written; w != 0; w &= w - 1 {
+			j := bits.TrailingZeros64(w)
+			line := b.line(j)
+			h = mixLine(h, tblLine0+addr.Line(bi*blockLines+j), &line)
 		}
 	}
 	return h

@@ -53,6 +53,65 @@ func TestReadLineAndMerge(t *testing.T) {
 	}
 }
 
+// TestTableBlocksReadBack checks the table segment's block shapes
+// through the word and line accessors: a painted block reads its pattern
+// everywhere, a differing write changes only its own word, and untouched
+// table memory reads zero without joining the image.
+func TestTableBlocksReadBack(t *testing.T) {
+	s := NewStore()
+	if s.ReadWord(addr.TableBase) != 0 || s.LinesTouched() != 0 {
+		t.Fatal("untouched table not zero")
+	}
+	s.FillTable(addr.Range{Base: addr.TableBase + 2*blockBytes, Size: 2 * blockBytes}, 0xa5a5a5a5)
+	if got := s.LinesTouched(); got != 2*blockLines {
+		t.Fatalf("LinesTouched after painting two blocks = %d, want %d", got, 2*blockLines)
+	}
+	changed := addr.TableBase + 3*blockBytes + 100
+	s.WriteWord(changed, 7)
+	for a := addr.TableBase + blockBytes; a < addr.TableBase+5*blockBytes; a += addr.WordBytes {
+		want := uint32(0xa5a5a5a5)
+		switch {
+		case a == changed:
+			want = 7
+		case a < addr.TableBase+2*blockBytes || a >= addr.TableBase+4*blockBytes:
+			want = 0
+		}
+		if got := s.ReadWord(a); got != want {
+			t.Fatalf("word %#x = %#x, want %#x", uint64(a), got, want)
+		}
+		if got := s.ReadLine(addr.LineOf(a))[addr.WordIndex(a)]; got != want {
+			t.Fatalf("line word %#x = %#x, want %#x", uint64(a), got, want)
+		}
+	}
+	// A merge into an untouched block writes only its masked words.
+	line := addr.LineOf(addr.TableBase + 6*blockBytes)
+	s.MergeLine(line, 0b10, [addr.WordsPerLine]uint32{1, 2, 3})
+	if got := s.ReadLine(line); got != ([addr.WordsPerLine]uint32{0, 2}) {
+		t.Fatalf("merged table line = %v", got)
+	}
+	if got := s.LinesTouched(); got != 2*blockLines+1 {
+		t.Fatalf("LinesTouched = %d, want %d", got, 2*blockLines+1)
+	}
+}
+
+func TestFillTableRejectsPartialBlocks(t *testing.T) {
+	for _, r := range []addr.Range{
+		{Base: addr.TableBase + 4, Size: blockBytes},
+		{Base: addr.TableBase, Size: blockBytes / 2},
+		{Base: addr.TableBase - blockBytes, Size: blockBytes},
+		{Base: addr.TableBase + addr.TableBytes - blockBytes, Size: 2 * blockBytes},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FillTable(%v) accepted a range that is not whole table blocks", r)
+				}
+			}()
+			NewStore().FillTable(r, 1)
+		}()
+	}
+}
+
 // Property: disjoint merges from two writers commute (the paper's multiple-
 // writer merge guarantee for disjoint write sets).
 func TestQuickDisjointMergesCommute(t *testing.T) {

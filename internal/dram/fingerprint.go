@@ -1,11 +1,11 @@
-// Fingerprint fast path for the dense fine-grain-table segment.
+// Fingerprint fast path for the fine-grain-table segment.
 //
-// The Cohesion preset writes the region table across the whole incoherent
-// heap, so end-of-run fingerprints mix ~32K table lines whose content is
-// almost always uniform (every word 0xffffffff or 0). Mixing them byte by
-// byte is a serial FNV-1a dependency chain — ~72 dependent multiplies per
-// line, about 2ms per fingerprint at Table 3 scale — and was the single
-// largest contributor to Cohesion-mode finalize time.
+// The Cohesion preset paints the region table across the whole incoherent
+// heap, so end-of-run fingerprints mix ~32K table lines, almost all of
+// them in blocks still holding one painted pattern (see Store). Mixing
+// them byte by byte is a serial FNV-1a dependency chain — ~72 dependent
+// multiplies per line, about 2ms per fingerprint at Table 3 scale — and
+// was the single largest contributor to Cohesion-mode finalize time.
 //
 // FNV-1a is affine per low-byte lane: one byte step is
 //
@@ -20,12 +20,12 @@
 //	h_out = h_in * p^n + C[h_in & 0xff]
 //
 // for a 256-entry constant table C. These lane transforms compose, so one
-// table per 64-line block (one tblWritten word) collapses ~4600 dependent
-// multiplies into a multiply and an add, bit-identical to the byte loop.
+// table per 64-line block collapses ~4600 dependent multiplies into a
+// multiply and an add, bit-identical to the byte loop.
 //
-// Block transforms depend only on the block index and the uniform word
-// pattern — not on the Store — so they are cached process-wide: every
-// machine in a bench or test process shares one build (~40µs per block).
+// Block transforms depend only on the block index and the pattern — not
+// on the Store — so they are cached process-wide: every machine in a
+// bench or test process shares one build (~40µs per block).
 package dram
 
 import (
@@ -34,21 +34,16 @@ import (
 	"cohesion/internal/addr"
 )
 
-const (
-	blockLines = 64 // lines per tblWritten word
-	blockWords = blockLines * addr.WordsPerLine
-)
-
-// blockXform is the composed affine transform of mixing one fully-written
-// uniform 64-line block: apply as h = h*mult + add[h&0xff].
+// blockXform is the composed affine transform of mixing one fully written
+// 64-line block holding a single pattern: apply as h = h*mult + add[h&0xff].
 type blockXform struct {
 	mult uint64
 	add  [256]uint64
 }
 
 type blockKey struct {
-	wi      int    // block index (tblWritten word index)
-	pattern uint32 // uniform content of all words in the block
+	wi      int    // block index within the table segment
+	pattern uint32 // content of every word in the block
 }
 
 var (
@@ -67,8 +62,8 @@ func powPrime(n int) uint64 {
 
 // mixTail folds the per-block-constant byte suffix of one table line into
 // h: line-number bytes 1-3, the zero upper half of the widened line
-// number, then the eight words of a uniform block's pattern. This is
-// mixLine minus the leading low line-number byte (71 prime multiplies).
+// number, then the eight words of a block's pattern. This is mixLine
+// minus the leading low line-number byte (71 prime multiplies).
 func mixTail(h uint64, b1, b2, b3 byte, pattern uint32) uint64 {
 	h ^= uint64(b1)
 	h *= fnv64Prime
@@ -89,8 +84,8 @@ func mixTail(h uint64, b1, b2, b3 byte, pattern uint32) uint64 {
 	return h
 }
 
-// blockXformFor returns the (cached) transform for block wi filled
-// uniformly with pattern.
+// blockXformFor returns the (cached) transform for block wi filled with
+// pattern.
 func blockXformFor(wi int, pattern uint32) *blockXform {
 	k := blockKey{wi, pattern}
 	xformMu.Lock()
@@ -134,54 +129,4 @@ func buildBlockXform(wi int, pattern uint32) *blockXform {
 		x.mult, x.add = newMult, add
 	}
 	return x
-}
-
-// markTblDirty flags the block holding table line li as changed since its
-// last uniformity scan.
-func (s *Store) markTblDirty(li uint) {
-	bi := li / blockLines
-	s.tblDirty[bi/64] |= 1 << (bi % 64)
-}
-
-// blockUniform reports whether block wi (which must be fully written) is
-// a single repeated word, rescanning it if written since the last scan.
-func (s *Store) blockUniform(wi int) (uint32, bool) {
-	if s.tblDirty[wi/64]&(1<<(wi%64)) != 0 {
-		s.rescanBlock(wi)
-	}
-	if s.tblUniform[wi/64]&(1<<(wi%64)) == 0 {
-		return 0, false
-	}
-	return s.tblPattern[wi], true
-}
-
-// SummarizeTable refreshes the uniformity summary of every written block
-// whose content changed since its last scan. The machine calls it after
-// bulk table presets so the ~1MB scan lands at load time (host-side,
-// untimed) rather than in the first end-of-run fingerprint; Fingerprint
-// then only rescans blocks the run itself dirtied. Safe to call at any
-// time — summaries are consulted lazily and re-validated per dirty bit.
-func (s *Store) SummarizeTable() {
-	if s.tbl == nil {
-		return
-	}
-	for wi := range s.tblWritten {
-		if s.tblWritten[wi] != 0 && s.tblDirty[wi/64]&(1<<(wi%64)) != 0 {
-			s.rescanBlock(wi)
-		}
-	}
-}
-
-func (s *Store) rescanBlock(wi int) {
-	s.tblDirty[wi/64] &^= 1 << (wi % 64)
-	w0 := wi * blockWords
-	p := s.tbl[w0]
-	for _, v := range s.tbl[w0+1 : w0+blockWords] {
-		if v != p {
-			s.tblUniform[wi/64] &^= 1 << (wi % 64)
-			return
-		}
-	}
-	s.tblPattern[wi] = p
-	s.tblUniform[wi/64] |= 1 << (wi % 64)
 }

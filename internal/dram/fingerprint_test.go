@@ -1,45 +1,31 @@
 package dram
 
 import (
-	"math/bits"
-	"slices"
 	"testing"
 
 	"cohesion/internal/addr"
 )
 
-// slowFingerprint is the reference digest: the same walk as Fingerprint
-// but with the block-transform fast path disabled — every written table
-// line goes through the byte-defined mixLine fold. The fast path's
-// contract is bit-identity with this.
+// slowFingerprint is the reference digest: every written line, from the
+// Store's public image accessors, through the byte-defined mixLine fold.
+// The fast path's contract is bit-identity with this.
 func slowFingerprint(s *Store) uint64 {
-	lines := make([]addr.Line, 0, len(s.lines))
-	for line := range s.lines {
-		lines = append(lines, line)
-	}
-	slices.Sort(lines)
 	h := uint64(fnv64Offset)
-	for _, line := range lines {
-		h = mixLine(h, line, s.lines[line])
-	}
-	var buf [addr.WordsPerLine]uint32
-	for wi, w := range s.tblWritten {
-		for ; w != 0; w &= w - 1 {
-			li := wi*64 + bits.TrailingZeros64(w)
-			w0 := li * addr.WordsPerLine
-			copy(buf[:], s.tbl[w0:w0+addr.WordsPerLine])
-			h = mixLine(h, tblLine0+addr.Line(li), &buf)
-		}
+	for _, line := range s.Lines() {
+		words := s.ReadLine(line)
+		h = mixLine(h, line, &words)
 	}
 	return h
 }
 
-// fillBlock writes every word of table block wi with pattern through the
-// public write path, so the written/dirty bookkeeping is exercised too.
-func fillBlock(s *Store, wi int, pattern uint32) {
-	base := addr.TableBase + addr.Addr(wi*blockWords*addr.WordBytes)
+// blockAt returns the address of the first word of table block bi.
+func blockAt(bi int) addr.Addr { return addr.TableBase + addr.Addr(bi*blockBytes) }
+
+// fillBlock writes every word of table block bi with pattern through the
+// public word-write path.
+func fillBlock(s *Store, bi int, pattern uint32) {
 	for w := 0; w < blockWords; w++ {
-		s.WriteWord(base+addr.Addr(w*addr.WordBytes), pattern)
+		s.WriteWord(blockAt(bi)+addr.Addr(w*addr.WordBytes), pattern)
 	}
 }
 
@@ -78,55 +64,58 @@ func TestBlockXformMatchesByteLoop(t *testing.T) {
 	}
 }
 
-// TestFingerprintFastPathMatchesLineWalk builds a store mixing every
-// table-block shape the fast path discriminates — fully-written uniform
-// (eligible), fully-written non-uniform, ragged (partially written) —
-// plus ordinary map lines, and demands Fingerprint agree bit for bit
-// with the fast-path-free reference walk at every step, including after
-// rewrites that flip a block's uniformity in both directions (the dirty
-// bits must invalidate stale summaries).
+// TestFingerprintFastPathMatchesLineWalk builds a store holding every
+// table-block shape Fingerprint discriminates, plus ordinary map lines,
+// and demands Fingerprint agree bit for bit with the line-by-line
+// reference after each step. Each step also checks which path its block
+// takes, so no shape degenerates into another unnoticed.
 func TestFingerprintFastPathMatchesLineWalk(t *testing.T) {
 	s := NewStore()
-	check := func(stage string) {
+	check := func(stage string, bi int, fast bool) {
 		t.Helper()
 		if got, want := s.Fingerprint(), slowFingerprint(s); got != want {
 			t.Fatalf("%s: fast-path fingerprint %#x, reference %#x", stage, got, want)
 		}
+		if b := &s.tbl[bi]; (b.written == ^uint64(0) && b.words == nil) != fast {
+			t.Fatalf("%s: block %d takes the fast path = %v, want %v", stage, bi, !fast, fast)
+		}
+	}
+	paint := func(bi, n int, pattern uint32) {
+		s.FillTable(addr.Range{Base: blockAt(bi), Size: uint64(n * blockBytes)}, pattern)
 	}
 
 	// Ordinary map lines on both sides of the heap.
 	s.WriteWord(0x100, 42)
 	s.WriteWord(0x8000_0000, 7)
-	check("map lines only")
+	if got, want := s.Fingerprint(), slowFingerprint(s); got != want {
+		t.Fatalf("map lines only: fast-path fingerprint %#x, reference %#x", got, want)
+	}
 
-	fillBlock(s, 0, ^uint32(0)) // uniform, fast-path eligible
-	fillBlock(s, 3, 0)          // uniform all-zero
-	check("uniform blocks")
+	paint(0, 2, ^uint32(0))
+	check("painted blocks", 1, true)
+	paint(tblBlocks-1, 1, ^uint32(0))
+	check("painted last block", tblBlocks-1, true)
+	paint(3, 1, 0)
+	check("painted all-zero block", 3, true)
 
-	fillBlock(s, 5, ^uint32(0))
-	s.WriteWord(addr.TableBase+addr.Addr(5*blockWords*addr.WordBytes)+64, 0x1234)
-	check("non-uniform block")
+	fillBlock(s, 4, ^uint32(0))
+	check("uniform block written word by word", 4, false)
+
+	paint(5, 1, ^uint32(0))
+	s.WriteWord(blockAt(5)+64, 0x1234)
+	check("painted block with one word changed", 5, false)
 
 	// Ragged: only the first 3 lines of block 7 written.
-	base7 := addr.TableBase + addr.Addr(7*blockWords*addr.WordBytes)
 	for w := 0; w < 3*addr.WordsPerLine; w++ {
-		s.WriteWord(base7+addr.Addr(w*addr.WordBytes), 9)
+		s.WriteWord(blockAt(7)+addr.Addr(w*addr.WordBytes), 9)
 	}
-	check("ragged block")
+	check("ragged block", 7, false)
 
-	// SummarizeTable (the preset-time refresh) must not change the result.
-	s.SummarizeTable()
-	check("after SummarizeTable")
+	s.WriteWord(blockAt(5)+64, ^uint32(0))
+	check("copied-out block written back to its pattern", 5, false)
 
-	// Break block 0's uniformity, then restore it: both transitions go
-	// through the dirty bits.
-	s.WriteWord(addr.TableBase+32, 0xabcd)
-	check("uniform -> non-uniform")
-	s.WriteWord(addr.TableBase+32, ^uint32(0))
-	check("non-uniform -> uniform")
-
-	// Repaint a uniform block with a different pattern: the cached
-	// summary must not serve the old transform.
-	fillBlock(s, 3, 0x5555aaaa)
-	check("pattern change")
+	paint(3, 1, 0x5555aaaa)
+	check("block repainted with a new pattern", 3, true)
+	paint(5, 1, 0x5555aaaa)
+	check("copied-out block repainted", 5, true)
 }

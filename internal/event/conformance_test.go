@@ -3,6 +3,7 @@ package event
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -172,9 +173,10 @@ func nop() {}
 // scheduling and firing allocate nothing.
 func TestZeroAllocSteadyState(t *testing.T) {
 	var q Queue
-	// Warm up: grow every wheel slot's backing array to the steady-state
-	// batch depth. The sliding 64-cycle batch window below visits every
-	// slot of the wheel over time, so each slot must be warm.
+	// Warm up: fill the spare list with slot arrays deep enough for the
+	// steady-state batch. The sliding 64-cycle batch window below visits
+	// every slot of the wheel over time, taking and returning an array
+	// each time.
 	for d := 0; d < wheelSize; d++ {
 		for k := 0; k < 16; k++ {
 			q.After(Cycle(d), nop)
@@ -190,6 +192,28 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+fire allocated %.1f times per 1024-event batch, want 0", allocs)
+	}
+}
+
+// TestFreshQueueAllocatesWhatItHolds locks in that a queue's slot arrays
+// scale with the slots a run occupies at once, not with the wheel: a
+// fresh queue firing 1,000 events over 100 cycles holds 100 arrays.
+func TestFreshQueueAllocatesWhatItHolds(t *testing.T) {
+	q := new(Queue)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		q.At(Cycle(i%100), nop)
+	}
+	q.Run(0)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("1,000 events over 100 cycles allocated %d bytes", got)
+	if got >= 64<<10 {
+		t.Fatalf("1,000 events over 100 cycles allocated %d bytes, want under 64 KiB", got)
+	}
+	if q.Fired() != 1000 {
+		t.Fatalf("fired %d events, want 1000", q.Fired())
 	}
 }
 

@@ -138,8 +138,9 @@ const (
 )
 
 // slot holds the events of exactly one cycle within the wheel horizon, in
-// schedule order. fns[:next] have fired; fns[next:] are pending. The
-// backing array is retained across reuse.
+// schedule order. fns[:next] have fired; fns[next:] are pending. An empty
+// slot holds no array: it takes one from the queue's spare list on its
+// first event and returns it when released.
 type slot struct {
 	at   Cycle
 	next int
@@ -162,32 +163,37 @@ type Queue struct {
 	slots [wheelSize]slot
 	occ   [wheelSize / 64]uint64 // bit per slot: has pending events
 
-	// slotMem is the initial backing store for every slot's fns array,
-	// carved out in one allocation on first use. Without it, a fresh
-	// queue pays one append-growth allocation per slot it touches —
-	// tens of thousands of small allocations front-loaded into short
-	// runs, which the hot-path allocation gate rightly rejects. Slots
-	// that outgrow their initial capacity reallocate individually.
-	slotMem []Func
+	// spare holds the fns arrays of released slots for reuse, so a queue
+	// allocates one array per concurrently occupied slot and, once warm,
+	// none at all.
+	spare [][]Func
 
 	far heap4[item] // events at >= now+wheelSize, ordered by (at, seq)
 }
 
-// slotCap0 is each slot's initial event capacity; busy cycles beyond it
-// grow their slot's array through the normal append path. Sized above
-// the busiest per-cycle burst any kernel reaches at bench scale (17, on
-// dmm/gjk): below that, thousands of slots pay one growth allocation per
-// fresh queue, which reads as a per-run allocation regression even
-// though each is one-time.
+// slotCap0 is the capacity of a new slot array; busy cycles beyond it
+// grow their array through the normal append path, and the grown array
+// returns to the spare list with its slot. Sized above the busiest
+// per-cycle burst any kernel reaches at bench scale (17, on dmm/gjk), so
+// growth stays rare.
 const slotCap0 = 24
 
-// initWheel carves every slot's initial fns array out of one backing
-// allocation.
-func (q *Queue) initWheel() {
-	q.slotMem = make([]Func, wheelSize*slotCap0)
-	for i := range q.slots {
-		q.slots[i].fns = q.slotMem[i*slotCap0 : i*slotCap0 : (i+1)*slotCap0]
+// push appends fn to the slot of cycle at, which must be within the wheel
+// horizon.
+func (q *Queue) push(at Cycle, fn Func) {
+	i := at & wheelMask
+	s := &q.slots[i]
+	if s.fns == nil {
+		if n := len(q.spare); n > 0 {
+			s.fns = q.spare[n-1]
+			q.spare = q.spare[:n-1]
+		} else {
+			s.fns = make([]Func, 0, slotCap0)
+		}
 	}
+	s.at = at
+	s.fns = append(s.fns, fn)
+	q.occ[i>>6] |= 1 << (i & 63)
 }
 
 // Now reports the current simulated cycle: the cycle of the event being
@@ -210,14 +216,8 @@ func (q *Queue) At(at Cycle, fn Func) {
 	}
 	q.seq++
 	q.pending++
-	if q.slotMem == nil {
-		q.initWheel()
-	}
 	if at-q.now < wheelSize {
-		s := &q.slots[at&wheelMask]
-		s.at = at
-		s.fns = append(s.fns, fn)
-		q.occ[(at&wheelMask)>>6] |= 1 << (at & 63)
+		q.push(at, fn)
 		return
 	}
 	q.far.push(item{at: at, seq: q.seq, fn: fn})
@@ -235,23 +235,20 @@ func (q *Queue) After(delay Cycle, fn Func) {
 func (q *Queue) migrate() {
 	for q.far.len() > 0 && q.far.s[0].at-q.now < wheelSize {
 		it := q.far.pop()
-		s := &q.slots[it.at&wheelMask]
-		s.at = it.at
-		s.fns = append(s.fns, it.fn)
-		q.occ[(it.at&wheelMask)>>6] |= 1 << (it.at & 63)
+		q.push(it.at, it.fn)
 	}
 }
 
 // release retires an exhausted slot: clears its occupancy bit, zeroes the
-// fn pointers so fired closures are collectable, and rewinds the backing
-// array for reuse.
+// fn pointers so fired closures are collectable, and returns the array to
+// the spare list.
 func (q *Queue) release(i int) {
 	s := &q.slots[i]
-	fns := s.fns
-	for j := range fns {
-		fns[j] = nil
+	if s.fns != nil {
+		clear(s.fns)
+		q.spare = append(q.spare, s.fns[:0])
+		s.fns = nil
 	}
-	s.fns = fns[:0]
 	s.next = 0
 	q.occ[i>>6] &^= 1 << (i & 63)
 	if q.cur == i {

@@ -337,16 +337,14 @@ func (m *Machine) AddCoarseRegion(r addr.Range) error {
 // PresetSWcc marks a range's fine-grain table bits software-coherent
 // before simulation starts (the runtime's load-time table initialization,
 // paper §3.5 — performed by the bootstrap core before timing begins).
+// Whole spans of the range are painted a table block at a time
+// (region.FineTable.SetRange), each block holding one pattern word
+// instead of its 512 words.
 func (m *Machine) PresetSWcc(r addr.Range) {
 	if m.Fine == nil {
 		return
 	}
 	m.Fine.SetRange(r)
-	// The bulk preset just painted most of the table; refresh the
-	// fingerprint's per-block uniformity summaries now, host-side and
-	// untimed, so the end-of-run fingerprint only rescans blocks the run
-	// itself dirtied.
-	m.Store.SummarizeTable()
 }
 
 // StartProgram launches a workload program on a global core index.

@@ -90,31 +90,6 @@ func Do(n, workers int, job func(i int)) {
 	}
 }
 
-// Map runs fn(i) for every i in [0, n) across at most workers goroutines
-// and returns the results slotted by index.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	Do(n, workers, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// MapErr runs fn(i) for every i in [0, n) across at most workers
-// goroutines. All jobs run to completion even when some fail; if any
-// failed, the error of the lowest-index failure is returned (so the
-// reported error does not depend on completion order) along with a nil
-// slice. Otherwise the results are returned slotted by index.
-func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	Do(n, workers, func(i int) { out[i], errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // PanicError is one job's contained panic: the recovered value, the
 // panicking goroutine's stack, and the job index. It matches
 // errors.Is(err, simerr.ErrRunPanicked), so supervising layers dispatch
@@ -131,14 +106,15 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return simerr.ErrRunPanicked }
 
-// MapCatch is MapErr with panic containment and per-job failure
-// reporting: every job runs to completion, a panicking job is recovered
-// into a *PanicError in its own slot instead of crashing the sweep, and
-// both slices come back slotted by index — errs[i] non-nil means out[i]
-// is the zero value and the rest of the sweep is untouched. Because
-// failures are slotted (not raced), the caller's view is deterministic
-// at any worker count: same jobs ⇒ same errs, including which job is
-// reported first by layers that canonicalize on the lowest index.
+// MapCatch runs fn(i) for every i in [0, n) across at most workers
+// goroutines (resolved via Workers) and returns results and errors
+// slotted by index. Every job runs to completion; a panicking job is
+// recovered into a *PanicError in its own slot instead of crashing the
+// sweep — errs[i] non-nil means out[i] is the zero value and the rest of
+// the sweep is untouched. Because failures are slotted (not raced), the
+// caller's view is deterministic at any worker count: same jobs ⇒ same
+// errs. A caller that wants fail-fast semantics returns the first
+// non-nil entry of errs, the lowest-index failure.
 func MapCatch[T any](n, workers int, fn func(i int) (T, error)) ([]T, []error) {
 	out := make([]T, n)
 	errs := make([]error, n)

@@ -12,22 +12,28 @@ import (
 
 func TestMapSlotsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		got := Map(100, workers, func(i int) int { return i * i })
+		got, errs := MapCatch(100, workers, func(i int) (int, error) { return i * i, nil })
 		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
+			if v != i*i || errs[i] != nil {
+				t.Fatalf("workers=%d: slot %d = (%d, %v), want (%d, nil)", workers, i, v, errs[i], i*i)
 			}
 		}
 	}
 }
 
 func TestSerialAndParallelIdentical(t *testing.T) {
-	job := func(i int) string { return fmt.Sprintf("job-%03d", i*7%13) }
-	serial := Map(200, 1, job)
-	parallel := Map(200, 8, job)
+	job := func(i int) (string, error) {
+		if i%17 == 5 {
+			return "", fmt.Errorf("job %d failed", i)
+		}
+		return fmt.Sprintf("job-%03d", i*7%13), nil
+	}
+	serial, serialErrs := MapCatch(200, 1, job)
+	parallel, parallelErrs := MapCatch(200, 8, job)
 	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("results diverge at %d: %q vs %q", i, serial[i], parallel[i])
+		if serial[i] != parallel[i] || fmt.Sprint(serialErrs[i]) != fmt.Sprint(parallelErrs[i]) {
+			t.Fatalf("results diverge at %d: (%q, %v) vs (%q, %v)",
+				i, serial[i], serialErrs[i], parallel[i], parallelErrs[i])
 		}
 	}
 }
@@ -55,10 +61,10 @@ func TestEveryJobRunsExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestMapErrReportsLowestIndexFailure(t *testing.T) {
+func TestMapCatchLowestIndexFailureFirst(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	for _, workers := range []int{1, 8} {
-		_, err := MapErr(100, workers, func(i int) (int, error) {
+		_, errs := MapCatch(100, workers, func(i int) (int, error) {
 			switch i {
 			case 97:
 				return 0, errHigh
@@ -67,8 +73,15 @@ func TestMapErrReportsLowestIndexFailure(t *testing.T) {
 			}
 			return i, nil
 		})
-		if !errors.Is(err, errLow) {
-			t.Fatalf("workers=%d: err = %v, want lowest-index error %v", workers, err, errLow)
+		var first error
+		for _, err := range errs {
+			if err != nil {
+				first = err
+				break
+			}
+		}
+		if !errors.Is(first, errLow) || !errors.Is(errs[97], errHigh) {
+			t.Fatalf("workers=%d: first error %v, errs[97] %v; want %v then %v", workers, first, errs[97], errLow, errHigh)
 		}
 	}
 }
@@ -133,7 +146,7 @@ func TestZeroJobs(t *testing.T) {
 	if ran {
 		t.Fatal("job ran for n=0")
 	}
-	if out := Map(0, 4, func(i int) int { return i }); len(out) != 0 {
-		t.Fatalf("Map(0) returned %d results", len(out))
+	if out, errs := MapCatch(0, 4, func(i int) (int, error) { return i, nil }); len(out) != 0 || len(errs) != 0 {
+		t.Fatalf("MapCatch(0) returned %d results and %d errors", len(out), len(errs))
 	}
 }

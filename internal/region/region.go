@@ -59,7 +59,7 @@ func (t *CoarseTable) Contains(a addr.Addr) bool {
 func (t *CoarseTable) Len() int { return len(t.ranges) }
 
 // Ranges returns a copy of the registered ranges in registration order
-// (the checkpoint layer serializes and digests them).
+// (run digests hash them; divergence dumps capture them).
 func (t *CoarseTable) Ranges() []addr.Range {
 	return append([]addr.Range(nil), t.ranges...)
 }
@@ -191,23 +191,31 @@ func (t *FineTable) Gen() uint64 { return t.gen }
 // Cache layered over this table.
 func (t *FineTable) Invalidate() { t.gen++ }
 
-// SetRange bulk-marks every line of [r.Base, r.End()) as SWcc. One table
-// word covers a contiguous, 1 KB-aligned block of the address space
-// (bits a[9..5] select the bit within the word), so interior blocks are
-// written a word at a time; ragged edges fall back to per-line sets. Used
-// by load-time runtime initialization, outside simulated time.
+// SetRange bulk-marks every line of [r.Base, r.End()) as SWcc. TblWordAddr
+// maps an aligned span of banks × 512 KiB onto one contiguous run of whole
+// table blocks, so whole spans are painted a block at a time. One table
+// word covers a contiguous, 1 KB-aligned block of the address space (bits
+// a[9..5] select the bit within the word), so the remaining 1 KB blocks
+// are written a word at a time; ragged edges fall back to per-line sets.
+// Used by load-time runtime initialization, outside simulated time.
 func (t *FineTable) SetRange(r addr.Range) {
 	a := addr.LineAlign(r.Base)
 	end := addr.LineAlignUp(r.End())
+	span := addr.Addr(t.banks) << 19
 	const block = 1 << 10
 	for a < end {
-		if a%block == 0 && a+block <= end {
+		switch {
+		case a%span == 0 && a+span <= end:
+			// One table bit per 32-byte line: a span's table run is span/256 bytes.
+			t.store.FillTable(addr.Range{Base: TblWordAddr(a, t.banks), Size: uint64(span >> 8)}, ^uint32(0))
+			a += span
+		case a%block == 0 && a+block <= end:
 			t.store.WriteWord(TblWordAddr(a, t.banks), ^uint32(0))
 			a += block
-			continue
+		default:
+			t.Set(a)
+			a += addr.LineBytes
 		}
-		t.Set(a)
-		a += addr.LineBytes
 	}
 	t.gen++
 }

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -163,18 +164,29 @@ func TestInTableRange(t *testing.T) {
 }
 
 func TestSetRangeMatchesPerLineSet(t *testing.T) {
-	// Bulk SetRange must mark exactly the same bits as per-line Set, for
-	// ragged and aligned ranges alike.
-	cases := []addr.Range{
-		{Base: addr.CohHeapBase, Size: 4096},       // block-aligned
-		{Base: addr.CohHeapBase + 96, Size: 3000},  // ragged both ends
-		{Base: addr.CohHeapBase + 0x3e0, Size: 64}, // straddles a block edge
-		{Base: addr.CohHeapBase + 1, Size: 33},     // unaligned base/size
+	// Bulk SetRange must mark exactly the same bits as per-line Set, and
+	// write the same table lines, for ragged, word-aligned and whole-span
+	// ranges alike.
+	const mib = 1 << 20
+	cases := []struct {
+		banks int
+		r     addr.Range
+	}{
+		{8, addr.Range{Base: addr.CohHeapBase, Size: 4096}},       // block-aligned
+		{8, addr.Range{Base: addr.CohHeapBase + 96, Size: 3000}},  // ragged both ends
+		{8, addr.Range{Base: addr.CohHeapBase + 0x3e0, Size: 64}}, // straddles a block edge
+		{8, addr.Range{Base: addr.CohHeapBase + 1, Size: 33}},     // unaligned base/size
+		{8, addr.Range{Base: addr.CohHeapBase, Size: 4 * mib}},    // one whole span
+		// Ragged head, two whole spans, ragged tail.
+		{8, addr.Range{Base: addr.CohHeapBase + 4*mib - 3000, Size: 8*mib + 5000}},
+		{1, addr.Range{Base: addr.CohHeapBase + mib/2 - 96, Size: 2 * mib}},
+		{32, addr.Range{Base: addr.CohHeapBase, Size: 16*mib + 1024}},
 	}
-	for _, r := range cases {
-		bulk := NewFineTable(dram.NewStore(), 8)
+	for _, c := range cases {
+		r := c.r
+		bulk := NewFineTable(dram.NewStore(), c.banks)
 		bulk.SetRange(r)
-		ref := NewFineTable(dram.NewStore(), 8)
+		ref := NewFineTable(dram.NewStore(), c.banks)
 		for _, l := range addr.LinesCovering(r.Base, r.Size) {
 			ref.Set(l.Base())
 		}
@@ -182,8 +194,30 @@ func TestSetRangeMatchesPerLineSet(t *testing.T) {
 		hi := addr.LineAlignUp(r.End()) + 2048
 		for a := lo; a < hi; a += addr.LineBytes {
 			if bulk.IsSWcc(a) != ref.IsSWcc(a) {
-				t.Fatalf("range %v: mismatch at %#x (bulk=%v)", r, uint64(a), bulk.IsSWcc(a))
+				t.Fatalf("banks %d range %v: mismatch at %#x (bulk=%v)", c.banks, r, uint64(a), bulk.IsSWcc(a))
 			}
 		}
+		if got, want := bulk.store.Fingerprint(), ref.store.Fingerprint(); got != want {
+			t.Fatalf("banks %d range %v: table image fingerprint %#x, per-line %#x", c.banks, r, got, want)
+		}
+	}
+}
+
+// TestSetRangeAllocatesBlocksNotTable locks in that painting the whole
+// 256 MiB incoherent heap allocates the table's block headers, not a
+// dense copy of the 16 MiB table.
+func TestSetRangeAllocatesBlocksNotTable(t *testing.T) {
+	ft := NewFineTable(dram.NewStore(), 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ft.SetRange(addr.Range{Base: addr.CohHeapBase, Size: 256 << 20})
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("SetRange over the incoherent heap allocated %d bytes", got)
+	if got >= 1<<20 {
+		t.Fatalf("SetRange over the incoherent heap allocated %d bytes, want under 1 MiB", got)
+	}
+	if !ft.IsSWcc(addr.CohHeapBase) || !ft.IsSWcc(addr.CohHeapBase+256<<20-1) || ft.IsSWcc(addr.CohHeapBase+256<<20) {
+		t.Fatal("SetRange painted the wrong span")
 	}
 }

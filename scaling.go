@@ -57,7 +57,7 @@ func ScalingStudy(kernel string, clusterCounts []int, seed int64, verify bool, p
 			jobs = append(jobs, job{name: pt.name, clusters: clusters, cfg: pt.cfg})
 		}
 	}
-	return pool.MapErr(len(jobs), parallel, func(i int) (ScalingPoint, error) {
+	points, errs := pool.MapCatch(len(jobs), parallel, func(i int) (ScalingPoint, error) {
 		j := jobs[i]
 		res, err := Run(RunConfig{
 			Machine: j.cfg,
@@ -82,6 +82,12 @@ func ScalingStudy(kernel string, clusterCounts []int, seed int64, verify bool, p
 			ProbesSent:      res.Stats.ProbesSent,
 		}, nil
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return points, nil
 }
 
 // ScalingCSV renders scaling-study points.
