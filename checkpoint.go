@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"cohesion/internal/snapshot"
-	"cohesion/internal/stats"
 )
 
 // RunSpec is the serializable description of one simulation — everything
@@ -398,7 +397,3 @@ func edgeSetDiff(got, want map[string]uint64) string {
 	}
 	return strings.Join(diffs, ", ")
 }
-
-// statsDigestOf exposes the stats digest for table-level comparisons in
-// the CLIs (avoids exporting internal/stats further).
-func statsDigestOf(r *stats.Run) uint64 { return r.Digest() }

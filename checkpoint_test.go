@@ -79,8 +79,8 @@ func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 	if got, want := res.Stats.Digest(), straight.Stats.Digest(); got != want {
 		t.Fatalf("stats digest %#x vs %#x", got, want)
 	}
-	if !reflect.DeepEqual(res.Stats.Snapshot(), straight.Stats.Snapshot()) {
-		t.Fatal("stats snapshots differ")
+	if !reflect.DeepEqual(res.Stats.Counters, straight.Stats.Counters) {
+		t.Fatal("counters differ")
 	}
 }
 
@@ -154,7 +154,7 @@ func TestSelfCheckBisectsAndDumps(t *testing.T) {
 	const firstBad = 1_234
 	testDigestPerturb = func(d *snapshot.Digests) { d.Mem ^= 1 }
 	testReplayPerturb = func(replay int, st *snapshot.MachineState) {
-		if replay == 1 && st.Events >= firstBad {
+		if replay == 1 && st.Digests.Events >= firstBad {
 			st.Digests.Mem ^= 1
 		}
 	}
@@ -180,10 +180,10 @@ func TestSelfCheckBisectsAndDumps(t *testing.T) {
 		if _, err := snapshot.Load(dump, snapshot.KindState, &st); err != nil {
 			t.Fatalf("diagnostic dump %s unreadable: %v", dump, err)
 		}
-		if st.Events != firstBad {
-			t.Fatalf("dump %s captured event %d, want %d", dump, st.Events, firstBad)
+		if st.Digests.Events != firstBad {
+			t.Fatalf("dump %s captured event %d, want %d", dump, st.Digests.Events, firstBad)
 		}
-		// A dump carries events, cycle and digests but no spec: resuming
+		// A dump carries digests and state but no spec: resuming
 		// from it must be refused by kind, not fail late on the empty spec.
 		if _, _, err := ResumeRun(context.Background(), dump, ResumeOptions{}); !errors.Is(err, snapshot.ErrKind) {
 			t.Fatalf("ResumeRun on dump %s = %v, want ErrKind", dump, err)

@@ -871,9 +871,6 @@ func (h *Home) atomicFlow(s *svc) {
 	h.touchL3Word(req.Addr)
 
 	if h.fine != nil && region.InTableRange(req.Addr) && old != next {
-		// The write went through the store directly; drop the host-side
-		// region-lookup caches layered over the table.
-		h.fine.Invalidate()
 		s.atomicOld = old
 		h.transitionChanged(req.Addr, old^next, next, s.transDoneFn)
 		return

@@ -43,12 +43,6 @@ type Machine struct {
 	Coarse   *region.CoarseTable
 	Fine     *region.FineTable
 
-	// RegionCaches holds one host-side fine-table lookup cache per cluster
-	// (Cohesion mode only; nil otherwise). The runtime's FlushIfSWcc /
-	// InvIfSWcc answer domain queries through the querying cluster's cache;
-	// CheckInvariants verifies live entries against the table at quiescence.
-	RegionCaches []*region.Cache
-
 	faults *fault.Plan    // nil unless Cfg.Faults.Enabled
 	oracle *oracle.Oracle // nil unless Cfg.OracleEnabled
 
@@ -148,12 +142,6 @@ func New(cfg config.Machine) (*Machine, error) {
 			cl.SetOracle(m.oracle)
 		}
 		m.Clusters = append(m.Clusters, cl)
-	}
-	if m.Fine != nil {
-		m.RegionCaches = make([]*region.Cache, cfg.Clusters)
-		for c := range m.RegionCaches {
-			m.RegionCaches[c] = region.NewCache(m.Fine)
-		}
 	}
 	return m, nil
 }
@@ -539,14 +527,7 @@ func (m *Machine) scheduleWatchdog(window event.Cycle) {
 // kind, age, directory state), plus the protocol trace ring when tracing
 // is enabled.
 func (m *Machine) diagnostic(reason string) string {
-	now := m.Q.Now()
-	var lines []string
-	for _, cl := range m.Clusters {
-		lines = append(lines, cl.StuckReport(now)...)
-	}
-	for _, h := range m.Homes {
-		lines = append(lines, h.StuckReport(now)...)
-	}
+	lines := m.inflightReport()
 	if len(lines) == 0 {
 		lines = append(lines, "no outstanding transactions recorded (cores wedged before issuing?)")
 	}
@@ -644,11 +625,6 @@ func (m *Machine) DrainToMemory() {
 //     domain: under Cohesion an incoherent line's region-table state must
 //     say SWcc, a coherent line's must say HWcc.
 func (m *Machine) CheckInvariants() error {
-	for c, rc := range m.RegionCaches {
-		if err := rc.Check(); err != nil {
-			return fmt.Errorf("cluster %d: %w", c, err)
-		}
-	}
 	if m.oracle != nil {
 		// The oracle's domain model must agree with the region tables at
 		// quiescence (runs for every mode, including directory-less SWcc).

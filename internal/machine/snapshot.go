@@ -22,6 +22,13 @@ func (m *Machine) SetCheckpointFunc(fn func(events, cycle uint64) error) { m.ckp
 // the machine (in particular it does not drain dirty cache lines), so it
 // is safe to call mid-run from a checkpoint callback.
 func (m *Machine) Digests() snapshot.Digests {
+	return m.digests(m.collectL2(), m.collectDir(), m.inflightReport())
+}
+
+// digests hashes the collected L2, directory and in-flight lists, plus
+// the layers that need no list (queue, memory image, region table,
+// oracle, counters), into the digest vector.
+func (m *Machine) digests(l2 []snapshot.CacheLine, dir []snapshot.DirEntry, inflight []string) snapshot.Digests {
 	d := snapshot.Digests{
 		Events:   m.Q.Fired(),
 		Cycle:    uint64(m.Q.Now()),
@@ -31,13 +38,13 @@ func (m *Machine) Digests() snapshot.Digests {
 	}
 
 	h := snapshot.NewHasher()
-	for _, cl := range m.collectL2() {
+	for _, cl := range l2 {
 		mixCacheLine(h, cl)
 	}
 	d.L2 = h.Sum()
 
 	h = snapshot.NewHasher()
-	for _, e := range m.collectDir() {
+	for _, e := range dir {
 		mixDirEntry(h, e)
 	}
 	d.Dir = h.Sum()
@@ -56,7 +63,7 @@ func (m *Machine) Digests() snapshot.Digests {
 	}
 
 	h = snapshot.NewHasher()
-	for _, line := range m.inflightReport() {
+	for _, line := range inflight {
 		h.String(line)
 	}
 	d.Inflight = h.Sum()
@@ -68,18 +75,16 @@ func (m *Machine) Digests() snapshot.Digests {
 // record only Digests): the DRAM image, every valid L2 entry (dirty and
 // clean), every allocated directory entry, the coarse region table (the
 // fine-grain bitmap lives inside the DRAM image), the outstanding-
-// transaction report, cumulative stats, and the digest vector over all
-// of it. Like Digests it never mutates the machine.
+// transaction report, the run's counters, and the digest vector hashed
+// from those same lists. Like Digests it never mutates the machine.
 func (m *Machine) CaptureState() *snapshot.MachineState {
 	st := &snapshot.MachineState{
-		Events:   m.Q.Fired(),
-		Cycle:    uint64(m.Q.Now()),
-		Digests:  m.Digests(),
 		L2:       m.collectL2(),
 		Dir:      m.collectDir(),
 		Inflight: m.inflightReport(),
-		Stats:    m.Run.Snapshot(),
+		Stats:    m.Run.Counters,
 	}
+	st.Digests = m.digests(st.L2, st.Dir, st.Inflight)
 	for _, line := range m.Store.Lines() {
 		st.Mem = append(st.Mem, snapshot.MemLine{Line: uint64(line), Data: m.Store.ReadLine(line)})
 	}

@@ -60,7 +60,8 @@ func TestDigestsDeterministicAtEventCount(t *testing.T) {
 }
 
 // TestCaptureStateDeterministic compares full serialized machine states
-// across identical replays, item by item.
+// across identical replays, and checks that a dump's digest vector,
+// hashed from its own lists, equals the one a checkpoint would record.
 func TestCaptureStateDeterministic(t *testing.T) {
 	capture := func() *snapshot.MachineState {
 		m := newMachine(t, cohesionCfg(2))
@@ -69,14 +70,21 @@ func TestCaptureStateDeterministic(t *testing.T) {
 		if !errors.Is(err, simerr.ErrBudgetExhausted) {
 			t.Fatalf("SimulateCtx = %v, want ErrBudgetExhausted", err)
 		}
-		return m.CaptureState()
+		st := m.CaptureState()
+		if d := m.Digests(); st.Digests != d {
+			t.Fatalf("dump digests %+v, checkpoint digests %+v", st.Digests, d)
+		}
+		return st
 	}
 	s1, s2 := capture(), capture()
-	if diff := snapshot.DiffStates(s1, s2); diff != nil {
-		t.Fatalf("machine states diverged across identical replays: %v", diff)
+	if diff := s1.Digests.Diff(s2.Digests); diff != nil {
+		t.Fatalf("digest vectors diverged across identical replays: %v", diff)
+	}
+	if s1.Digests.Events != 5_000 || s1.Stats.Events != 5_000 {
+		t.Fatalf("dump records event %d, counters say %d; want the 5000-event budget", s1.Digests.Events, s1.Stats.Events)
 	}
 	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("machine states differ in a layer DiffStates does not cover")
+		t.Fatal("machine states diverged across identical replays")
 	}
 }
 

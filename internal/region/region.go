@@ -142,13 +142,6 @@ func InvTblAddr(wordAddr addr.Addr, bit uint, banks int) addr.Line {
 type FineTable struct {
 	store *dram.Store
 	banks int
-
-	// gen counts table mutations; lookup caches layered over the table
-	// (Cache) compare it against their fill generation and drop all
-	// entries when it moves. Host-side writers bump it via Set/Clear/
-	// SetRange; the directory bumps it explicitly (Invalidate) when a
-	// snooped in-simulation table write changes bits.
-	gen uint64
 }
 
 // NewFineTable wraps the backing store for a machine with the given L3
@@ -171,7 +164,6 @@ func (t *FineTable) IsSWcc(a addr.Addr) bool {
 func (t *FineTable) Set(a addr.Addr) addr.Addr {
 	wa := TblWordAddr(a, t.banks)
 	t.store.WriteWord(wa, t.store.ReadWord(wa)|1<<TblBitIndex(a))
-	t.gen++
 	return wa
 }
 
@@ -179,17 +171,8 @@ func (t *FineTable) Set(a addr.Addr) addr.Addr {
 func (t *FineTable) Clear(a addr.Addr) addr.Addr {
 	wa := TblWordAddr(a, t.banks)
 	t.store.WriteWord(wa, t.store.ReadWord(wa)&^(1<<TblBitIndex(a)))
-	t.gen++
 	return wa
 }
-
-// Gen reports the table's mutation generation.
-func (t *FineTable) Gen() uint64 { return t.gen }
-
-// Invalidate records an out-of-band table mutation (a snooped atomic that
-// the directory wrote through the backing store directly), dropping every
-// Cache layered over this table.
-func (t *FineTable) Invalidate() { t.gen++ }
 
 // SetRange bulk-marks every line of [r.Base, r.End()) as SWcc. TblWordAddr
 // maps an aligned span of banks × 512 KiB onto one contiguous run of whole
@@ -217,88 +200,10 @@ func (t *FineTable) SetRange(r addr.Range) {
 			a += addr.LineBytes
 		}
 	}
-	t.gen++
 }
 
 // InTableRange reports whether a falls inside the table's own storage;
 // the directory snoops writes in this range (paper §3.6).
 func InTableRange(a addr.Addr) bool {
 	return a >= addr.TableBase && a < addr.TableBase+addr.TableBytes
-}
-
-// cacheEntries and cacheBlockBytes size the per-cluster fine-table lookup
-// cache: one entry caches the table word covering one 1 KB-aligned block
-// of the address space (32 lines — bits a[9..5] select the bit within the
-// word, so TblWordAddr is constant over the block).
-const (
-	cacheEntries    = 64
-	cacheBlockBytes = 1 << 10
-)
-
-// Cache is a small direct-mapped, host-side lookup cache over a FineTable,
-// one per cluster. Kernels consult the fine-grain table on the hot path
-// (FlushIfSWcc / InvIfSWcc decide per structure whether software coherence
-// instructions are needed); the cache answers repeat lookups within a 1 KB
-// block without re-deriving the table-word permutation or touching the
-// backing store. It is a pure host-structure: fills and hits charge no
-// simulated cycles, so timing and fingerprints are unchanged.
-//
-// Coherence: every entry is tagged with the FineTable generation observed
-// at fill time. Any table mutation — host-side Set/Clear/SetRange or a
-// directory-snooped in-simulation table write (domain transition) — bumps
-// the generation, and the next lookup drops the whole cache. Consistency
-// of live entries is asserted at quiescence by machine.CheckInvariants
-// via Check.
-type Cache struct {
-	fine *FineTable
-	gen  uint64
-
-	// Hits and Misses count lookups answered from / filled into the
-	// cache since construction (observability for tests and reports).
-	Hits, Misses uint64
-
-	tags  [cacheEntries]addr.Addr // block base | 1; 0 = empty
-	words [cacheEntries]uint32
-}
-
-// NewCache builds an empty lookup cache over fine.
-func NewCache(fine *FineTable) *Cache { return &Cache{fine: fine} }
-
-// IsSWcc reports whether the line containing a is marked software-coherent,
-// filling the cache on a miss.
-func (c *Cache) IsSWcc(a addr.Addr) bool {
-	if g := c.fine.gen; g != c.gen {
-		c.tags = [cacheEntries]addr.Addr{}
-		c.gen = g
-	}
-	block := a &^ (cacheBlockBytes - 1)
-	idx := (uint64(a) / cacheBlockBytes) % cacheEntries
-	if c.tags[idx] == block|1 {
-		c.Hits++
-	} else {
-		c.words[idx] = c.fine.store.ReadWord(TblWordAddr(a, c.fine.banks))
-		c.tags[idx] = block | 1
-		c.Misses++
-	}
-	return c.words[idx]&(1<<TblBitIndex(a)) != 0
-}
-
-// Check verifies every live entry against the backing table. A cache whose
-// generation is behind the table's holds no live entries (they are dropped
-// wholesale on the next lookup) and passes vacuously.
-func (c *Cache) Check() error {
-	if c.gen != c.fine.gen {
-		return nil
-	}
-	for i, tag := range c.tags {
-		if tag == 0 {
-			continue
-		}
-		base := tag &^ 1
-		if want := c.fine.store.ReadWord(TblWordAddr(base, c.fine.banks)); c.words[i] != want {
-			return fmt.Errorf("region: cache entry %d (block %#x) holds %#x, table says %#x",
-				i, uint64(base), c.words[i], want)
-		}
-	}
-	return nil
 }

@@ -294,41 +294,18 @@ func (x *Ctx) InvRange(base addr.Addr, size uint64) {
 	}
 }
 
-// IsSWccDomain is Runtime.IsSWccDomain answered through the worker's
-// cluster region-lookup cache: under Cohesion a fine-table consultation
-// hits the small per-cluster cache instead of re-deriving the table-word
-// permutation and reading the backing store on every call. Both paths are
-// host-side (no simulated cycles); the cached answer is kept consistent by
-// the table's mutation generation.
-func (x *Ctx) IsSWccDomain(a addr.Addr) bool {
-	r := x.rt
-	switch r.M.Cfg.Mode {
-	case config.SWcc:
-		return true
-	case config.HWcc:
-		return false
-	}
-	if r.M.Coarse != nil && r.M.Coarse.Contains(a) {
-		return true
-	}
-	if caches := r.M.RegionCaches; len(caches) > 0 {
-		return caches[x.c.ID/r.M.Cfg.CoresPerCluster].IsSWcc(a)
-	}
-	return r.M.Fine != nil && r.M.Fine.IsSWcc(a)
-}
-
 // FlushIfSWcc flushes the range only when it lives in the SWcc domain —
 // the Cohesion variant of a kernel keeps its coherence instructions only
 // for software-managed data (paper §4.1).
 func (x *Ctx) FlushIfSWcc(base addr.Addr, size uint64) {
-	if x.IsSWccDomain(base) {
+	if x.rt.IsSWccDomain(base) {
 		x.FlushRange(base, size)
 	}
 }
 
 // InvIfSWcc invalidates the range only when it lives in the SWcc domain.
 func (x *Ctx) InvIfSWcc(base addr.Addr, size uint64) {
-	if x.IsSWccDomain(base) {
+	if x.rt.IsSWccDomain(base) {
 		x.InvRange(base, size)
 	}
 }

@@ -9,62 +9,9 @@ import (
 	"cohesion/internal/snapshot"
 )
 
-// jobRecord is the persisted form of a Job: everything the next process
-// needs to report the job's history and decide whether to re-run it.
-// Records ride the snapshot envelope (KindJob), so every write is
-// atomic (temp + fsync + rename) and every read is checksummed — a
-// SIGKILL mid-write leaves the previous revision readable.
-type jobRecord struct {
-	ID          string   `json:"id"`
-	Spec        JobSpec  `json:"spec"`
-	State       State    `json:"state"`
-	Resumed     bool     `json:"resumed,omitempty"`
-	Outcome     *Outcome `json:"outcome,omitempty"`
-	Error       string   `json:"error,omitempty"`
-	SubmittedMS int64    `json:"submitted_ms"`
-	StartedMS   int64    `json:"started_ms,omitempty"`
-	EndedMS     int64    `json:"ended_ms,omitempty"`
-	Revision    uint64   `json:"revision"`
-}
-
-// recordOf snapshots a job for persistence, bumping its revision (the
-// envelope Seq, so LoadRecover adopts the newest of a torn pair).
-// Callers hold the server mutex.
-func recordOf(j *Job) jobRecord {
-	j.Revision++
-	return jobRecord{
-		ID:          j.ID,
-		Spec:        j.Spec,
-		State:       j.State,
-		Resumed:     j.Resumed,
-		Outcome:     j.Outcome,
-		Error:       j.Error,
-		SubmittedMS: j.SubmittedMS,
-		StartedMS:   j.StartedMS,
-		EndedMS:     j.EndedMS,
-		Revision:    j.Revision,
-	}
-}
-
-// job rebuilds the in-memory form.
-func (r jobRecord) job() *Job {
-	return &Job{
-		ID:          r.ID,
-		Spec:        r.Spec,
-		State:       r.State,
-		Resumed:     r.Resumed,
-		Outcome:     r.Outcome,
-		Error:       r.Error,
-		Revision:    r.Revision,
-		SubmittedMS: r.SubmittedMS,
-		StartedMS:   r.StartedMS,
-		EndedMS:     r.EndedMS,
-	}
-}
-
 // saveRecord atomically persists one job record.
-func saveRecord(stateDir string, rec jobRecord) error {
-	return snapshot.WriteAtomic(recordPath(stateDir, rec.ID), snapshot.KindJob, rec.Revision, rec)
+func saveRecord(stateDir string, rec Job) error {
+	return snapshot.WriteAtomic(recordPath(stateDir, rec.ID), snapshot.KindJob, rec.Revision, &rec)
 }
 
 // removeRecord deletes a job record (used only for jobs that were never
@@ -93,7 +40,7 @@ func removeCheckpoint(stateDir, id string) {
 // its newest valid file (main or .tmp). A record that is torn in both
 // places is reported, not silently dropped: job history must not vanish
 // without a trace.
-func loadAllRecords(stateDir string) ([]jobRecord, error) {
+func loadAllRecords(stateDir string) ([]*Job, error) {
 	entries, err := os.ReadDir(jobsDir(stateDir))
 	if err != nil {
 		return nil, fmt.Errorf("serve: scanning %s: %w", jobsDir(stateDir), err)
@@ -109,18 +56,18 @@ func loadAllRecords(stateDir string) ([]jobRecord, error) {
 		}
 	}
 	sort.Strings(names)
-	var recs []jobRecord
+	var recs []*Job
 	seen := map[string]bool{}
 	for _, id := range names {
 		if seen[id] {
 			continue
 		}
 		seen[id] = true
-		var rec jobRecord
-		if _, _, err := snapshot.LoadRecover(recordPath(stateDir, id), snapshot.KindJob, &rec); err != nil {
+		j := new(Job)
+		if _, _, err := snapshot.LoadRecover(recordPath(stateDir, id), snapshot.KindJob, j); err != nil {
 			return nil, fmt.Errorf("serve: recovering job %s: %w", id, err)
 		}
-		recs = append(recs, rec)
+		recs = append(recs, j)
 	}
 	return recs, nil
 }

@@ -82,21 +82,19 @@ var (
 	ErrDraining  = errors.New("serve: server is draining")
 )
 
-// Job is the server's record of one submission. Fields are guarded by
-// the server mutex; the exported snapshot type is JobView.
+// Job is the server's record of one submission and, serialized, its
+// persisted record: everything the next process needs to report the
+// job's history and decide whether to re-run it. Records ride the
+// snapshot envelope (KindJob), so every write is atomic (temp + fsync +
+// rename) and every read is checksummed — a SIGKILL mid-write leaves the
+// previous revision readable. Fields are guarded by the server mutex;
+// status responses get a JobView copy.
 type Job struct {
-	ID   string
-	Spec JobSpec
+	JobView
 
-	State    State
-	Resumed  bool // recovered from a previous process's state dir
-	Outcome  *Outcome
-	Error    string
-	Revision uint64
-
-	SubmittedMS int64
-	StartedMS   int64
-	EndedMS     int64
+	// Revision counts persisted writes of this record; it is the envelope
+	// Seq, so LoadRecover adopts the newest of a torn pair.
+	Revision uint64 `json:"revision"`
 
 	cancel         context.CancelFunc
 	clientCanceled bool
@@ -107,7 +105,7 @@ type JobView struct {
 	ID          string   `json:"id"`
 	Spec        JobSpec  `json:"spec"`
 	State       State    `json:"state"`
-	Resumed     bool     `json:"resumed,omitempty"`
+	Resumed     bool     `json:"resumed,omitempty"` // recovered from a previous process's state dir
 	Outcome     *Outcome `json:"outcome,omitempty"`
 	Error       string   `json:"error,omitempty"`
 	SubmittedMS int64    `json:"submitted_ms"`
@@ -202,8 +200,7 @@ func (s *Server) recoverJobs() ([]string, error) {
 		return nil, err
 	}
 	var requeue []string
-	for _, rec := range recs {
-		j := rec.job()
+	for _, j := range recs {
 		switch j.State {
 		case StateQueued:
 			requeue = append(requeue, j.ID)
@@ -241,10 +238,10 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	}
 	id := fmt.Sprintf("j-%06d", s.nextID)
 	s.nextID++
-	j := &Job{ID: id, Spec: spec, State: StateQueued, SubmittedMS: nowMS()}
+	j := &Job{JobView: JobView{ID: id, Spec: spec, State: StateQueued, SubmittedMS: nowMS()}}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	rec := recordOf(j)
+	rec := j.record()
 	s.mu.Unlock()
 
 	// Persist before enqueuing: once a worker can see the job, a SIGKILL
@@ -294,7 +291,7 @@ func (s *Server) execute(id string) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	j.cancel = cancel
 	spec, resume := j.Spec, j.Resumed
-	rec := recordOf(j)
+	rec := j.record()
 	s.mu.Unlock()
 	defer cancel()
 
@@ -359,7 +356,7 @@ func (s *Server) finish(id string, out *Outcome, err error) {
 		j.State = StateFailed
 		j.Error = err.Error()
 	}
-	rec := recordOf(j)
+	rec := j.record()
 	view := j.view()
 	s.metrics.finished(view) // under s.mu: whoever sees the state sees the count
 	s.mu.Unlock()
@@ -392,7 +389,7 @@ func (s *Server) Cancel(id string) (JobView, bool) {
 		j.State = StateCanceled
 		j.EndedMS = nowMS()
 		j.Error = "canceled while queued"
-		rec := recordOf(j)
+		rec := j.record()
 		view := j.view()
 		s.metrics.finished(view)
 		s.mu.Unlock()
@@ -470,22 +467,22 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
+// view copies the job for a status response, Outcome included, so the
+// caller holds nothing the server mutex guards.
 func (j *Job) view() JobView {
-	v := JobView{
-		ID:          j.ID,
-		Spec:        j.Spec,
-		State:       j.State,
-		Resumed:     j.Resumed,
-		Error:       j.Error,
-		SubmittedMS: j.SubmittedMS,
-		StartedMS:   j.StartedMS,
-		EndedMS:     j.EndedMS,
-	}
-	if j.Outcome != nil {
-		out := *j.Outcome
+	v := j.JobView
+	if v.Outcome != nil {
+		out := *v.Outcome
 		v.Outcome = &out
 	}
 	return v
+}
+
+// record bumps the job's revision and returns a copy to persist once the
+// server mutex is released. Callers hold the server mutex.
+func (j *Job) record() Job {
+	j.Revision++
+	return *j
 }
 
 func nowMS() int64 { return time.Now().UnixMilli() }

@@ -180,28 +180,6 @@ func TestDigestsDiff(t *testing.T) {
 	}
 }
 
-func TestDiffStates(t *testing.T) {
-	a := &MachineState{
-		Mem:      []MemLine{{Line: 1, Data: [8]uint32{1}}, {Line: 2}},
-		Inflight: []string{"cl0: txn 1"},
-	}
-	b := &MachineState{
-		Mem:      []MemLine{{Line: 1, Data: [8]uint32{2}}, {Line: 2}},
-		Inflight: []string{"cl0: txn 1", "cl1: txn 9"},
-	}
-	out := DiffStates(a, b)
-	joined := strings.Join(out, "\n")
-	if !strings.Contains(joined, "mem: first differing line 0x1") {
-		t.Fatalf("diff missing mem line: %v", out)
-	}
-	if !strings.Contains(joined, "inflight: first differing report line #1") {
-		t.Fatalf("diff missing inflight: %v", out)
-	}
-	if out := DiffStates(a, a); out != nil {
-		t.Fatalf("self-diff = %v, want nil", out)
-	}
-}
-
 func TestBisect(t *testing.T) {
 	// Divergence begins at event 137: agree(n) is true for n < 137.
 	const first = 137

@@ -144,95 +144,17 @@ type RegionRange struct {
 // MachineState is the complete serialized data state of one machine at a
 // between-events boundary: the memory image, the dirty (and clean) cache
 // lines, the directory machine states, the Cohesion region map, the
-// in-flight transaction report, the oracle digest, and cumulative stats.
-// It is what a divergence dump (KindState) contains; a checkpoint
-// persists only its Digests.
+// in-flight transaction report, and the run's counters, plus the digest
+// vector hashed from those same lists. It is what a divergence dump
+// (KindState) contains; a checkpoint persists only its Digests.
 type MachineState struct {
-	Events   uint64         `json:"events"`
-	Cycle    uint64         `json:"cycle"`
 	Digests  Digests        `json:"digests"`
 	Mem      []MemLine      `json:"mem"`
 	L2       []CacheLine    `json:"l2,omitempty"`
 	Dir      []DirEntry     `json:"dir,omitempty"`
 	Coarse   []RegionRange  `json:"coarse,omitempty"`
 	Inflight []string       `json:"inflight,omitempty"` // outstanding-transaction report lines
-	Stats    stats.Snapshot `json:"stats"`
-}
-
-// DiffStates reports, layer by layer, where two machine states differ —
-// the post-mortem companion to Digests.Diff for divergence dumps. It
-// names the first differing item per layer rather than dumping all of
-// both states.
-func DiffStates(a, b *MachineState) []string {
-	var out []string
-	if d := a.Digests.Diff(b.Digests); len(d) > 0 {
-		out = append(out, "digests: "+fmt.Sprint(d))
-	}
-	if line, ok := firstMemDiff(a.Mem, b.Mem); !ok {
-		out = append(out, fmt.Sprintf("mem: first differing line %#x", line))
-	}
-	if i := firstStringDiff(cacheKeys(a.L2), cacheKeys(b.L2)); i != "" {
-		out = append(out, "l2: first differing entry "+i)
-	}
-	if i := firstStringDiff(dirKeys(a.Dir), dirKeys(b.Dir)); i != "" {
-		out = append(out, "dir: first differing entry "+i)
-	}
-	if i := firstStringDiff(a.Inflight, b.Inflight); i != "" {
-		out = append(out, "inflight: first differing report line "+i)
-	}
-	return out
-}
-
-func firstMemDiff(a, b []MemLine) (uint64, bool) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i].Line, false
-		}
-	}
-	if len(a) != len(b) {
-		longer := a
-		if len(b) > len(a) {
-			longer = b
-		}
-		return longer[n].Line, false
-	}
-	return 0, true
-}
-
-func cacheKeys(ls []CacheLine) []string {
-	out := make([]string, len(ls))
-	for i, l := range ls {
-		out[i] = fmt.Sprintf("cl%d line %#x st%d v%#x d%#x %v", l.Cluster, l.Line, l.State, l.ValidMask, l.DirtyMask, l.Data)
-	}
-	return out
-}
-
-func dirKeys(es []DirEntry) []string {
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = fmt.Sprintf("bank%d line %#x st%d own%d sh%v bc%v", e.Bank, e.Line, e.State, e.Owner, e.Sharers, e.Broadcast)
-	}
-	return out
-}
-
-func firstStringDiff(a, b []string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return fmt.Sprintf("#%d: %q vs %q", i, a[i], b[i])
-		}
-	}
-	if len(a) != len(b) {
-		return fmt.Sprintf("#%d: present in one state only", n)
-	}
-	return ""
+	Stats    stats.Counters `json:"stats"`
 }
 
 // Bisect locates the first point in (lo, hi] at which agree reports

@@ -5,7 +5,9 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -14,69 +16,10 @@ import (
 	"cohesion/internal/trace"
 )
 
-// Run accumulates every measurement for one simulation.
+// Run accumulates every measurement for one simulation: the cumulative
+// Counters, plus the live instruments a process attaches to them.
 type Run struct {
-	// Messages counts L2-output messages by class (the Figs 2/8 stack).
-	Messages [msg.NumKinds]uint64
-
-	// ProbesSent counts directory-to-L2 probe messages (invalidations,
-	// writeback requests, and SW-to-HW clean-capture broadcasts). Not part
-	// of the figures' stacks, but reported for network-load analysis.
-	ProbesSent uint64
-
-	// SWcc coherence-instruction efficiency (Fig 3). "Useful" operations
-	// found the target line valid in the L2.
-	InvIssued, InvUseful uint64
-	WBIssued, WBUseful   uint64
-
-	// Cohesion domain transitions performed by the directory.
-	TransitionsToSW, TransitionsToHW uint64
-
-	// Directory behaviour.
-	DirEvictions  uint64 // entries evicted for capacity (sparse/limited)
-	DirBroadcasts uint64 // Dir4B overflow broadcasts
-
-	// OverlapRaces counts SW-to-HW captures that found the same word dirty
-	// in more than one L2 — the paper's Figure 7 Case 5b software race.
-	OverlapRaces uint64
-
-	// Fault injection (counts of injected events; see internal/fault).
-	FaultDrops  uint64 // requests dropped in flight
-	FaultDups   uint64 // requests delivered twice
-	FaultDelays uint64 // link traversals given a delay spike
-	NacksSent   uint64 // allocation NACKs sent by home banks (injected + capacity)
-
-	// Protocol recovery (the requester/home side of the resilience layer).
-	L2Retries      uint64 // timeout-driven retransmissions
-	NackRetries    uint64 // retransmissions after a directory NACK
-	StaleResponses uint64 // responses discarded for already-settled transactions
-	DupsDropped    uint64 // duplicate request deliveries dropped by home dedup
-
-	// ForwardProgress counts completed core operations plus home-side
-	// transaction grants; the machine's watchdog declares deadlock when it
-	// stops advancing while cores are still active.
-	ForwardProgress uint64
-
-	// DRAM line transfers.
-	DRAMReads, DRAMWrites uint64
-
-	// Core activity.
-	Instructions uint64 // memory + coherence instructions executed
-	Cycles       uint64 // simulated run time
-
-	// Events counts discrete events executed by the simulation's event
-	// queue (filled in by the machine at the end of a run). Events per
-	// wall-clock second is the simulator's throughput metric; the
-	// benchmark (bench/) reports its inverse as cohesion.ns_per_event.
-	Events uint64
-
-	// Network load (filled in by the machine at the end of a run).
-	NetMessages uint64
-	NetBytes    uint64
-
-	// Occupancy samples the allocated-directory-entry count every
-	// SamplePeriod cycles (Fig 9c).
-	Occupancy OccupancySampler
+	Counters
 
 	// Trace, when non-nil, retains the tail of the protocol event history
 	// for post-mortem reports (deadlock diagnostics, fuzz repros).
@@ -95,15 +38,102 @@ type Run struct {
 	// Metrics, when non-nil, collects sim-time histograms (message
 	// latency by class, port waits, queue depths, directory occupancy).
 	Metrics *Metrics
+}
+
+// Counters holds every cumulative counter of a run: what Digest hashes
+// for a checkpoint's stats layer, what a sweep checkpoint persists per
+// cell and what a divergence dump records. The JSON tags and field order
+// fix the digest, so a new counter is added here and nowhere else.
+type Counters struct {
+	// Messages counts L2-output messages by class (the Figs 2/8 stack).
+	Messages [msg.NumKinds]uint64 `json:"messages"`
+
+	// ProbesSent counts directory-to-L2 probe messages (invalidations,
+	// writeback requests, and SW-to-HW clean-capture broadcasts). Not part
+	// of the figures' stacks, but reported for network-load analysis.
+	ProbesSent uint64 `json:"probes_sent"`
+
+	// SWcc coherence-instruction efficiency (Fig 3). "Useful" operations
+	// found the target line valid in the L2.
+	InvIssued uint64 `json:"inv_issued,omitempty"`
+	InvUseful uint64 `json:"inv_useful,omitempty"`
+	WBIssued  uint64 `json:"wb_issued,omitempty"`
+	WBUseful  uint64 `json:"wb_useful,omitempty"`
+
+	// Cohesion domain transitions performed by the directory.
+	TransitionsToSW uint64 `json:"transitions_to_sw,omitempty"`
+	TransitionsToHW uint64 `json:"transitions_to_hw,omitempty"`
+
+	// Directory behaviour.
+	DirEvictions  uint64 `json:"dir_evictions,omitempty"`  // entries evicted for capacity (sparse/limited)
+	DirBroadcasts uint64 `json:"dir_broadcasts,omitempty"` // Dir4B overflow broadcasts
+
+	// OverlapRaces counts SW-to-HW captures that found the same word dirty
+	// in more than one L2 — the paper's Figure 7 Case 5b software race.
+	OverlapRaces uint64 `json:"overlap_races,omitempty"`
+
+	// Fault injection (counts of injected events; see internal/fault).
+	FaultDrops  uint64 `json:"fault_drops,omitempty"`  // requests dropped in flight
+	FaultDups   uint64 `json:"fault_dups,omitempty"`   // requests delivered twice
+	FaultDelays uint64 `json:"fault_delays,omitempty"` // link traversals given a delay spike
+	NacksSent   uint64 `json:"nacks_sent,omitempty"`   // allocation NACKs sent by home banks (injected + capacity)
+
+	// Protocol recovery (the requester/home side of the resilience layer).
+	L2Retries      uint64 `json:"l2_retries,omitempty"`      // timeout-driven retransmissions
+	NackRetries    uint64 `json:"nack_retries,omitempty"`    // retransmissions after a directory NACK
+	StaleResponses uint64 `json:"stale_responses,omitempty"` // responses discarded for already-settled transactions
+	DupsDropped    uint64 `json:"dups_dropped,omitempty"`    // duplicate request deliveries dropped by home dedup
+
+	// ForwardProgress counts completed core operations plus home-side
+	// transaction grants; the machine's watchdog declares deadlock when it
+	// stops advancing while cores are still active.
+	ForwardProgress uint64 `json:"forward_progress"`
+
+	// DRAM line transfers.
+	DRAMReads  uint64 `json:"dram_reads"`
+	DRAMWrites uint64 `json:"dram_writes"`
+
+	// Core activity.
+	Instructions uint64 `json:"instructions"` // memory + coherence instructions executed
+	Cycles       uint64 `json:"cycles"`       // simulated run time
+
+	// Events counts discrete events executed by the simulation's event
+	// queue (filled in by the machine at the end of a run). Events per
+	// wall-clock second is the simulator's throughput metric; the
+	// benchmark (bench/) reports its inverse as cohesion.ns_per_event.
+	Events uint64 `json:"events"`
+
+	// Network load (filled in by the machine at the end of a run).
+	NetMessages uint64 `json:"net_messages"`
+	NetBytes    uint64 `json:"net_bytes"`
+
+	// Occupancy samples the allocated-directory-entry count every
+	// SamplePeriod cycles (Fig 9c).
+	Occupancy OccupancySampler `json:"occupancy"`
 
 	// PhaseMarks records each global barrier release: the cycle it
 	// happened and the cumulative message count at that point, giving a
 	// per-phase traffic breakdown for bulk-synchronous workloads.
-	PhaseMarks []PhaseMark
+	PhaseMarks []PhaseMark `json:"phases,omitempty"`
 
 	// Timeline samples cumulative traffic alongside the occupancy sampler
 	// (every SamplePeriod cycles), for traffic-over-time plots.
-	Timeline []TimelineSample
+	Timeline []TimelineSample `json:"timeline,omitempty"`
+}
+
+// Digest hashes every counter, giving the checkpoint layer a cheap
+// equality probe for the stats layer. JSON field order is fixed by the
+// Counters struct, so the digest is deterministic.
+func (r *Run) Digest() uint64 {
+	b, err := json.Marshal(&r.Counters)
+	if err != nil {
+		// Counters holds only integers and fixed structs; Marshal cannot
+		// fail. Keep a defensive distinct value anyway.
+		return ^uint64(0)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // PhaseMark is one barrier release.
@@ -147,47 +177,47 @@ func (r *Run) TotalMessages() uint64 {
 // OccupancySampler tracks time-averaged and maximum directory occupancy,
 // broken down by address class (code / heap+global / stack).
 type OccupancySampler struct {
-	samples  uint64
-	sumTotal uint64
-	sumClass [addr.NumClasses]uint64
-	maxTotal uint64
+	Count    uint64                  `json:"samples"`
+	SumTotal uint64                  `json:"sum_total"`
+	SumClass [addr.NumClasses]uint64 `json:"sum_class"`
+	Peak     uint64                  `json:"max_total"`
 }
 
 // Sample records one observation of the current per-class entry counts.
 func (o *OccupancySampler) Sample(byClass [addr.NumClasses]uint64) {
-	o.samples++
+	o.Count++
 	var total uint64
 	for c, n := range byClass {
-		o.sumClass[c] += n
+		o.SumClass[c] += n
 		total += n
 	}
-	o.sumTotal += total
-	if total > o.maxTotal {
-		o.maxTotal = total
+	o.SumTotal += total
+	if total > o.Peak {
+		o.Peak = total
 	}
 }
 
 // Samples reports the number of observations taken.
-func (o *OccupancySampler) Samples() uint64 { return o.samples }
+func (o *OccupancySampler) Samples() uint64 { return o.Count }
 
 // MeanTotal returns the time-averaged total number of allocated entries.
 func (o *OccupancySampler) MeanTotal() float64 {
-	if o.samples == 0 {
+	if o.Count == 0 {
 		return 0
 	}
-	return float64(o.sumTotal) / float64(o.samples)
+	return float64(o.SumTotal) / float64(o.Count)
 }
 
 // MeanClass returns the time-averaged entry count for one address class.
 func (o *OccupancySampler) MeanClass(c addr.Class) float64 {
-	if o.samples == 0 {
+	if o.Count == 0 {
 		return 0
 	}
-	return float64(o.sumClass[c]) / float64(o.samples)
+	return float64(o.SumClass[c]) / float64(o.Count)
 }
 
 // MaxTotal returns the maximum observed total entry count.
-func (o *OccupancySampler) MaxTotal() uint64 { return o.maxTotal }
+func (o *OccupancySampler) MaxTotal() uint64 { return o.Peak }
 
 // UsefulInvFraction returns the Fig-3 "useful invalidations" ratio.
 func (r *Run) UsefulInvFraction() float64 { return frac(r.InvUseful, r.InvIssued) }

@@ -225,7 +225,7 @@ func outcomeOf(res *Result, stopErr error) *JobOutcome {
 	}
 	out := &JobOutcome{
 		MemFingerprint: fmt.Sprintf("%#016x", res.MemFingerprint),
-		StatsDigest:    fmt.Sprintf("%#016x", statsDigestOf(&res.Stats)),
+		StatsDigest:    fmt.Sprintf("%#016x", res.Stats.Digest()),
 		Cycles:         res.Stats.Cycles,
 		Events:         res.Stats.Events,
 		Instructions:   res.Stats.Instructions,

@@ -12,12 +12,13 @@ import (
 	"cohesion/internal/stats"
 )
 
-// sweepCell is one completed sweep cell's persisted measurements: enough
-// to reconstruct the cell's table row bit-for-bit without re-running the
-// simulation. (Metrics histograms are not persisted, which is why
-// LatencyTable does not participate in sweep checkpointing.)
+// sweepCell is one completed sweep cell's persisted measurements: the
+// run's counters and memory fingerprint, enough to reconstruct the cell's
+// table row bit-for-bit without re-running the simulation. (Metrics
+// histograms are not persisted, which is why LatencyTable does not
+// participate in sweep checkpointing.)
 type sweepCell struct {
-	Stats          stats.Snapshot `json:"stats"`
+	Stats          stats.Counters `json:"stats"`
 	MemFingerprint uint64         `json:"mem_fingerprint"`
 }
 
@@ -37,7 +38,7 @@ type sweepState struct {
 // unfinished cells. Attach one to ExpParams.Checkpoint: every cell that
 // completes is recorded (atomic temp-file+rename write per cell), and
 // every cell already recorded is served from the cache — its table row is
-// bit-identical to the original run's, since the full stats snapshot and
+// bit-identical to the original run's, since the run's counters and
 // memory fingerprint are persisted. Cells keyed by kernel, configuration
 // label, and a machine-configuration digest are shared across figures
 // that run the identical simulation.
@@ -151,7 +152,7 @@ func (c *SweepCheckpoint) lookup(job runJob) (*Result, bool) {
 		Kernel:         job.kernel,
 		Mode:           job.cfg.Mode,
 		Config:         job.cfg,
-		Stats:          cell.Stats.ToRun(),
+		Stats:          stats.Run{Counters: cell.Stats},
 		MemFingerprint: cell.MemFingerprint,
 	}, true
 }
@@ -160,7 +161,7 @@ func (c *SweepCheckpoint) lookup(job runJob) (*Result, bool) {
 func (c *SweepCheckpoint) record(job runJob, res *Result) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.state.Cells[cellKey(job)] = sweepCell{Stats: res.Stats.Snapshot(), MemFingerprint: res.MemFingerprint}
+	c.state.Cells[cellKey(job)] = sweepCell{Stats: res.Stats.Counters, MemFingerprint: res.MemFingerprint}
 	c.seq++
 	if err := snapshot.WriteAtomic(c.path, snapshot.KindSweep, c.seq, c.state); err != nil {
 		return fmt.Errorf("cohesion: sweep checkpoint: %w", err)
