@@ -144,9 +144,12 @@ type ResumeOptions struct {
 	// snapshot's event count is rejected (the run would end before the
 	// resume point).
 	Limits RunLimits
-	// Coverage and Metrics re-attach live observability instruments.
-	Coverage *Coverage
-	Metrics  bool
+	// TraceSink, Coverage and Metrics re-attach live observability
+	// instruments. Resume replays from event 0, so the sink receives the
+	// same records a straight run's would.
+	TraceSink *TraceSink
+	Coverage  *Coverage
+	Metrics   bool
 }
 
 // ResumeInfo describes what a resume actually did.
@@ -187,6 +190,7 @@ func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *R
 	rc.Limits = opt.Limits
 	rc.Limits.CheckpointEvery = opt.Every
 	rc.Limits.CheckpointAt = append(rc.Limits.CheckpointAt, at.Events)
+	rc.TraceSink = opt.TraceSink
 	rc.Coverage = opt.Coverage
 	rc.Metrics = opt.Metrics
 

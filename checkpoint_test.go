@@ -57,16 +57,18 @@ func TestResumeBitIdenticalAllKernels(t *testing.T) {
 
 // TestResumeFromPeriodicCheckpoint interrupts nothing: it lets a
 // checkpointed run finish, then resumes from the last periodic snapshot
-// and compares against the completed run.
+// and compares against the completed run, protocol trace included.
 func TestResumeFromPeriodicCheckpoint(t *testing.T) {
-	rc := RunConfig{Machine: ckptConfig(Cohesion), Kernel: "heat", Scale: 1, Seed: 7, Verify: true}
+	rc := RunConfig{Machine: ckptConfig(Cohesion), Kernel: "heat", Scale: 1, Seed: 7, Verify: true,
+		TraceSink: NewTraceSink(0)}
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 
 	straight, err := RunWithCheckpoints(context.Background(), rc, CheckpointConfig{Path: path, Every: 3_000})
 	if err != nil {
 		t.Fatalf("RunWithCheckpoints: %v", err)
 	}
-	res, info, err := ResumeRun(context.Background(), path, ResumeOptions{})
+	sink := NewTraceSink(0)
+	res, info, err := ResumeRun(context.Background(), path, ResumeOptions{TraceSink: sink})
 	if err != nil {
 		t.Fatalf("ResumeRun: %v", err)
 	}
@@ -81,6 +83,9 @@ func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Stats.Counters, straight.Stats.Counters) {
 		t.Fatal("counters differ")
+	}
+	if sink.Total() == 0 || !reflect.DeepEqual(sink.Records(), rc.TraceSink.Records()) {
+		t.Fatalf("resumed run traced %d records, straight run %d: want the same records", sink.Total(), rc.TraceSink.Total())
 	}
 }
 

@@ -1,8 +1,9 @@
 // Command cohesion-fuzz stress-tests the coherence protocol with seeded
-// random task programs, watched online by the coherence oracle. On the
-// first failure it writes a self-contained repro file (config, seeds, op
-// schedule, protocol trace ring), shrinks the failing program to a
-// near-minimal schedule, and exits nonzero.
+// random task programs, watched online by the coherence oracle. Programs
+// run untraced. On the first failure it shrinks the failing program to a
+// near-minimal schedule, re-runs that once with a protocol trace, writes a
+// self-contained repro file (config, seeds, op schedule, trace tail), and
+// exits nonzero.
 //
 // Examples:
 //
@@ -11,6 +12,7 @@
 //	cohesion-fuzz -mode cohesion -corrupt           # planted corruption must be caught
 //	cohesion-fuzz -replay repro.json                # re-run a saved failure
 //	cohesion-fuzz -replay repro.json -shrink=false  # replay without shrinking
+//	cohesion-fuzz -replay repro.json -trace         # replay and export its trace
 //	cohesion-fuzz -iters 500 -checkpoint fuzz.ckpt  # interruptible batch
 //	cohesion-fuzz -iters 500 -checkpoint fuzz.ckpt -resume
 //	cohesion-fuzz -checkpoint-stress 3              # verify checkpoint/restore determinism
@@ -48,8 +50,7 @@ func main() {
 		faults    = flag.Bool("faults", false, "compose runs with deterministic fault injection")
 		faultSeed = flag.Int64("fault-seed", 1, "base fault plan seed")
 		corrupt   = flag.Bool("corrupt", false, "plant a memory-corruption motif the oracle must catch")
-		traceN    = flag.Int("trace-ring", 0, "protocol trace ring capacity captured into repros (0 = default)")
-		traceOn   = flag.Bool("trace", false, "on failure, re-run the failing program with a structured trace and write it to -trace-out")
+		traceOn   = flag.Bool("trace", false, "on failure (or a reproduced -replay), write the traced re-run's protocol trace to -trace-out")
 		traceOut  = flag.String("trace-out", "cohesion-fuzz-trace.json", "failure trace output file; .json emits Chrome trace-event format, anything else plain text")
 		edges     = flag.Bool("edges", false, "aggregate protocol-transition edge coverage across all iterations and print the report")
 		out       = flag.String("out", "cohesion-fuzz-repro.json", "repro file written on failure")
@@ -94,7 +95,7 @@ func main() {
 	defer writeMemProfile()
 
 	if *replay != "" {
-		code := replayFile(*replay, *shrink, *maxShrink, *out)
+		code := replayFile(*replay, *shrink, *maxShrink, *out, *traceOn, *traceOut)
 		writeMemProfile()
 		if *cpuprofile != "" {
 			pprof.StopCPUProfile()
@@ -149,7 +150,6 @@ func main() {
 			Faults:            *faults,
 			FaultSeed:         *faultSeed + int64(i),
 			InjectCorrupt:     *corrupt,
-			TraceRing:         *traceN,
 		}
 	}
 
@@ -185,7 +185,7 @@ func main() {
 	spec := fuzzSpec{
 		Seed: *seed, Modes: strings.Join(modes, ","), Clusters: *clusters,
 		Lines: *lines, Ops: *ops, Workers: *workers, Faults: *faults,
-		FaultSeed: *faultSeed, Corrupt: *corrupt, TraceRing: *traceN,
+		FaultSeed: *faultSeed, Corrupt: *corrupt,
 	}
 	start := 0
 	if *checkpoint != "" && *resume {
@@ -244,36 +244,35 @@ func main() {
 				totalCycles += r.res.Cycles
 				continue
 			}
-			p, res := r.prog, r.res
+			p := r.prog
 			fmt.Printf("iter %d (seed %d, mode %s, faults %v) FAILED:\n  %v\n",
-				lo+j, r.cfg.Seed, r.cfg.Mode, r.cfg.Faults, res.Err)
-			category := stress.CategoryOf(res.Err)
+				lo+j, r.cfg.Seed, r.cfg.Mode, r.cfg.Faults, r.res.Err)
+			category := stress.CategoryOf(r.res.Err)
 			if *shrink {
 				q, runs := stress.Shrink(p, category, *maxShrink)
 				fmt.Printf("shrunk to %d ops across %d cores in %d runs\n", opCount(q), len(q.Cores), runs)
-				if sres := stress.RunProgram(q); sres.Err != nil && stress.CategoryOf(sres.Err) == category {
-					p, res = q, sres
-				}
+				p = q
 			}
-			if errors.Is(res.Err, simerr.ErrRunPanicked) {
+			rep, sink := capture(p, category)
+			if errors.Is(r.res.Err, simerr.ErrRunPanicked) {
 				// Contained panic: the supervisor writes a repro (numbered
 				// after the first, so none is overwritten) and keeps the
 				// batch going — one crashing input should not end a long
 				// fuzz campaign. The process still exits nonzero at the end.
 				contained++
 				path := numberedPath(*out, contained)
-				if err := stress.NewRepro(p, res).Save(path); err != nil {
+				if err := rep.Save(path); err != nil {
 					fatal("writing repro: %v", err)
 				}
 				fmt.Printf("panic contained; repro written to %s (category %s)\n", path, category)
 				continue
 			}
-			if err := stress.NewRepro(p, res).Save(*out); err != nil {
+			if err := rep.Save(*out); err != nil {
 				fatal("writing repro: %v", err)
 			}
 			fmt.Printf("repro written to %s (category %s)\n", *out, category)
 			if *traceOn {
-				writeFailureTrace(p, *traceOut)
+				writeTrace(sink, *traceOut)
 			}
 			exit(1)
 		}
@@ -326,7 +325,6 @@ type fuzzSpec struct {
 	Faults    bool   `json:"faults"`
 	FaultSeed int64  `json:"fault_seed"`
 	Corrupt   bool   `json:"corrupt"`
-	TraceRing int    `json:"trace_ring"`
 }
 
 // fuzzState is the KindFuzz checkpoint payload: the next iteration to run
@@ -353,33 +351,34 @@ func numberedPath(base string, n int) string {
 	return strings.TrimSuffix(base, ext) + fmt.Sprintf("-%d", n) + ext
 }
 
-// writeFailureTrace re-executes a failing program with a structured trace
-// sink attached (the original parallel run traced nothing) and exports it.
-func writeFailureTrace(p stress.Program, path string) {
-	sink := trace.NewSink(0)
-	stress.RunProgramOpts(p, stress.RunOpts{Sink: sink})
-	f, err := os.Create(path)
-	if err != nil {
-		fatal("writing trace: %v", err)
+// capture makes the one traced re-run of a failing program that fills
+// its repro and trace export. Tracing must only observe, so a traced
+// re-run that fails differently from the untraced runs is a simulator
+// bug, reported with both categories.
+func capture(p stress.Program, category string) (stress.Repro, *trace.Sink) {
+	rep, _, sink := stress.Capture(p)
+	if rep.Category != category {
+		fatal("traced re-run failed as %s but the untraced run as %s: tracing must only observe", rep.Category, category)
 	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		err = sink.WriteChromeJSON(f)
-	} else {
-		err = sink.WriteText(f)
-	}
-	if err != nil {
+	return rep, sink
+}
+
+// writeTrace exports a failing program's protocol trace.
+func writeTrace(sink *trace.Sink, path string) {
+	if err := sink.WriteFile(path); err != nil {
 		fatal("writing trace: %v", err)
 	}
 	fmt.Printf("failure trace (%d events) written to %s\n", len(sink.Records()), path)
 }
 
-// replayFile re-runs a saved repro, optionally shrinking it further, and
-// returns the process exit code: 0 if the failure reproduced, 1 if not,
-// 2 for a malformed or truncated repro file (rejected at load time by
-// schema validation, with the offending field named, instead of letting
-// the replay panic mid-run).
-func replayFile(path string, shrink bool, maxShrink int, out string) int {
+// replayFile re-runs a saved repro untraced, optionally shrinks it
+// further, and makes one traced re-run of the final program when it has
+// a smaller repro or (traceOn) a trace to write. It returns
+// the process exit code: 0 if the failure reproduced, 1 if not, 2 for a
+// malformed or truncated repro file (rejected at load time by schema
+// validation, with the offending field named, instead of letting the
+// replay panic mid-run).
+func replayFile(path string, shrink bool, maxShrink int, out string, traceOn bool, traceOut string) int {
 	r, err := stress.LoadRepro(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cohesion-fuzz: %v\n", err)
@@ -391,17 +390,27 @@ func replayFile(path string, shrink bool, maxShrink int, out string) int {
 		return 1
 	}
 	fmt.Printf("reproduced: %v\n", res.Err)
+	p, shrunk, runs := r.Program, false, 0
 	if shrink {
-		q, runs := stress.Shrink(r.Program, r.Category, maxShrink)
-		if opCount(q) < opCount(r.Program) {
-			if sres := stress.RunProgram(q); sres.Err != nil && stress.CategoryOf(sres.Err) == r.Category {
-				if err := stress.NewRepro(q, sres).Save(out); err != nil {
-					fatal("writing repro: %v", err)
-				}
-				fmt.Printf("shrunk to %d ops (was %d) in %d runs; smaller repro written to %s\n",
-					opCount(q), opCount(r.Program), runs, out)
-			}
+		var q stress.Program
+		q, runs = stress.Shrink(r.Program, r.Category, maxShrink)
+		if shrunk = opCount(q) < opCount(p); shrunk {
+			p = q
 		}
+	}
+	if !shrunk && !traceOn {
+		return 0
+	}
+	rep, sink := capture(p, stress.CategoryOf(res.Err))
+	if shrunk {
+		if err := rep.Save(out); err != nil {
+			fatal("writing repro: %v", err)
+		}
+		fmt.Printf("shrunk to %d ops (was %d) in %d runs; smaller repro written to %s\n",
+			opCount(p), opCount(r.Program), runs, out)
+	}
+	if traceOn {
+		writeTrace(sink, traceOut)
 	}
 	return 0
 }

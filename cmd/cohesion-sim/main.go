@@ -8,6 +8,7 @@
 //	cohesion-sim -kernel stencil -mode swcc -clusters 16 -scale 4 -verify
 //	cohesion-sim -kernel kmeans -mode hwcc -table3   # full 1024-core machine
 //	cohesion-sim -kernel heat -faults -fault-seed 7  # fault injection + recovery
+//	cohesion-sim -kernel heat -trace -trace-out /dev/stdout  # print the protocol trace
 //	cohesion-sim -kernel heat -checkpoint run.ckpt -checkpoint-every 100000
 //	cohesion-sim -resume run.ckpt                    # continue an interrupted run
 package main
@@ -43,7 +44,6 @@ func main() {
 		table3   = flag.Bool("table3", false, "use the paper's full 1024-core Table 3 machine")
 		traceOn  = flag.Bool("trace", false, "record a structured protocol trace and write it to -trace-out")
 		traceOut = flag.String("trace-out", "cohesion-trace.json", "trace output file; .json emits Chrome trace-event format, anything else plain text")
-		traceN   = flag.Int("trace-ring", 0, "retain and print the last N protocol events after the run")
 		metrics  = flag.Bool("metrics", false, "collect and print sim-time histograms (latency, port waits, occupancy)")
 		edges    = flag.Bool("edges", false, "track protocol-transition edge coverage and print the report")
 		phases   = flag.Bool("phases", false, "print per-phase (barrier-to-barrier) cycle and message breakdown")
@@ -157,10 +157,11 @@ func main() {
 		// choice; only lifecycle and observability flags apply here.
 		var info *cohesion.ResumeInfo
 		res, info, err = cohesion.ResumeRun(ctx, *resume, cohesion.ResumeOptions{
-			Every:    *ckptEvery,
-			Limits:   cohesion.RunLimits{MaxEvents: *maxEvents, WallBudget: *maxWall},
-			Coverage: cov,
-			Metrics:  *metrics,
+			Every:     *ckptEvery,
+			Limits:    cohesion.RunLimits{MaxEvents: *maxEvents, WallBudget: *maxWall},
+			TraceSink: sink,
+			Coverage:  cov,
+			Metrics:   *metrics,
 		})
 		if info != nil {
 			fmt.Fprintf(os.Stderr, "cohesion-sim: resumed from %s at event %d (cycle %d)\n",
@@ -168,17 +169,16 @@ func main() {
 		}
 	default:
 		rc := cohesion.RunConfig{
-			Machine:       cfg,
-			Kernel:        *kernel,
-			Scale:         *scale,
-			Seed:          *seed,
-			Workers:       *workers,
-			Verify:        *verify,
-			TraceCapacity: *traceN,
-			TraceSink:     sink,
-			Coverage:      cov,
-			Metrics:       *metrics,
-			Limits:        cohesion.RunLimits{MaxEvents: *maxEvents, WallBudget: *maxWall},
+			Machine:   cfg,
+			Kernel:    *kernel,
+			Scale:     *scale,
+			Seed:      *seed,
+			Workers:   *workers,
+			Verify:    *verify,
+			TraceSink: sink,
+			Coverage:  cov,
+			Metrics:   *metrics,
+			Limits:    cohesion.RunLimits{MaxEvents: *maxEvents, WallBudget: *maxWall},
 		}
 		if *checkpoint != "" {
 			res, err = cohesion.RunWithCheckpoints(ctx, rc, cohesion.CheckpointConfig{Path: *checkpoint, Every: *ckptEvery})
@@ -190,7 +190,7 @@ func main() {
 		exitEarly(res, err, *cpuprofile, *memprofile)
 	}
 	if sink != nil {
-		if err := writeTrace(sink, *traceOut); err != nil {
+		if err := sink.WriteFile(*traceOut); err != nil {
 			fatal("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "cohesion-sim: wrote %d trace events to %s (%d dropped)\n",
@@ -205,10 +205,6 @@ func main() {
 	fmt.Print(res.Stats.String())
 	if *faults {
 		fmt.Printf("  memory fingerprint %#x (fault seed %d)\n", res.MemFingerprint, *faultSeed)
-	}
-	if res.Stats.Trace != nil {
-		fmt.Printf("\n== last %d protocol events ==\n", *traceN)
-		res.Stats.Trace.WriteText(os.Stdout)
 	}
 	if *phases {
 		fmt.Println("\nphase,end_cycle,cycles,messages")
@@ -230,21 +226,6 @@ func main() {
 	if cov != nil {
 		fmt.Printf("\n== protocol edge coverage: %d/%d ==\n%s", cov.Covered(), cov.Total(), cov.Report())
 	}
-}
-
-// writeTrace exports the sink: Chrome trace-event JSON for .json paths
-// (load via chrome://tracing or https://ui.perfetto.dev), plain text
-// otherwise.
-func writeTrace(sink *cohesion.TraceSink, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		return sink.WriteChromeJSON(f)
-	}
-	return sink.WriteText(f)
 }
 
 // emitJSON prints the run's key measurements as a JSON object.

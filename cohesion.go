@@ -153,12 +153,10 @@ type RunConfig struct {
 	// partial Result together with an ErrBudgetExhausted error.
 	Limits RunLimits
 
-	// TraceCapacity, when positive, retains the last N protocol events in
-	// Result.Stats.Trace for post-mortem inspection.
-	TraceCapacity int
-
-	// TraceSink, when non-nil, receives every protocol event as a
-	// structured record for Chrome-trace/text export (see NewTraceSink).
+	// TraceSink, when non-nil, is the run's protocol trace ring
+	// (Result.Stats.Trace): it receives every protocol event as a
+	// structured record for Chrome-trace/text export (see NewTraceSink),
+	// and an early end's diagnostic prints its tail.
 	TraceSink *TraceSink
 
 	// Coverage, when non-nil, records which protocol-transition edges the
@@ -290,10 +288,7 @@ func prepareRun(rc RunConfig) (*preparedRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rc.TraceCapacity > 0 {
-		m.EnableTrace(rc.TraceCapacity)
-	}
-	m.Run.Sink = rc.TraceSink
+	m.Run.Trace = rc.TraceSink
 	m.Run.Coverage = rc.Coverage
 	if rc.Metrics {
 		m.Run.Metrics = stats.NewMetrics()

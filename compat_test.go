@@ -16,8 +16,10 @@ import (
 // checkpoint (heat/Cohesion on ScaledConfig(2), scale 1, seed 42, Verify,
 // stopped at 3,000 events), the KindSweep file of compatFig3Params' Fig3
 // (10 cells), and the jobs/ records of one done and one failed
-// heat/cohesion job. They pin the on-disk formats: a change that stops
-// one of them loading changes a format, and must say so.
+// heat/cohesion job. It also holds a cohesion-fuzz checkpoint and repro
+// file, which internal/stress and CI load. They pin the on-disk formats:
+// a change that stops one of them loading changes a format, and must say
+// so.
 const compatDir = "testdata/compat"
 
 func compatFig3Params() ExpParams {

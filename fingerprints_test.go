@@ -129,7 +129,7 @@ func TestGoldenFingerprints(t *testing.T) {
 
 // TestObservabilityDoesNotPerturbSimulation runs the same simulation bare,
 // with every observability consumer attached (trace sink, edge coverage,
-// metrics, trace ring), and under armed lifecycle limits. The observers
+// metrics), and under armed lifecycle limits. The observers
 // and limits only read sim state, so cycles and the memory fingerprint
 // must be bit-identical.
 func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
@@ -148,7 +148,6 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 	instr.TraceSink = NewTraceSink(0)
 	instr.Coverage = NewCoverage()
 	instr.Metrics = true
-	instr.TraceCapacity = 128
 	traced, err := Run(instr)
 	if err != nil {
 		t.Fatal(err)

@@ -546,15 +546,14 @@ func (cl *Cluster) execute(c *Core) {
 	}
 }
 
-// trace records an L2-side protocol event in the run's trace ring and
-// structured sink. Hot call sites guard on run.Tracing() themselves: a
-// variadic call boxes its arguments at the call site even when tracing is
-// off.
+// trace records an L2-side protocol event in the run's trace ring. Hot
+// call sites guard on run.Tracing() themselves: a variadic call boxes its
+// arguments at the call site even when tracing is off.
 func (cl *Cluster) trace(format string, args ...any) {
 	if !cl.run.Tracing() {
 		return
 	}
-	cl.run.Emit(stats.TraceEntry{Cycle: uint64(cl.q.Now()), Site: cl.name, Event: fmt.Sprintf(format, args...)})
+	cl.run.Trace.Add(trace.Record{Cycle: uint64(cl.q.Now()), Site: cl.name, Event: fmt.Sprintf(format, args...)})
 }
 
 // traceTxn records one endpoint of a tracked transaction's lifecycle span
@@ -565,7 +564,7 @@ func (cl *Cluster) traceTxn(phase byte, id uint64, format string, args ...any) {
 	if !cl.run.Tracing() {
 		return
 	}
-	cl.run.Emit(stats.TraceEntry{
+	cl.run.Trace.Add(trace.Record{
 		Cycle: uint64(cl.q.Now()),
 		Site:  cl.name,
 		Event: fmt.Sprintf(format, args...),

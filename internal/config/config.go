@@ -130,12 +130,6 @@ type Machine struct {
 	// timing or protocol behaviour changes.
 	OracleEnabled bool
 
-	// TraceRingSize, when positive, enables the protocol trace ring with
-	// this capacity at machine construction (equivalent to calling
-	// EnableTrace). The ring is included in deadlock diagnostics and in
-	// fuzzer repro files.
-	TraceRingSize int
-
 	// WatchdogCycles is the forward-progress window: if no operation
 	// completes for this many cycles while cores are still active, the run
 	// fails with a structured deadlock diagnostic instead of hanging.
@@ -381,9 +375,6 @@ func (m Machine) Validate() error {
 	}
 	if m.L2RetryTimeout < 0 || m.L2RetryLimit < 0 {
 		return simerr.Config("L2 retry knobs must be non-negative")
-	}
-	if m.TraceRingSize < 0 {
-		return simerr.Config("TraceRingSize must be non-negative")
 	}
 	if f := m.Faults; f.Enabled {
 		for _, p := range []struct {

@@ -105,7 +105,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 }
 
 // TestValidateKnobs covers the robustness knobs — fault injection,
-// watchdog, trace ring — with named cases: every bad value must come back
+// watchdog, retry limits — with named cases: every bad value must come back
 // as a wrapped simerr.ErrConfig, never a panic, and the good values must
 // pass.
 func TestValidateKnobs(t *testing.T) {
@@ -138,8 +138,6 @@ func TestValidateKnobs(t *testing.T) {
 		{"watchdog disabled", func(m *Machine) { m.WatchdogCycles = -1 }, true},
 		{"negative retry timeout", func(m *Machine) { m.L2RetryTimeout = -1 }, false},
 		{"negative retry limit", func(m *Machine) { m.L2RetryLimit = -1 }, false},
-		{"negative trace ring", func(m *Machine) { m.TraceRingSize = -1 }, false},
-		{"trace ring set", func(m *Machine) { m.TraceRingSize = 512 }, true},
 		{"oracle enabled", func(m *Machine) { m.OracleEnabled = true }, true},
 	}
 	for _, tc := range cases {

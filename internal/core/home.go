@@ -485,13 +485,12 @@ func (h *Home) stage(fn func()) {
 	h.q.At(start+event.Cycle(h.cfg.L3Latency), fn)
 }
 
-// trace records a home-side protocol event in the run's trace ring and
-// structured sink.
+// trace records a home-side protocol event in the run's trace ring.
 func (h *Home) trace(format string, args ...any) {
 	if !h.run.Tracing() {
 		return
 	}
-	h.run.Emit(stats.TraceEntry{Cycle: uint64(h.q.Now()), Site: h.name, Event: fmt.Sprintf(format, args...)})
+	h.run.Trace.Add(trace.Record{Cycle: uint64(h.q.Now()), Site: h.name, Event: fmt.Sprintf(format, args...)})
 }
 
 func (h *Home) process(s *svc) {

@@ -9,6 +9,7 @@ import (
 	"cohesion/internal/cluster"
 	"cohesion/internal/config"
 	"cohesion/internal/simerr"
+	"cohesion/internal/trace"
 )
 
 // A single dropped request with recovery disabled must wedge the machine;
@@ -19,7 +20,7 @@ func TestWatchdogReportsDeadlock(t *testing.T) {
 	cfg.Faults = config.FaultPlan{Enabled: true, Recovery: false, Seed: 1, DropPermille: 1000, MaxDrops: 1}
 	cfg.WatchdogCycles = 20_000
 	m := newMachine(t, cfg)
-	m.EnableTrace(64)
+	m.Run.Trace = trace.NewSink(64)
 	a := addr.Addr(addr.HeapBase)
 	program(m, 0, func(c *cluster.Core) {
 		_ = ld(c, a)

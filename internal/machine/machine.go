@@ -100,9 +100,6 @@ func New(cfg config.Machine) (*Machine, error) {
 	if cfg.OracleEnabled {
 		m.oracle = oracle.New(cfg, m.Q, m.Store, m.Coarse, m.Fine)
 	}
-	if cfg.TraceRingSize > 0 {
-		m.EnableTrace(cfg.TraceRingSize)
-	}
 
 	for b := 0; b < cfg.L3Banks; b++ {
 		var dir directory.Directory
@@ -524,8 +521,8 @@ func (m *Machine) scheduleWatchdog(window event.Cycle) {
 
 // diagnostic builds the stuck-style snapshot shared by every early end:
 // which clusters and home banks hold unfinished transactions (line,
-// kind, age, directory state), plus the protocol trace ring when tracing
-// is enabled.
+// kind, age, directory state), plus the last trace.TailRecords records
+// of the protocol trace ring when one is attached.
 func (m *Machine) diagnostic(reason string) string {
 	lines := m.inflightReport()
 	if len(lines) == 0 {
@@ -535,7 +532,7 @@ func (m *Machine) diagnostic(reason string) string {
 		reason, m.activeCores, m.started, strings.Join(lines, "\n  "))
 	if m.Run.Trace != nil && m.Run.Trace.Total() > 0 {
 		var b strings.Builder
-		m.Run.Trace.WriteText(&b)
+		m.Run.Trace.WriteTail(&b, trace.TailRecords)
 		detail += "\n--- protocol trace (most recent last) ---\n" + b.String()
 	}
 	return detail
@@ -553,14 +550,6 @@ func (m *Machine) deadlockError(reason string) *simerr.Error {
 func (m *Machine) abortError(s *runctl.Stop) *simerr.Error {
 	m.Run.Cycles = uint64(m.Q.Now())
 	return simerr.New(s.Sentinel, uint64(m.Q.Now()), "machine", 0, "%s", m.diagnostic(s.Reason))
-}
-
-// EnableTrace retains the last capacity protocol events (home-side request
-// service, probes, transitions; L2-side installs and probe handling) for
-// post-mortem inspection via Run.Trace. A non-positive capacity selects
-// trace.DefaultSinkCapacity.
-func (m *Machine) EnableTrace(capacity int) {
-	m.Run.Trace = trace.NewSink(capacity)
 }
 
 func (m *Machine) hasDirectory() bool { return m.Cfg.Directory != config.DirNone }

@@ -10,6 +10,7 @@ import (
 	"cohesion/internal/config"
 	"cohesion/internal/msg"
 	"cohesion/internal/region"
+	"cohesion/internal/trace"
 )
 
 // --- tiny op helpers for hand-written test programs ---
@@ -646,7 +647,7 @@ func TestInstructionFetchTraffic(t *testing.T) {
 
 func TestTraceCapturesProtocolEvents(t *testing.T) {
 	m := newMachine(t, hwccCfg(2))
-	m.EnableTrace(64)
+	m.Run.Trace = trace.NewSink(64)
 	a := addr.Addr(addr.HeapBase)
 	program(m, 0, func(c *cluster.Core) {
 		st(c, a, 1)

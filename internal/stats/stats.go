@@ -21,14 +21,11 @@ import (
 type Run struct {
 	Counters
 
-	// Trace, when non-nil, retains the tail of the protocol event history
-	// for post-mortem reports (deadlock diagnostics, fuzz repros).
-	// Enabled via machine.Machine.EnableTrace.
+	// Trace, when non-nil, is the run's one protocol trace ring, attached
+	// by the caller that reads it (cohesion.RunConfig.TraceSink,
+	// stress.RunOpts.Sink): for export, deadlock diagnostics (which print
+	// its tail) and fuzz repros.
 	Trace *trace.Sink
-
-	// Sink, when non-nil, streams every protocol event into the bounded
-	// structured-trace ring for Chrome-trace/text export (internal/trace).
-	Sink *trace.Sink
 
 	// Coverage, when non-nil, marks protocol-transition edges as they
 	// fire. It may be shared by many simulations (marks are atomic) to

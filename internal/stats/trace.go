@@ -6,25 +6,9 @@ import (
 	"cohesion/internal/trace"
 )
 
-// TraceEntry is one protocol event retained by the run's trace ring. It
-// is the shared record type of internal/trace, so the post-mortem ring
-// and the streaming sink render events identically (sim-time column
-// included).
-type TraceEntry = trace.Record
-
-// Tracing reports whether any event consumer is attached; emitters use it
-// to skip the Sprintf that renders an event's detail.
-func (r *Run) Tracing() bool { return r.Trace != nil || r.Sink != nil }
-
-// Emit hands a prepared record to every attached consumer.
-func (r *Run) Emit(rec TraceEntry) {
-	if r.Trace != nil {
-		r.Trace.Add(rec)
-	}
-	if r.Sink != nil {
-		r.Sink.Add(rec)
-	}
-}
+// Tracing reports whether a trace ring is attached; emitters use it to
+// skip the Sprintf that renders an event's detail.
+func (r *Run) Tracing() bool { return r.Trace != nil }
 
 // TraceEvent records a protocol event when tracing is enabled; it is a
 // no-op (and avoids the Sprintf) otherwise.
@@ -32,7 +16,7 @@ func (r *Run) TraceEvent(cycle uint64, site, format string, args ...any) {
 	if !r.Tracing() {
 		return
 	}
-	r.Emit(TraceEntry{Cycle: cycle, Site: site, Event: fmt.Sprintf(format, args...)})
+	r.Trace.Add(trace.Record{Cycle: cycle, Site: site, Event: fmt.Sprintf(format, args...)})
 }
 
 // Edge marks a protocol-transition edge as exercised when a coverage

@@ -10,20 +10,21 @@ import (
 	"cohesion/internal/addr"
 	"cohesion/internal/machine"
 	"cohesion/internal/simerr"
-	"cohesion/internal/stats"
+	"cohesion/internal/trace"
 )
 
 // Repro is a self-contained failure reproduction: the exact program (its
-// Config includes every seed), how the run failed, and the tail of the
-// protocol trace ring at failure time. It serializes to JSON.
+// Config includes every seed), how the run failed, and the last
+// trace.TailRecords protocol trace records at failure time. It serializes
+// to JSON; Capture builds it.
 type Repro struct {
-	Version  int                `json:"version"`
-	Program  Program            `json:"program"`
-	Failure  string             `json:"failure"`  // the full error text
-	Sentinel string             `json:"sentinel"` // failure class, see SentinelOf
-	Category string             `json:"category"` // finer tag, see CategoryOf
-	Cycles   uint64             `json:"cycles"`
-	Trace    []stats.TraceEntry `json:"trace,omitempty"`
+	Version  int            `json:"version"`
+	Program  Program        `json:"program"`
+	Failure  string         `json:"failure"`  // the full error text
+	Sentinel string         `json:"sentinel"` // failure class, see SentinelOf
+	Category string         `json:"category"` // finer tag, see CategoryOf
+	Cycles   uint64         `json:"cycles"`
+	Trace    []trace.Record `json:"trace,omitempty"`
 }
 
 const reproVersion = 1
@@ -74,8 +75,16 @@ func CategoryOf(err error) string {
 	return s
 }
 
-// NewRepro packages a failed run for the repro file.
-func NewRepro(p Program, res Result) Repro {
+// Capture runs p once with a trace sink attached and packages the run
+// for the repro file, whose Trace keeps the sink's last
+// trace.TailRecords records. It is the one way to build a repro: fuzz
+// campaigns, the shrinker and Replay run untraced, so a failing program
+// pays for tracing here, once. The whole sink is returned for export.
+// Tracing only observes, so a caller may check that the repro's Category
+// matches the untraced run's.
+func Capture(p Program) (Repro, Result, *trace.Sink) {
+	sink := trace.NewSink(0)
+	res := RunProgramOpts(p, RunOpts{Sink: sink})
 	failure := ""
 	if res.Err != nil {
 		failure = res.Err.Error()
@@ -87,8 +96,8 @@ func NewRepro(p Program, res Result) Repro {
 		Sentinel: SentinelOf(res.Err),
 		Category: CategoryOf(res.Err),
 		Cycles:   res.Cycles,
-		Trace:    res.Trace,
-	}
+		Trace:    sink.Tail(trace.TailRecords),
+	}, res, sink
 }
 
 // Save writes the repro as indented JSON.

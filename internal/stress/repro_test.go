@@ -16,11 +16,10 @@ func saveRepro(t *testing.T) (Repro, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunProgram(p)
+	r, res, _ := Capture(p)
 	if res.Err == nil {
 		t.Fatal("planted corruption was not detected")
 	}
-	r := NewRepro(p, res)
 	path := filepath.Join(t.TempDir(), "repro.json")
 	if err := r.Save(path); err != nil {
 		t.Fatal(err)
@@ -97,5 +96,27 @@ func TestLoadReproRejectsMalformedFiles(t *testing.T) {
 	short.Program.Cores = valid.Program.Cores[:1]
 	if err := short.Validate(); err != nil {
 		t.Fatalf("shrunken-core repro rejected: %v", err)
+	}
+}
+
+// TestCompatReproStillReplays loads a repro file an earlier build wrote:
+// the planted-corruption motif shrunk to 3 ops, whose config still
+// carries the since-deleted "trace_ring": 256 and which holds 8 trace
+// records. Its failure must reproduce and its records must decode.
+func TestCompatReproStillReplays(t *testing.T) {
+	r, err := LoadRepro(filepath.Join("..", "..", "testdata", "compat", "repro.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, same := Replay(r); !same {
+		t.Fatalf("replay did not reproduce %q: got %v", r.Category, res.Err)
+	}
+	if len(r.Trace) != 8 {
+		t.Fatalf("decoded %d trace records, want 8", len(r.Trace))
+	}
+	for i, rec := range r.Trace {
+		if rec.Cycle == 0 || rec.Site == "" || rec.Event == "" {
+			t.Errorf("trace record %d decoded incomplete: %+v", i, rec)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"cohesion/internal/region"
 	"cohesion/internal/runctl"
 	"cohesion/internal/simerr"
-	"cohesion/internal/stats"
 	"cohesion/internal/trace"
 )
 
@@ -49,7 +48,6 @@ func BuildMachine(cfg Config) (*machine.Machine, error) {
 		mc.L2MSHRs = cfg.MSHRs
 	}
 	mc.OracleEnabled = true
-	mc.TraceRingSize = cfg.TraceRing
 	if cfg.Faults {
 		mc.Faults = config.DefaultFaultPlan(cfg.FaultSeed)
 	}
@@ -66,7 +64,6 @@ type Result struct {
 	Events      uint64 // executed events (set on every path, failures included)
 	Fingerprint uint64
 	Checks      uint64 // oracle invariant evaluations
-	Trace       []stats.TraceEntry
 }
 
 // RunOpts attaches observability consumers and lifecycle controls to a
@@ -75,10 +72,8 @@ type RunOpts struct {
 	// Coverage, when non-nil, records which protocol-transition edges the
 	// run exercised (shared trackers aggregate across a batch).
 	Coverage *trace.Coverage
-	// Sink, when non-nil, streams every protocol event for export.
+	// Sink, when non-nil, is the run's protocol trace ring (see Capture).
 	Sink *trace.Sink
-	// Metrics enables the sim-time histogram registry.
-	Metrics bool
 	// Ctx, when non-nil, cancels the run cooperatively at the event-loop
 	// boundary (the run ends with simerr.ErrCanceled).
 	Ctx context.Context
@@ -118,10 +113,7 @@ func RunProgramOpts(p Program, opts RunOpts) (res Result) {
 		return Result{Err: err}
 	}
 	m.Run.Coverage = opts.Coverage
-	m.Run.Sink = opts.Sink
-	if opts.Metrics {
-		m.Run.Metrics = stats.NewMetrics()
-	}
+	m.Run.Trace = opts.Sink
 	if cfg.mode() == config.Cohesion {
 		// Odd-indexed lines (the private corruption line included, when
 		// odd) start in the SWcc domain, matching LineAddr's split.
@@ -166,9 +158,6 @@ func RunProgramOpts(p Program, opts RunOpts) (res Result) {
 	}
 	res.Events = m.Q.Fired()
 	res.Err = err
-	if m.Run.Trace != nil {
-		res.Trace = m.Run.Trace.Records()
-	}
 	if o := m.Oracle(); o != nil {
 		res.Checks = o.Checks
 	}

@@ -7,9 +7,10 @@
 //
 // Everything is deterministic: a Config fully determines the generated
 // Program, and a Program fully determines the simulation (including any
-// injected faults). A failing program round-trips through a JSON repro
-// file (seed, config, op schedule, protocol trace ring) that Replay
-// re-executes and Shrink reduces to a minimal still-failing schedule.
+// injected faults). Programs run untraced; Capture re-runs a failing one
+// with a trace sink attached and packages it as a JSON repro file (seed,
+// config, op schedule, protocol trace tail) that Replay re-executes and
+// Shrink reduces to a minimal still-failing schedule.
 package stress
 
 import (
@@ -52,10 +53,6 @@ type Config struct {
 	// catch it. Used to validate the detection pipeline end to end.
 	InjectCorrupt bool `json:"inject_corrupt,omitempty"`
 
-	// TraceRing is the protocol trace ring capacity captured into repro
-	// files (0 selects a default of 256).
-	TraceRing int `json:"trace_ring,omitempty"`
-
 	// MSHRs overrides the per-cluster L2 miss-status-register count
 	// (0 keeps the machine default). Small values force MSHR stalls.
 	MSHRs int `json:"mshrs,omitempty"`
@@ -93,9 +90,6 @@ func (c Config) WithDefaults() Config {
 	if c.WorkersPerCluster == 0 {
 		c.WorkersPerCluster = 4
 	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 256
-	}
 	return c
 }
 
@@ -115,8 +109,6 @@ func (c Config) Validate() error {
 		return simerr.Config("stress: OpsPerCore = %d outside [1, 1000000]", c.OpsPerCore)
 	case c.WorkersPerCluster < 1 || c.WorkersPerCluster > 8:
 		return simerr.Config("stress: WorkersPerCluster = %d outside [1, 8]", c.WorkersPerCluster)
-	case c.TraceRing < 0:
-		return simerr.Config("stress: TraceRing must be non-negative")
 	case c.MSHRs < 0:
 		return simerr.Config("stress: MSHRs must be non-negative")
 	case c.DirEntries < 0 || c.DirAssoc < 0:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cohesion/internal/simerr"
+	"cohesion/internal/trace"
 )
 
 // opCount is the total schedule length of a program.
@@ -95,15 +96,15 @@ func TestCorruptionDetectedAndReproRoundTrip(t *testing.T) {
 	if cat != "protocol-invariant/corrupt uncached load" {
 		t.Fatalf("category = %q, want protocol-invariant/corrupt uncached load", cat)
 	}
-	if len(res.Trace) == 0 {
-		t.Error("failing run captured no trace ring")
+	r, _, _ := Capture(p)
+	if r.Category != cat {
+		t.Fatalf("captured repro category = %q, want %q", r.Category, cat)
 	}
-	if len(res.Trace) > p.Cfg.WithDefaults().TraceRing {
-		t.Errorf("trace ring holds %d entries, capacity %d", len(res.Trace), p.Cfg.WithDefaults().TraceRing)
+	if n := len(r.Trace); n < 1 || n > trace.TailRecords {
+		t.Errorf("repro carries %d trace records, want 1 to %d", n, trace.TailRecords)
 	}
 
 	path := filepath.Join(t.TempDir(), "repro.json")
-	r := NewRepro(p, res)
 	if err := r.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +121,43 @@ func TestCorruptionDetectedAndReproRoundTrip(t *testing.T) {
 	res2, same := Replay(back)
 	if !same {
 		t.Fatalf("replay did not reproduce: got %v", res2.Err)
+	}
+}
+
+// TestTracingDoesNotPerturbRun: a trace sink only observes. In each mode,
+// with faults, a program run bare and run with a sink must agree on every
+// determinism witness and on how it ended; Capture relies on this.
+func TestTracingDoesNotPerturbRun(t *testing.T) {
+	for i, mode := range []string{"hwcc", "swcc", "cohesion"} {
+		p, err := Generate(Config{Seed: int64(31 + i), Mode: mode, OpsPerCore: 60, Faults: true, FaultSeed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := RunProgramOpts(p, RunOpts{})
+		sink := trace.NewSink(0)
+		traced := RunProgramOpts(p, RunOpts{Sink: sink})
+		if sink.Total() == 0 {
+			t.Errorf("mode %s: traced run recorded nothing", mode)
+		}
+		if bare.Events != traced.Events || bare.Cycles != traced.Cycles || bare.Fingerprint != traced.Fingerprint ||
+			bare.Checks != traced.Checks || CategoryOf(bare.Err) != CategoryOf(traced.Err) {
+			t.Errorf("mode %s: tracing perturbed the run: bare %+v, traced %+v", mode, bare, traced)
+		}
+	}
+}
+
+// TestUntracedRunFormatsNothing: with no sink attached the emitters
+// format no records, so a bare run allocates well under a traced one.
+func TestUntracedRunFormatsNothing(t *testing.T) {
+	p, err := Generate(Config{Seed: 7, Mode: "cohesion", OpsPerCore: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := testing.AllocsPerRun(3, func() { RunProgramOpts(p, RunOpts{}) })
+	traced := testing.AllocsPerRun(3, func() { RunProgramOpts(p, RunOpts{Sink: trace.NewSink(0)}) })
+	t.Logf("bare run %.0f allocations, traced run %.0f (%.2fx)", bare, traced, bare/traced)
+	if bare >= 0.8*traced {
+		t.Errorf("bare run made %.0f allocations, traced run %.0f: want under 0.8x", bare, traced)
 	}
 }
 
@@ -161,7 +199,6 @@ func TestConfigValidate(t *testing.T) {
 		{"lines high", Config{Mode: "hwcc", Lines: 5000}},
 		{"ops high", Config{Mode: "hwcc", OpsPerCore: 2_000_000}},
 		{"workers high", Config{Mode: "hwcc", WorkersPerCluster: 9}},
-		{"negative ring", Config{Mode: "hwcc", TraceRing: -1}},
 	}
 	for _, tc := range cases {
 		cfg := tc.cfg.WithDefaults()

@@ -1,10 +1,9 @@
 // Package trace is the simulator's structured observability layer: one
 // shared Record type for protocol events, a bounded Sink ring that
-// retains them (both the post-mortem ring stats.Run.Trace and the
-// streaming stats.Run.Sink are Sinks) and exports them as Chrome
-// trace-event JSON or plain text, and a protocol-transition Coverage
-// tracker (coverage.go) that turns "did we actually exercise the
-// protocol?" into an asserted property.
+// retains them (a run's one trace ring, stats.Run.Trace, is a Sink) and
+// exports them as Chrome trace-event JSON or plain text, and a
+// protocol-transition Coverage tracker (coverage.go) that turns "did we
+// actually exercise the protocol?" into an asserted property.
 //
 // The package sits below internal/stats in the import graph and depends
 // only on the standard library, so every component that already holds a
@@ -15,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -64,6 +64,10 @@ type Sink struct {
 // instrumented sweep does not exhaust memory.
 const DefaultSinkCapacity = 1 << 20
 
+// TailRecords is how much of a trace the post-mortem reports keep: the
+// records a deadlock diagnostic prints and a fuzz repro file carries.
+const TailRecords = 256
+
 // NewSink builds a ring retaining up to capacity records (<=0 selects
 // DefaultSinkCapacity).
 func NewSink(capacity int) *Sink {
@@ -91,31 +95,59 @@ func (s *Sink) Total() uint64 { return s.total }
 func (s *Sink) Dropped() uint64 { return s.total - uint64(len(s.records)) }
 
 // Records returns the retained records, oldest first.
-func (s *Sink) Records() []Record {
-	if len(s.records) < s.cap {
-		out := make([]Record, len(s.records))
-		copy(out, s.records)
-		return out
+func (s *Sink) Records() []Record { return s.Tail(len(s.records)) }
+
+// Tail returns the last n retained records (all of them if fewer are
+// retained), oldest first.
+func (s *Sink) Tail(n int) []Record {
+	held := len(s.records)
+	if n > held {
+		n = held
 	}
-	out := make([]Record, 0, s.cap)
-	out = append(out, s.records[s.next:]...)
-	out = append(out, s.records[:s.next]...)
+	out := make([]Record, n)
+	if n > 0 {
+		k := copy(out, s.records[(s.next+held-n)%held:])
+		copy(out[k:], s.records[:s.next])
+	}
 	return out
 }
 
 // WriteText writes the retained records as aligned text, one per line.
-func (s *Sink) WriteText(w io.Writer) error {
-	if d := s.Dropped(); d > 0 {
+func (s *Sink) WriteText(w io.Writer) error { return s.WriteTail(w, len(s.records)) }
+
+// WriteTail writes the last n retained records as WriteText does, after a
+// line counting the earlier records it leaves out.
+func (s *Sink) WriteTail(w io.Writer, n int) error {
+	tail := s.Tail(n)
+	if d := s.total - uint64(len(tail)); d > 0 {
 		if _, err := fmt.Fprintf(w, "... %d earlier records dropped ...\n", d); err != nil {
 			return err
 		}
 	}
-	for _, r := range s.Records() {
+	for _, r := range tail {
 		if _, err := io.WriteString(w, r.String()+"\n"); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteFile exports the retained records to path: Chrome trace-event
+// JSON when the path ends in .json, aligned text otherwise.
+func (s *Sink) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".json") {
+		err = s.WriteChromeJSON(f)
+	} else {
+		err = s.WriteText(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // chromeEvent is one entry of the Chrome trace-event JSON format

@@ -88,32 +88,42 @@ func TestWriteTextMentionsDrops(t *testing.T) {
 	if n := strings.Count(out, "net"); n != 2 {
 		t.Fatalf("%d record lines, want 2:\n%s", n, out)
 	}
+	// A tail counts the retained records it leaves out as dropped too.
+	b.Reset()
+	if err := s.WriteTail(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	out = b.String()
+	if !strings.Contains(out, "4 earlier records dropped") || strings.Count(out, "net") != 1 {
+		t.Fatalf("tail of 1 rendered:\n%s", out)
+	}
 }
 
 // Property: the ring always keeps exactly the last min(n, cap) records in
-// insertion order.
+// insertion order, and Tail(k) is the last min(k, n, cap) of them.
 func TestQuickTraceRingKeepsTail(t *testing.T) {
-	f := func(capRaw uint8, n uint8) bool {
+	keepsLast := func(rs []Record, n, want int) bool {
+		if len(rs) != want {
+			return false
+		}
+		for i, r := range rs {
+			if r.Cycle != uint64(n-want+i) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(capRaw, n, kRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
 		s := NewSink(capacity)
 		for i := 0; i < int(n); i++ {
 			s.Add(Record{Cycle: uint64(i), Site: "s", Event: string(rune('a' + i%26))})
 		}
-		rs := s.Records()
-		want := int(n)
-		if want > capacity {
-			want = capacity
-		}
-		if len(rs) != want {
-			return false
-		}
-		for i, r := range rs {
-			expect := int(n) - want + i
-			if r.Cycle != uint64(expect) {
-				return false
-			}
-		}
-		return s.Total() == uint64(n)
+		held := min(int(n), capacity)
+		k := int(kRaw % 20)
+		return keepsLast(s.Records(), int(n), held) &&
+			keepsLast(s.Tail(k), int(n), min(k, held)) &&
+			s.Total() == uint64(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
