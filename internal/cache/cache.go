@@ -44,12 +44,12 @@ const FullMask = uint8(1<<addr.WordsPerLine - 1)
 
 // Cache is a set-associative array with LRU replacement.
 type Cache struct {
-	sets   [][]Entry
-	ways   int
-	mask   uint64 // nsets-1 when nsets is a power of two, else 0
-	tick   uint64
-	valid  int
-	pinned int
+	ents  []Entry // slot set*ways+way
+	nsets int
+	ways  int
+	mask  uint64 // nsets-1 when nsets is a power of two, else 0
+	tick  uint64
+	valid int
 
 	// occ has one bit per slot (set*ways+way), set while the slot holds a
 	// valid entry. ForEach scans it instead of streaming the whole entry
@@ -67,37 +67,37 @@ func New(sizeBytes, assoc int) *Cache {
 		panic(fmt.Sprintf("cache: bad geometry %d bytes %d-way", sizeBytes, assoc))
 	}
 	nsets := lines / assoc
-	c := &Cache{sets: make([][]Entry, nsets), ways: assoc, occ: make([]uint64, (lines+63)/64)}
+	c := &Cache{ents: make([]Entry, lines), nsets: nsets, ways: assoc, occ: make([]uint64, (lines+63)/64)}
 	if nsets&(nsets-1) == 0 {
 		c.mask = uint64(nsets - 1)
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]Entry, assoc)
 	}
 	return c
 }
 
 // Sets and Ways report the geometry; Lines the total capacity in lines.
-func (c *Cache) Sets() int  { return len(c.sets) }
+func (c *Cache) Sets() int  { return c.nsets }
 func (c *Cache) Ways() int  { return c.ways }
-func (c *Cache) Lines() int { return len(c.sets) * c.ways }
+func (c *Cache) Lines() int { return len(c.ents) }
 
 // Count reports how many entries are currently valid.
 func (c *Cache) Count() int { return c.valid }
 
-// set returns the set for a line. Set counts are powers of two in every
+// set returns the ways of set si.
+func (c *Cache) set(si uint64) []Entry {
+	base := si * uint64(c.ways)
+	end := base + uint64(c.ways)
+	return c.ents[base:end:end]
+}
+
+// setIdx returns the set for a line. Set counts are powers of two in every
 // real geometry, so indexing is a mask; the modulo fallback (a hardware
 // divide, measurably hot at one per cache access) only runs for odd
 // test-constructed geometries.
-func (c *Cache) set(line addr.Line) []Entry {
-	return c.sets[c.setIdx(line)]
-}
-
 func (c *Cache) setIdx(line addr.Line) uint64 {
-	if c.mask != 0 || len(c.sets) == 1 {
+	if c.mask != 0 || c.nsets == 1 {
 		return uint64(line) & c.mask
 	}
-	return uint64(line) % uint64(len(c.sets))
+	return uint64(line) % uint64(c.nsets)
 }
 
 // markSlot and clearSlot maintain the occupancy bitmap for slot w of the
@@ -116,7 +116,7 @@ func (c *Cache) clearSlot(setIdx uint64, w int) {
 // nil on a miss. The returned pointer stays valid until the entry is
 // evicted; callers mutate protocol state through it.
 func (c *Cache) Lookup(line addr.Line) *Entry {
-	set := c.set(line)
+	set := c.set(c.setIdx(line))
 	for i := range set {
 		if set[i].Valid && set[i].Line == line {
 			c.tick++
@@ -130,7 +130,7 @@ func (c *Cache) Lookup(line addr.Line) *Entry {
 // Peek is Lookup without the LRU refresh; used by probes and invariant
 // checks so observation does not perturb replacement.
 func (c *Cache) Peek(line addr.Line) *Entry {
-	set := c.set(line)
+	set := c.set(c.setIdx(line))
 	for i := range set {
 		if set[i].Valid && set[i].Line == line {
 			return &set[i]
@@ -149,7 +149,7 @@ func (c *Cache) Peek(line addr.Line) *Entry {
 // and the incoherent bit clear; the caller fills it in.
 func (c *Cache) Allocate(line addr.Line) (entry *Entry, victim Entry, evicted bool) {
 	si := c.setIdx(line)
-	set := c.sets[si]
+	set := c.set(si)
 	slotW := -1
 	for i := range set {
 		e := &set[i]
@@ -185,7 +185,7 @@ func (c *Cache) Allocate(line addr.Line) (entry *Entry, victim Entry, evicted bo
 // Invalidate drops line if present, returning a copy of the dropped entry.
 func (c *Cache) Invalidate(line addr.Line) (dropped Entry, was bool) {
 	si := c.setIdx(line)
-	set := c.sets[si]
+	set := c.set(si)
 	for i := range set {
 		if set[i].Valid && set[i].Line == line {
 			dropped, was = set[i], true
@@ -201,11 +201,9 @@ func (c *Cache) Invalidate(line addr.Line) (dropped Entry, was bool) {
 // ForEach calls fn for every valid entry, in set then way order. fn may
 // mutate entries but must not invalidate or allocate.
 func (c *Cache) ForEach(fn func(*Entry)) {
-	ways := uint64(c.ways)
 	for wi, word := range c.occ {
 		for ; word != 0; word &= word - 1 {
-			i := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
-			fn(&c.sets[i/ways][i%ways])
+			fn(&c.ents[wi<<6+bits.TrailingZeros64(word)])
 		}
 	}
 }

@@ -15,6 +15,30 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
+// sink keeps the caches TestNewAllocatesPerCacheNotPerSet builds on the
+// heap.
+var sink *Cache
+
+// TestNewAllocatesPerCacheNotPerSet locks in that a cache holds its
+// entries in one array indexed set*ways+way: building one costs the same
+// few allocations at every level of the hierarchy, however many sets it
+// has.
+func TestNewAllocatesPerCacheNotPerSet(t *testing.T) {
+	for _, g := range []struct {
+		name        string
+		size, assoc int
+	}{
+		{"L1I", 2 << 10, 2},
+		{"L1D", 1 << 10, 2},
+		{"L2", 64 << 10, 16},
+		{"L3 bank", 128 << 10, 8},
+	} {
+		if n := testing.AllocsPerRun(10, func() { sink = New(g.size, g.assoc) }); n > 4 {
+			t.Errorf("%s: New(%d, %d) made %.0f allocations, want at most 4", g.name, g.size, g.assoc, n)
+		}
+	}
+}
+
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -140,62 +164,144 @@ func TestWordBit(t *testing.T) {
 	}
 }
 
-// Property: the cache agrees with a map-based golden model under a random
-// stream of allocate/lookup/invalidate operations, as long as the model
-// evicts the same victims (we feed the model the cache's reported victims).
-func TestQuickGoldenModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := New(512, 2) // 16 lines, 8 sets
-		model := map[addr.Line]uint32{}
-		for op := 0; op < 2000; op++ {
-			line := addr.Line(rng.Intn(64))
-			switch rng.Intn(3) {
-			case 0: // allocate or touch
-				if e := c.Lookup(line); e != nil {
-					if model[line] != e.Data[0] {
-						return false
-					}
-					continue
-				}
-				e, victim, ev := c.Allocate(line)
-				if ev {
-					if model[victim.Line] != victim.Data[0] {
-						return false
-					}
-					delete(model, victim.Line)
-				}
-				v := rng.Uint32()
-				e.Data[0] = v
-				model[line] = v
-			case 1: // lookup
-				e := c.Peek(line)
-				_, inModel := model[line]
-				if (e != nil) != inModel {
-					return false
-				}
-				if e != nil && model[line] != e.Data[0] {
-					return false
-				}
-			case 2: // invalidate
-				d, was := c.Invalidate(line)
-				_, inModel := model[line]
-				if was != inModel {
-					return false
-				}
-				if was && model[line] != d.Data[0] {
-					return false
-				}
-				delete(model, line)
-			}
-			if c.Count() != len(model) {
-				return false
-			}
+// lruModel is the reference for a cache's contents and replacement: per
+// set, its resident lines from least to most recently used, with their
+// data word and pin bit. Lookup and Allocate make a line most recent; Peek
+// does not; a full set evicts its least recent unpinned line.
+type lruModel struct {
+	sets   [][]addr.Line
+	data   map[addr.Line]uint32
+	pinned map[addr.Line]bool
+	ways   int
+}
+
+func newLRUModel(c *Cache) *lruModel {
+	return &lruModel{sets: make([][]addr.Line, c.Sets()), data: map[addr.Line]uint32{},
+		pinned: map[addr.Line]bool{}, ways: c.Ways()}
+}
+
+func (m *lruModel) set(line addr.Line) *[]addr.Line { return &m.sets[int(line)%len(m.sets)] }
+
+// remove drops line from its set's recency list.
+func (m *lruModel) remove(line addr.Line) {
+	set := m.set(line)
+	for i, l := range *set {
+		if l == line {
+			*set = append((*set)[:i], (*set)[i+1:]...)
+			break
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	delete(m.data, line)
+	delete(m.pinned, line)
+}
+
+// touch makes a resident line the most recent of its set.
+func (m *lruModel) touch(line addr.Line) {
+	v, pin := m.data[line], m.pinned[line]
+	m.remove(line)
+	m.insert(line, v)
+	m.pinned[line] = pin
+}
+
+func (m *lruModel) insert(line addr.Line, v uint32) {
+	set := m.set(line)
+	*set = append(*set, line)
+	m.data[line] = v
+}
+
+// victim predicts what allocating line displaces: nothing while its set
+// has room (ok true, evict false), the least recent unpinned line when it
+// is full, and ok false when every resident line is pinned.
+func (m *lruModel) victim(line addr.Line) (v addr.Line, evict, ok bool) {
+	set := *m.set(line)
+	if len(set) < m.ways {
+		return 0, false, true
+	}
+	for _, l := range set {
+		if !m.pinned[l] {
+			return l, true, true
+		}
+	}
+	return 0, false, false
+}
+
+// Property: the cache agrees with an LRU reference model under a random
+// stream of allocate/lookup/peek/invalidate/pin operations, on a
+// power-of-two and a non-power-of-two set count: the same lines resident,
+// the same data, and the same victim chosen on every allocation.
+func TestQuickGoldenModel(t *testing.T) {
+	for _, g := range []struct{ size, assoc int }{
+		{512, 2}, // 16 lines, 8 sets
+		{192, 2}, // 6 lines, 3 sets: the modulo set index
+	} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			c := New(g.size, g.assoc)
+			m := newLRUModel(c)
+			for op := 0; op < 2000; op++ {
+				line := addr.Line(rng.Intn(64))
+				_, inModel := m.data[line]
+				switch rng.Intn(4) {
+				case 0: // allocate or touch
+					if e := c.Lookup(line); e != nil {
+						if !inModel || m.data[line] != e.Data[0] {
+							return false
+						}
+						m.touch(line)
+						continue
+					}
+					if inModel {
+						return false
+					}
+					want, wantEvict, ok := m.victim(line)
+					if !ok {
+						continue // fully pinned: the controller would stall
+					}
+					e, victim, ev := c.Allocate(line)
+					if ev != wantEvict {
+						return false
+					}
+					if ev {
+						if victim.Line != want || m.data[want] != victim.Data[0] {
+							return false
+						}
+						m.remove(want)
+					}
+					v := rng.Uint32()
+					e.Data[0] = v
+					m.insert(line, v)
+				case 1: // observe without refreshing
+					e := c.Peek(line)
+					if (e != nil) != inModel {
+						return false
+					}
+					if e != nil && m.data[line] != e.Data[0] {
+						return false
+					}
+				case 2: // invalidate
+					d, was := c.Invalidate(line)
+					if was != inModel {
+						return false
+					}
+					if was && m.data[line] != d.Data[0] {
+						return false
+					}
+					m.remove(line)
+				case 3: // pin or unpin a resident line
+					if e := c.Peek(line); e != nil {
+						e.Pinned = !e.Pinned
+						m.pinned[line] = e.Pinned
+					}
+				}
+				if c.Count() != len(m.data) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("New(%d, %d): %v", g.size, g.assoc, err)
+		}
 	}
 }
 

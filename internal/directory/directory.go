@@ -7,7 +7,7 @@
 //     associativity. This is the optimistic "HWcc ideal" bound that
 //     eliminates directory evictions entirely.
 //   - Sparse: a realistic set-associative sparse full-map directory
-//     (16K entries × 128 ways per L3 bank in Table 3). Entries exist only
+//     (16K entries, 128-way, per L3 bank in Table 3). Entries exist only
 //     for lines present in at least one L2; capacity evictions invalidate
 //     all sharers of the victim line.
 //   - Limited (Dir4B): sparse storage whose entries hold at most four
@@ -232,7 +232,8 @@ func (d *infinite) ForEach(fn func(*Entry)) {
 // --- Sparse set-associative (full-map or limited) ---
 
 type sparse struct {
-	sets    [][]Entry
+	ents    []Entry // slot set*ways+way
+	nsets   int
 	ways    int
 	mask    uint64 // nsets-1 when nsets is a power of two, else 0
 	tick    uint64
@@ -240,11 +241,11 @@ type sparse struct {
 	limited bool
 	byClass [addr.NumClasses]uint64
 
-	// occ has one bit per slot (set*ways+way), set while the slot is
-	// allocated. ForEach scans it instead of streaming the whole entry
-	// array — the Table 3 sparse geometry is 16K sets × 128 ways of
-	// ~40-byte entries per bank, most of it empty at end of run when the
-	// invariant sweep walks it.
+	// occ has one bit per slot, set while the slot is allocated. ForEach
+	// scans it instead of streaming the whole entry array — the Table 3
+	// sparse geometry is 16K entries per bank in 128 sets × 128 ways of
+	// 56-byte entries (917,504 bytes), most of it empty at end of run
+	// when the invariant sweep walks it.
 	occ []uint64
 }
 
@@ -262,7 +263,8 @@ func NewSparse(entries, assoc int, limited bool) Directory {
 	}
 	nsets := entries / assoc
 	d := &sparse{
-		sets:    make([][]Entry, nsets),
+		ents:    make([]Entry, entries),
+		nsets:   nsets,
 		ways:    assoc,
 		limited: limited,
 		occ:     make([]uint64, (entries+63)/64),
@@ -270,43 +272,32 @@ func NewSparse(entries, assoc int, limited bool) Directory {
 	if nsets&(nsets-1) == 0 {
 		d.mask = uint64(nsets - 1)
 	}
-	for i := range d.sets {
-		d.sets[i] = make([]Entry, assoc)
-	}
 	return d
 }
 
-// set indexes by mask when the set count is a power of two (every real
-// geometry), falling back to modulo for odd test-constructed ones.
-func (d *sparse) set(line addr.Line) []Entry {
-	return d.sets[d.setIdx(line)]
+// set returns the ways of set si.
+func (d *sparse) set(si uint64) []Entry {
+	base := si * uint64(d.ways)
+	end := base + uint64(d.ways)
+	return d.ents[base:end:end]
 }
 
+// setIdx indexes by mask when the set count is a power of two (every real
+// geometry), falling back to modulo for odd test-constructed ones.
 func (d *sparse) setIdx(line addr.Line) uint64 {
-	if d.mask != 0 || len(d.sets) == 1 {
+	if d.mask != 0 || d.nsets == 1 {
 		return uint64(line) & d.mask
 	}
-	return uint64(line) % uint64(len(d.sets))
+	return uint64(line) % uint64(d.nsets)
 }
 
-func (d *sparse) markSlot(setIdx uint64, w int) {
-	i := setIdx*uint64(d.ways) + uint64(w)
-	d.occ[i>>6] |= 1 << (i & 63)
-}
-
-func (d *sparse) clearSlot(setIdx uint64, w int) {
-	i := setIdx*uint64(d.ways) + uint64(w)
-	d.occ[i>>6] &^= 1 << (i & 63)
-}
-
-// findWay returns the way holding line in set si, or -1. It scans the
-// occupancy bitmap rather than the entry array: the Table 3 sets are
-// 128 ways (~7KB of entries) and mostly empty, so a miss costs two word
-// loads instead of a 7KB stream. This is the directory's hottest lookup
+// findSlot returns the slot holding line, or -1. It scans the occupancy
+// bitmap of line's set rather than the entry array: the Table 3 sets are
+// 128 ways (7 KiB of entries) and mostly empty, so a miss costs two word
+// loads instead of a 7 KiB stream. This is the directory's hottest lookup
 // path (one per L3-side request plus the end-of-run inclusivity sweep).
-func (d *sparse) findWay(si uint64, line addr.Line) int {
-	set := d.sets[si]
-	lo := si * uint64(d.ways)
+func (d *sparse) findSlot(line addr.Line) int {
+	lo := d.setIdx(line) * uint64(d.ways)
 	hi := lo + uint64(d.ways)
 	for base := lo &^ 63; base < hi; base += 64 {
 		word := d.occ[base>>6]
@@ -317,9 +308,9 @@ func (d *sparse) findWay(si uint64, line addr.Line) int {
 			word &= 1<<(hi-base) - 1
 		}
 		for ; word != 0; word &= word - 1 {
-			w := int(base + uint64(bits.TrailingZeros64(word)) - lo)
-			if set[w].Line == line {
-				return w
+			i := base + uint64(bits.TrailingZeros64(word))
+			if d.ents[i].Line == line {
+				return int(i)
 			}
 		}
 	}
@@ -329,9 +320,8 @@ func (d *sparse) findWay(si uint64, line addr.Line) int {
 func (d *sparse) Limited() bool { return d.limited }
 
 func (d *sparse) Lookup(line addr.Line) *Entry {
-	si := d.setIdx(line)
-	if w := d.findWay(si, line); w >= 0 {
-		e := &d.sets[si][w]
+	if i := d.findSlot(line); i >= 0 {
+		e := &d.ents[i]
 		d.tick++
 		e.lastUse = d.tick
 		return e
@@ -340,7 +330,7 @@ func (d *sparse) Lookup(line addr.Line) *Entry {
 }
 
 func (d *sparse) HasRoom(line addr.Line) bool {
-	set := d.set(line)
+	set := d.set(d.setIdx(line))
 	for i := range set {
 		if set[i].lastUse == 0 {
 			return true
@@ -350,7 +340,7 @@ func (d *sparse) HasRoom(line addr.Line) bool {
 }
 
 func (d *sparse) Victim(line addr.Line) *Entry {
-	set := d.set(line)
+	set := d.set(d.setIdx(line))
 	var victim *Entry
 	for i := range set {
 		e := &set[i]
@@ -369,7 +359,7 @@ func (d *sparse) Victim(line addr.Line) *Entry {
 
 func (d *sparse) Allocate(line addr.Line) *Entry {
 	si := d.setIdx(line)
-	set := d.sets[si]
+	set := d.set(si)
 	slotW := -1
 	for i := range set {
 		e := &set[i]
@@ -387,17 +377,17 @@ func (d *sparse) Allocate(line addr.Line) *Entry {
 	set[slotW] = Entry{Line: line, lastUse: d.tick}
 	d.count++
 	d.byClass[addr.Classify(line.Base())]++
-	d.markSlot(si, slotW)
+	i := si*uint64(d.ways) + uint64(slotW)
+	d.occ[i>>6] |= 1 << (i & 63)
 	return &set[slotW]
 }
 
 func (d *sparse) Remove(line addr.Line) {
-	si := d.setIdx(line)
-	if w := d.findWay(si, line); w >= 0 {
+	if i := d.findSlot(line); i >= 0 {
 		d.byClass[addr.Classify(line.Base())]--
-		d.sets[si][w] = Entry{}
+		d.ents[i] = Entry{}
 		d.count--
-		d.clearSlot(si, w)
+		d.occ[i>>6] &^= 1 << (i & 63)
 	}
 }
 
@@ -406,11 +396,9 @@ func (d *sparse) Count() int { return d.count }
 func (d *sparse) CountByClass() [addr.NumClasses]uint64 { return d.byClass }
 
 func (d *sparse) ForEach(fn func(*Entry)) {
-	ways := uint64(d.ways)
 	for wi, word := range d.occ {
 		for ; word != 0; word &= word - 1 {
-			i := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
-			fn(&d.sets[i/ways][i%ways])
+			fn(&d.ents[wi<<6+bits.TrailingZeros64(word)])
 		}
 	}
 }

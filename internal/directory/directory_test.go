@@ -2,6 +2,7 @@ package directory
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +93,28 @@ func testStorageCommon(t *testing.T, d Directory) {
 func TestInfiniteStorage(t *testing.T) { testStorageCommon(t, NewInfinite()) }
 func TestSparseStorage(t *testing.T)   { testStorageCommon(t, NewSparse(64, 4, false)) }
 func TestLimitedStorage(t *testing.T)  { testStorageCommon(t, NewSparse(64, 4, true)) }
+
+// sink keeps the directories TestNewSparseAllocatesPerBankNotPerSet
+// builds on the heap.
+var sink Directory
+
+// TestNewSparseAllocatesPerBankNotPerSet locks in that a sparse directory
+// holds its entries in one array indexed set*ways+way: building one costs
+// the same few allocations for every geometry.
+func TestNewSparseAllocatesPerBankNotPerSet(t *testing.T) {
+	for _, g := range []struct {
+		name           string
+		entries, assoc int
+	}{
+		{"Table 3", 16 << 10, 128},
+		{"stress", 256, 8},
+		{"fully associative", 2048, 0},
+	} {
+		if n := testing.AllocsPerRun(10, func() { sink = NewSparse(g.entries, g.assoc, false) }); n > 4 {
+			t.Errorf("%s: NewSparse(%d, %d) made %.0f allocations, want at most 4", g.name, g.entries, g.assoc, n)
+		}
+	}
+}
 
 func TestInfiniteNeverEvicts(t *testing.T) {
 	d := NewInfinite()
@@ -221,46 +244,127 @@ func TestAddSharerLimitedOverflow(t *testing.T) {
 	}
 }
 
-// Property: sparse storage never exceeds capacity and Lookup/Remove agree
-// with a model when the controller respects Victim discipline.
+// lruModel is the reference for a sparse directory's contents and
+// replacement: per set, its resident lines from least to most recently
+// used, and which of them are pinned.
+type lruModel struct {
+	sets   [][]addr.Line
+	pinned map[addr.Line]bool
+	ways   int
+	count  int
+}
+
+func (m *lruModel) set(line addr.Line) *[]addr.Line { return &m.sets[int(line)%len(m.sets)] }
+
+func (m *lruModel) has(line addr.Line) bool { return slices.Contains(*m.set(line), line) }
+
+// drop removes line, reporting whether it was resident.
+func (m *lruModel) drop(line addr.Line) bool {
+	set := m.set(line)
+	for i, l := range *set {
+		if l == line {
+			*set = append((*set)[:i], (*set)[i+1:]...)
+			delete(m.pinned, line)
+			m.count--
+			return true
+		}
+	}
+	return false
+}
+
+// touch makes line the most recent of its set, inserting it if absent.
+func (m *lruModel) touch(line addr.Line) {
+	pin := m.pinned[line]
+	m.drop(line)
+	set := m.set(line)
+	*set = append(*set, line)
+	m.pinned[line] = pin
+	m.count++
+}
+
+// victim predicts Victim(line): nothing while the set has room (full
+// false), the least recent unpinned line when it is full, and nothing
+// (ok false) when every line in it is pinned.
+func (m *lruModel) victim(line addr.Line) (v addr.Line, full, ok bool) {
+	set := *m.set(line)
+	if len(set) < m.ways {
+		return 0, false, false
+	}
+	for _, l := range set {
+		if !m.pinned[l] {
+			return l, true, true
+		}
+	}
+	return 0, true, false
+}
+
+// Property: sparse storage agrees with an LRU reference model when the
+// controller respects Victim discipline, on a power-of-two and a
+// non-power-of-two set count: Lookup and Allocate make a line most
+// recent, Victim is nil while the set has room and otherwise names the
+// least recent unpinned line, and HasRoom and Count agree throughout.
 func TestQuickSparseModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := NewSparse(16, 4, false)
-		model := map[addr.Line]bool{}
-		for i := 0; i < 1000; i++ {
-			line := addr.Line(rng.Intn(64))
-			switch rng.Intn(3) {
-			case 0:
-				if d.Lookup(line) != nil {
-					continue
-				}
-				if !d.HasRoom(line) {
-					v := d.Victim(line)
-					if v == nil {
-						return false // nothing pinned in this test
+	for _, g := range []struct{ entries, assoc int }{
+		{16, 4}, // 4 sets
+		{12, 4}, // 3 sets: the modulo set index
+	} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			d := NewSparse(g.entries, g.assoc, false)
+			m := &lruModel{sets: make([][]addr.Line, g.entries/g.assoc), pinned: map[addr.Line]bool{}, ways: g.assoc}
+			for i := 0; i < 1000; i++ {
+				line := addr.Line(rng.Intn(64))
+				switch rng.Intn(4) {
+				case 0: // allocate on a miss, evicting the predicted victim
+					hit := d.Lookup(line) != nil
+					if hit != m.has(line) {
+						return false
 					}
-					delete(model, v.Line)
-					d.Remove(v.Line)
+					if hit {
+						m.touch(line)
+						continue
+					}
+					want, full, ok := m.victim(line)
+					v := d.Victim(line)
+					if d.HasRoom(line) == full || (v != nil) != ok || ok && v.Line != want {
+						return false
+					}
+					if full && !ok {
+						continue // every way pinned: the controller retries
+					}
+					if ok {
+						d.Remove(want)
+						m.drop(want)
+					}
+					d.Allocate(line)
+					m.touch(line)
+				case 1: // lookup
+					e := d.Lookup(line)
+					if (e != nil) != m.has(line) {
+						return false
+					}
+					if e != nil {
+						m.touch(line)
+					}
+				case 2: // pin or unpin a resident line
+					if e := d.Lookup(line); e != nil {
+						m.touch(line)
+						e.Pinned = !e.Pinned
+						m.pinned[line] = e.Pinned
+					}
+				case 3:
+					d.Remove(line)
+					m.drop(line)
 				}
-				d.Allocate(line)
-				model[line] = true
-			case 1:
-				if (d.Lookup(line) != nil) != model[line] {
+				if d.Count() != m.count || m.count > g.entries {
 					return false
 				}
-			case 2:
-				d.Remove(line)
-				delete(model, line)
 			}
-			if d.Count() != len(model) || d.Count() > 16 {
-				return false
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("NewSparse(%d, %d): %v", g.entries, g.assoc, err)
+		}
 	}
 }
 

@@ -24,8 +24,8 @@
 // scheduled, which makes every simulation run bit-for-bit reproducible: the
 // machine model is single-threaded and all nondeterminism is confined to
 // explicitly seeded PRNGs in workload generators. Scheduling and firing
-// allocate nothing in steady state: slots and the overflow heap reuse their
-// backing arrays.
+// allocate nothing in steady state: slot runs and the overflow heap reuse
+// their backing arrays.
 package event
 
 import "math/bits"
@@ -137,11 +137,11 @@ const (
 	wheelMask = wheelSize - 1
 )
 
-// slot holds the events of exactly one cycle within the wheel horizon, in
-// schedule order. fns[:next] have fired; fns[next:] are pending. An empty
-// slot holds no array: it takes one from the queue's spare list on its
-// first event and returns it when released.
-type slot struct {
+// run holds the events of exactly one cycle within the wheel horizon, in
+// schedule order. fns[:next] have fired; fns[next:] are pending. A run is
+// live while its slot is occupied; a released run keeps its array on the
+// queue's free list, so the next occupied slot reuses it.
+type run struct {
 	at   Cycle
 	next int
 	fns  []Func
@@ -155,45 +155,57 @@ type Queue struct {
 
 	pending int // scheduled but not yet executed, wheel + far
 
-	// cur is the slot index currently being drained (its cycle is now),
-	// or -1 when no drain is in progress. Same-cycle events scheduled
-	// while draining append to the live slot and fire this cycle.
-	cur int
+	// cur is the run currently being drained (its cycle is now), or 0
+	// when no drain is in progress. Same-cycle events scheduled while
+	// draining append to the live run and fire this cycle.
+	cur uint16
 
-	slots [wheelSize]slot
-	occ   [wheelSize / 64]uint64 // bit per slot: has pending events
-
-	// spare holds the fns arrays of released slots for reuse, so a queue
-	// allocates one array per concurrently occupied slot and, once warm,
-	// none at all.
-	spare [][]Func
+	// runs holds one run per concurrently occupied slot (at most
+	// wheelSize, so a uint16 index reaches every one) and free the
+	// indices of released runs for reuse, so a queue allocates one array
+	// per concurrently occupied slot and, once warm, none at all.
+	runs []run
+	free []uint16
 
 	far heap4[item] // events at >= now+wheelSize, ordered by (at, seq)
+
+	// slots maps each cycle of the horizon to the index of its run in
+	// runs, 0 for an empty slot; runs[0] is a placeholder, never a live
+	// run. The slot index and occ hold no pointers and come after every
+	// field that does, so the GC never looks at them.
+	slots [wheelSize]uint16
+	occ   [wheelSize / 64]uint64 // bit per slot: has pending events
 }
 
-// slotCap0 is the capacity of a new slot array; busy cycles beyond it
+// slotCap0 is the capacity of a new run's array; busy cycles beyond it
 // grow their array through the normal append path, and the grown array
-// returns to the spare list with its slot. Sized above the busiest
-// per-cycle burst any kernel reaches at bench scale (17, on dmm/gjk), so
-// growth stays rare.
+// stays with its run for reuse. Sized above the busiest per-cycle burst
+// any kernel reaches at bench scale (17, on dmm/gjk), so growth stays
+// rare.
 const slotCap0 = 24
 
-// push appends fn to the slot of cycle at, which must be within the wheel
-// horizon.
+// push appends fn to the run of cycle at, which must be within the wheel
+// horizon, taking a run for the slot if it has none.
 func (q *Queue) push(at Cycle, fn Func) {
 	i := at & wheelMask
-	s := &q.slots[i]
-	if s.fns == nil {
-		if n := len(q.spare); n > 0 {
-			s.fns = q.spare[n-1]
-			q.spare = q.spare[:n-1]
+	k := q.slots[i]
+	if k == 0 {
+		if n := len(q.free); n > 0 {
+			k = q.free[n-1]
+			q.free = q.free[:n-1]
 		} else {
-			s.fns = make([]Func, 0, slotCap0)
+			if len(q.runs) == 0 {
+				q.runs = append(q.runs, run{}) // index 0 means "no run"
+			}
+			k = uint16(len(q.runs))
+			q.runs = append(q.runs, run{fns: make([]Func, 0, slotCap0)})
 		}
+		q.slots[i] = k
+		q.runs[k].at = at
+		q.occ[i>>6] |= 1 << (i & 63)
 	}
-	s.at = at
-	s.fns = append(s.fns, fn)
-	q.occ[i>>6] |= 1 << (i & 63)
+	r := &q.runs[k]
+	r.fns = append(r.fns, fn)
 }
 
 // Now reports the current simulated cycle: the cycle of the event being
@@ -239,21 +251,19 @@ func (q *Queue) migrate() {
 	}
 }
 
-// release retires an exhausted slot: clears its occupancy bit, zeroes the
-// fn pointers so fired closures are collectable, and returns the array to
-// the spare list.
-func (q *Queue) release(i int) {
-	s := &q.slots[i]
-	if s.fns != nil {
-		clear(s.fns)
-		q.spare = append(q.spare, s.fns[:0])
-		s.fns = nil
-	}
-	s.next = 0
+// release retires the exhausted current run: frees its slot, zeroes the
+// fn pointers so fired closures are collectable, and returns the run to
+// the free list.
+func (q *Queue) release() {
+	r := &q.runs[q.cur]
+	clear(r.fns)
+	r.fns = r.fns[:0]
+	r.next = 0
+	i := r.at & wheelMask
+	q.slots[i] = 0
 	q.occ[i>>6] &^= 1 << (i & 63)
-	if q.cur == i {
-		q.cur = -1
-	}
+	q.free = append(q.free, q.cur)
+	q.cur = 0
 }
 
 // scan returns the index of the first occupied slot at or after cycle
@@ -281,27 +291,28 @@ func (q *Queue) scan(from Cycle) int {
 
 // next dequeues the earliest pending event, advancing now to its cycle.
 // ok is false when the queue is empty. The hot path — more events in the
-// slot being drained — is a bounds check and an increment.
+// run being drained — is a bounds check and an increment.
 func (q *Queue) next() (fn Func, ok bool) {
-	if q.cur >= 0 {
-		s := &q.slots[q.cur]
-		if s.next < len(s.fns) {
-			fn = s.fns[s.next]
-			s.next++
+	if q.cur != 0 {
+		r := &q.runs[q.cur]
+		if r.next < len(r.fns) {
+			fn = r.fns[r.next]
+			r.next++
 			q.pending--
 			return fn, true
 		}
-		q.release(q.cur)
+		q.release()
 	}
 	if i := q.scan(q.now); i >= 0 {
-		s := &q.slots[i]
-		q.cur = i
-		if s.at != q.now {
-			q.now = s.at
+		q.cur = q.slots[i]
+		r := &q.runs[q.cur]
+		if r.at != q.now {
+			q.now = r.at
 			q.migrate()
+			r = &q.runs[q.cur] // migrate's pushes may have grown runs
 		}
-		fn = s.fns[s.next]
-		s.next++
+		fn = r.fns[r.next]
+		r.next++
 		q.pending--
 		return fn, true
 	}
@@ -316,18 +327,18 @@ func (q *Queue) next() (fn Func, ok bool) {
 }
 
 // peekAt reports the cycle of the earliest pending event. It retires an
-// exhausted current slot as a side effect (pure bookkeeping; no event
+// exhausted current run as a side effect (pure bookkeeping; no event
 // fires and now does not move).
 func (q *Queue) peekAt() (Cycle, bool) {
-	if q.cur >= 0 {
-		s := &q.slots[q.cur]
-		if s.next < len(s.fns) {
-			return s.at, true
+	if q.cur != 0 {
+		r := &q.runs[q.cur]
+		if r.next < len(r.fns) {
+			return r.at, true
 		}
-		q.release(q.cur)
+		q.release()
 	}
 	if i := q.scan(q.now); i >= 0 {
-		return q.slots[i].at, true
+		return q.runs[q.slots[i]].at, true
 	}
 	if q.far.len() > 0 {
 		return q.far.s[0].at, true

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"cohesion/internal/snapshot"
@@ -39,32 +39,41 @@ func removeCheckpoint(stateDir, id string) {
 // loadAllRecords scans the jobs directory, recovering each record from
 // its newest valid file (main or .tmp). A record that is torn in both
 // places is reported, not silently dropped: job history must not vanish
-// without a trace.
+// without a trace. A record with no .tmp beside it, the usual case, is
+// read from its main file alone.
 func loadAllRecords(stateDir string) ([]*Job, error) {
 	entries, err := os.ReadDir(jobsDir(stateDir))
 	if err != nil {
 		return nil, fmt.Errorf("serve: scanning %s: %w", jobsDir(stateDir), err)
 	}
-	var names []string
+	type file struct {
+		id  string
+		tmp bool
+	}
+	var files []file
 	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".job") {
-			names = append(names, strings.TrimSuffix(name, ".job"))
-		} else if strings.HasSuffix(name, ".job.tmp") {
+		if id, ok := strings.CutSuffix(e.Name(), ".job"); ok {
+			files = append(files, file{id, false})
+		} else if id, ok := strings.CutSuffix(e.Name(), ".job.tmp"); ok {
 			// A crash before the first rename leaves only the .tmp.
-			names = append(names, strings.TrimSuffix(name, ".job.tmp"))
+			files = append(files, file{id, true})
 		}
 	}
-	sort.Strings(names)
-	var recs []*Job
-	seen := map[string]bool{}
-	for _, id := range names {
-		if seen[id] {
-			continue
+	slices.SortFunc(files, func(a, b file) int { return strings.Compare(a.id, b.id) })
+	recs := make([]*Job, 0, len(files))
+	for i := 0; i < len(files); i++ {
+		id, tmp := files[i].id, files[i].tmp
+		for ; i+1 < len(files) && files[i+1].id == id; i++ {
+			tmp = tmp || files[i+1].tmp
 		}
-		seen[id] = true
 		j := new(Job)
-		if _, _, err := snapshot.LoadRecover(recordPath(stateDir, id), snapshot.KindJob, j); err != nil {
+		path := recordPath(stateDir, id)
+		if tmp {
+			_, _, err = snapshot.LoadRecover(path, snapshot.KindJob, j)
+		} else {
+			_, err = snapshot.Load(path, snapshot.KindJob, j)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("serve: recovering job %s: %w", id, err)
 		}
 		recs = append(recs, j)

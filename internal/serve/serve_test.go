@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -489,5 +491,49 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("metrics Content-Type = %q", ct)
+	}
+}
+
+// TestLoadAllRecordsGarbage holds what a server start pays to recover a
+// history of 240 finished jobs, the job server's benchmark history: each
+// record is read from its main file alone, with no failed probe for a
+// .tmp that is not there, and its checksum is compared without a heap
+// string.
+func TestLoadAllRecordsGarbage(t *testing.T) {
+	const history = 240
+	dir := t.TempDir()
+	if err := os.MkdirAll(jobsDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	kernels := []string{"cg", "dmm", "gjk", "heat", "kmeans", "mri", "sobel", "stencil"}
+	modes := []string{"swcc", "hwcc", "cohesion"}
+	for i := 0; i < history; i++ {
+		rec := Job{JobView: JobView{
+			ID:    fmt.Sprintf("j-%06d", i),
+			Spec:  JobSpec{Kernel: kernels[i%8], Mode: modes[i%3], Clusters: 2, Scale: 1, Seed: int64(i)},
+			State: StateDone,
+			Outcome: &Outcome{MemFingerprint: fmt.Sprintf("%#016x", 0xd61834bf34c44020+uint64(i)),
+				StatsDigest: fmt.Sprintf("%#016x", 0x662a5126b9d95f9e+uint64(i)),
+				Cycles:      12227 + uint64(i), Events: 15126, Instructions: 14700, MessagesTotal: 793},
+			SubmittedMS: 1792216702337, StartedMS: 1792216702338, EndedMS: 1792216702344,
+		}, Revision: 3}
+		if err := saveRecord(dir, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recs, err := loadAllRecords(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != history {
+		t.Fatalf("loaded %d records, want %d", len(recs), history)
+	}
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("loading %d records allocated %d bytes in %d mallocs", history, bytes, mallocs)
+	if bytes >= 750_000 || mallocs >= 9_500 {
+		t.Errorf("loading %d records allocated %d bytes in %d mallocs, want under 0.75 MB and 9,500", history, bytes, mallocs)
 	}
 }

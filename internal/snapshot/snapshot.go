@@ -115,7 +115,9 @@ func Decode(b []byte, kind Kind, out any) (Envelope, error) {
 		return env, fmt.Errorf("%w: file holds %q, want %q", ErrKind, env.Kind, kind)
 	}
 	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	if string(hexSum[:]) != env.Checksum {
 		return env, ErrChecksum
 	}
 	if out != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cohesion/internal/simerr"
@@ -208,6 +209,41 @@ func TestConfigValidate(t *testing.T) {
 		}
 		if _, err := Generate(tc.cfg); !errors.Is(err, simerr.ErrConfig) {
 			t.Errorf("%s: Generate = %v, want ErrConfig", tc.name, err)
+		}
+	}
+}
+
+// machineSink keeps the machines TestBuildMachineCostsWhatItHolds builds
+// on the heap.
+var machineSink any
+
+// TestBuildMachineCostsWhatItHolds holds the construction of a default
+// fuzz machine to its footprint, in every mode: a few allocations per
+// cache, directory bank and event queue, not one per set, and no wheel
+// slot headers sized by the horizon.
+func TestBuildMachineCostsWhatItHolds(t *testing.T) {
+	const runs = 5
+	for _, mode := range []string{"hwcc", "swcc", "cohesion"} {
+		cfg := Config{Mode: mode}.WithDefaults()
+		build := func() {
+			m, err := BuildMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machineSink = m
+		}
+		build() // warm-up: one-time tables outside the machine
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%s: BuildMachine allocated %d bytes in %d allocations", mode, bytes, allocs)
+		if bytes >= 450<<10 || allocs >= 500 {
+			t.Errorf("%s: BuildMachine allocated %d bytes in %d allocations, want under 450 KiB and 500", mode, bytes, allocs)
 		}
 	}
 }
