@@ -44,7 +44,7 @@ func main() {
 		table3   = flag.Bool("table3", false, "use the paper's full 1024-core Table 3 machine")
 		traceOn  = flag.Bool("trace", false, "record a structured protocol trace and write it to -trace-out")
 		traceOut = flag.String("trace-out", "cohesion-trace.json", "trace output file; .json emits Chrome trace-event format, anything else plain text")
-		metrics  = flag.Bool("metrics", false, "collect and print sim-time histograms (latency, port waits, occupancy)")
+		metrics  = flag.Bool("metrics", false, "collect and print sim-time histograms (latency, port waits, occupancy) and the coroutine resume count")
 		edges    = flag.Bool("edges", false, "track protocol-transition edge coverage and print the report")
 		phases   = flag.Bool("phases", false, "print per-phase (barrier-to-barrier) cycle and message breakdown")
 		timeline = flag.Bool("timeline", false, "print the traffic timeline as CSV")
@@ -222,6 +222,7 @@ func main() {
 	}
 	if res.Stats.Metrics != nil {
 		fmt.Printf("\n== metrics ==\n%s", res.Stats.Metrics.Summary().String())
+		fmt.Printf("core coroutine resumes: %d\n", res.Stats.Resumes)
 	}
 	if cov != nil {
 		fmt.Printf("\n== protocol edge coverage: %d/%d ==\n%s", cov.Covered(), cov.Total(), cov.Report())

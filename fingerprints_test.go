@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"cohesion/internal/pool"
@@ -15,7 +16,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata golden files")
 
-const fingerprintsFile = "testdata/fingerprints.json"
+const (
+	fingerprintsFile = "testdata/fingerprints.json"
+	runsFile         = "testdata/runs.json"
+	resumesFile      = "testdata/resumes.json"
+)
 
 // fingerprintRuns lists the golden matrix: every kernel under every memory
 // model at a fixed small scale. The parameters here are frozen; changing
@@ -39,20 +44,12 @@ func fingerprintRuns() []struct {
 	return out
 }
 
-// TestGoldenFingerprints regenerates the kernel x mode memory-fingerprint
-// matrix and diffs it against testdata/fingerprints.json. The fingerprint
-// hashes every word of simulated memory after the run drains, so any
-// change to protocol behavior, timing that alters data movement, or the
-// kernels themselves shows up here — while pure observability (tracing,
-// metrics, coverage) must not. Run with -update to bless a new golden
-// file after an intentional change.
-func TestGoldenFingerprints(t *testing.T) {
+// goldenMatrix runs the golden matrix once per test binary and returns
+// each cell's result keyed "kernel/Mode"; every golden-file test below
+// reads its own quantity from the same 24 runs.
+var goldenMatrix = sync.OnceValues(func() (map[string]*Result, error) {
 	runs := fingerprintRuns()
-	type outcome struct {
-		key string
-		fp  uint64
-	}
-	results, errs := pool.MapCatch(len(runs), 0, func(i int) (outcome, error) {
+	results, errs := pool.MapCatch(len(runs), 0, func(i int) (*Result, error) {
 		r := runs[i]
 		res, err := Run(RunConfig{
 			Machine: ScaledConfig(2).WithMode(r.Mode),
@@ -62,56 +59,72 @@ func TestGoldenFingerprints(t *testing.T) {
 			Verify:  true,
 		})
 		if err != nil {
-			return outcome{}, fmt.Errorf("%s/%v: %w", r.Kernel, r.Mode, err)
+			return nil, fmt.Errorf("%s/%v: %w", r.Kernel, r.Mode, err)
 		}
-		return outcome{key: fmt.Sprintf("%s/%v", r.Kernel, r.Mode), fp: res.MemFingerprint}, nil
+		return res, nil
 	})
 	for _, err := range errs {
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	got := map[string]string{}
-	for _, o := range results {
-		got[o.key] = fmt.Sprintf("%#016x", o.fp)
+	out := make(map[string]*Result, len(runs))
+	for i, r := range runs {
+		out[fmt.Sprintf("%s/%v", r.Kernel, r.Mode)] = results[i]
 	}
+	return out, nil
+})
 
+// goldenValues maps every golden cell to the quantity f reads from it.
+func goldenValues[V any](t *testing.T, f func(*Result) V) map[string]V {
+	t.Helper()
+	results, err := goldenMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]V, len(results))
+	for k, res := range results {
+		got[k] = f(res)
+	}
+	return got
+}
+
+// checkGolden diffs got against the JSON golden file, or rewrites the
+// file under -update. what names the pinned quantity and test the test
+// that blesses it, for the failure message.
+func checkGolden[V comparable](t *testing.T, file, what, test string, got map[string]V) {
+	t.Helper()
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(fingerprintsFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(fingerprintsFile, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d fingerprints to %s", len(got), fingerprintsFile)
+		t.Logf("wrote %d cells to %s", len(got), file)
 		return
 	}
 
-	data, err := os.ReadFile(fingerprintsFile)
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	want := map[string]string{}
+	want := map[string]V{}
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("corrupt golden file: %v", err)
 	}
 
 	var diffs []string
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for k, w := range want {
 		switch g, ok := got[k]; {
 		case !ok:
 			diffs = append(diffs, fmt.Sprintf("  %-16s missing from this run", k))
-		case g != want[k]:
-			diffs = append(diffs, fmt.Sprintf("  %-16s golden %s, got %s", k, want[k], g))
+		case g != w:
+			diffs = append(diffs, fmt.Sprintf("  %-16s golden %+v, got %+v", k, w, g))
 		}
 	}
 	for k := range got {
@@ -121,10 +134,59 @@ func TestGoldenFingerprints(t *testing.T) {
 	}
 	sort.Strings(diffs)
 	if len(diffs) > 0 {
-		t.Fatalf("memory fingerprints diverged from %s (%d of %d):\n%s\n"+
-			"if the behavior change is intentional, bless it with: go test -run TestGoldenFingerprints -update .",
-			fingerprintsFile, len(diffs), len(want), joinLines(diffs))
+		t.Fatalf("%s diverged from %s (%d of %d):\n%s\n"+
+			"if the change is intentional, bless it with: go test -run %s -update .",
+			what, file, len(diffs), len(want), joinLines(diffs), test)
 	}
+}
+
+// TestGoldenFingerprints diffs the kernel x mode memory-fingerprint
+// matrix against testdata/fingerprints.json. The fingerprint hashes every
+// word of simulated memory after the run drains, so any change to
+// protocol behavior, timing that alters data movement, or the kernels
+// themselves shows up here — while pure observability (tracing, metrics,
+// coverage) must not. Run with -update to bless a new golden file after
+// an intentional change.
+func TestGoldenFingerprints(t *testing.T) {
+	got := goldenValues(t, func(r *Result) string { return fmt.Sprintf("%#016x", r.MemFingerprint) })
+	checkGolden(t, fingerprintsFile, "memory fingerprints", "TestGoldenFingerprints", got)
+}
+
+// goldenRun is what testdata/runs.json pins per cell: the shape of the
+// whole run, so a change that moves timing or traffic but leaves the final
+// memory image alone still fails.
+type goldenRun struct {
+	Events   uint64 `json:"events"`
+	Cycles   uint64 `json:"cycles"`
+	Messages uint64 `json:"messages"`
+	Digest   string `json:"digest"` // Stats.Digest(): every cumulative counter
+}
+
+// TestGoldenRuns diffs each golden cell's event count, cycle count, total
+// messages and stats digest against testdata/runs.json. Host-side changes
+// (how programs reach the machine, how the machine is built) must leave
+// every value unchanged.
+func TestGoldenRuns(t *testing.T) {
+	got := goldenValues(t, func(r *Result) goldenRun {
+		return goldenRun{
+			Events:   r.Stats.Events,
+			Cycles:   r.Cycles(),
+			Messages: r.TotalMessages(),
+			Digest:   fmt.Sprintf("%#016x", r.Stats.Digest()),
+		}
+	})
+	checkGolden(t, runsFile, "run shapes", "TestGoldenRuns", got)
+}
+
+// TestGoldenResumes pins each golden cell's count of core coroutine
+// resumes (stats.Run.Resumes), the host work of handing the machine's
+// results back to the kernels' programs. The count is exact, so any
+// change to how programs batch their operations shows here; regenerate
+// testdata/resumes.json with -update only in a change that says why the
+// count moved.
+func TestGoldenResumes(t *testing.T) {
+	got := goldenValues(t, func(r *Result) uint64 { return r.Stats.Resumes })
+	checkGolden(t, resumesFile, "coroutine resume counts", "TestGoldenResumes", got)
 }
 
 // TestObservabilityDoesNotPerturbSimulation runs the same simulation bare,

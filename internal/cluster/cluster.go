@@ -13,7 +13,10 @@
 // strictly — exactly one of them runs at any moment — so the simulation
 // stays single-threaded and deterministic, and programs may freely touch
 // host-side state (statistics, allocators, golden models) between
-// operations.
+// operations. Programs may also queue operations without suspending
+// (DoAsync), including loads whose addresses they already know (Gather);
+// the machine issues them with unchanged timing and resumes the program
+// once per batch, at its next Do or Sync.
 package cluster
 
 import (
@@ -50,11 +53,14 @@ const (
 	OpInv   // software invalidate (INV) of one line
 	OpWork  // Cycles of non-memory computation
 	OpDone  // program finished
+
+	opGather // a load whose value joins the batch Sync returns
+	opSync   // wait marker: resume the program once the queue drains
 )
 
 func (k OpKind) String() string {
 	switch k {
-	case OpLoad:
+	case OpLoad, opGather:
 		return "load"
 	case OpStore:
 		return "store"
@@ -103,8 +109,8 @@ type Core struct {
 	yield func(Op) bool
 	resp  uint32
 
-	// opq queues result-free operations (stores, compute, flushes)
-	// issued by the program via DoAsync without suspending it: a
+	// opq queues the operations (stores, compute, flushes, gathered
+	// loads) issued by the program via DoAsync without suspending it: a
 	// coroutine switch costs more than issuing the operation itself, so
 	// the program runs ahead — host-side only — and the machine drains
 	// the queue one operation per completion, exactly as if each had
@@ -112,13 +118,15 @@ type Core struct {
 	// and the global event schedule are bit-identical to the unbatched
 	// execution; the only thing that moves is when program host code
 	// runs, which by construction cannot observe simulated state except
-	// through result-bearing (still synchronous) operations. deferred
-	// holds the synchronous operation the program yielded while queued
-	// operations were still pending; it issues after the queue drains.
+	// through the values Do and Sync return. deferred holds the operation
+	// the program yielded while queued operations were still pending; it
+	// issues after the queue drains. gathered collects, in program order,
+	// the values of gathered loads for Sync.
 	opq         []Op
 	opqHead     int
 	deferred    Op
 	hasDeferred bool
+	gathered    []uint32
 
 	pc       int // instruction index within the kernel code footprint
 	codeBase addr.Addr
@@ -174,12 +182,13 @@ func (c *Core) Do(o Op) uint32 {
 // through DoAsync before it is forced to suspend and let the queue drain.
 const asyncBatchCap = 64
 
-// DoAsync issues a result-free operation without suspending the program.
-// The operation is queued and issued by the machine in program order,
+// DoAsync issues an operation without suspending the program. The
+// operation is queued and issued by the machine in program order,
 // with the same per-operation timing as a synchronous Do; the program
-// suspends at its next Do (or when the queue fills) until every queued
-// operation has completed. Must only be called from inside the core's
-// program, and only for operations whose result is discarded.
+// suspends at its next Do or Sync (or when the queue fills) until every
+// queued operation has completed. Must only be called from inside the
+// core's program, and only for operations whose result is discarded or,
+// for a gathered load, collected by Sync.
 func (c *Core) DoAsync(o Op) {
 	if len(c.opq) < asyncBatchCap {
 		c.opq = append(c.opq, o)
@@ -188,6 +197,24 @@ func (c *Core) DoAsync(o Op) {
 	if !c.yield(o) {
 		panic(coreShutdown{})
 	}
+}
+
+// Gather queues a load of the word at a without suspending the program;
+// the next Sync returns its value. Neither the address nor whether the
+// load is issued may depend on a value gathered since the last Sync.
+func (c *Core) Gather(a addr.Addr) { c.DoAsync(Op{Kind: opGather, Addr: a}) }
+
+// Sync suspends the program until every queued operation has completed,
+// resuming it where a synchronous load would have, and returns the values
+// gathered since the last Sync in program order. The next batch reuses
+// the slice.
+func (c *Core) Sync() []uint32 {
+	if len(c.opq) > 0 && !c.yield(Op{Kind: opSync}) {
+		panic(coreShutdown{})
+	}
+	vals := c.gathered
+	c.gathered = c.gathered[:0]
+	return vals
 }
 
 // TakeRaceTrap reports and clears the core's pending race exception (set
@@ -212,25 +239,28 @@ func (c *Core) SetCode(base addr.Addr, bytes int) {
 // advance produces the core's next operation: first any operations the
 // program queued through DoAsync (in program order), then a synchronous
 // operation deferred behind them, and only then — with the queue empty —
-// does it resume the program coroutine. A program that returns without
-// yielding (only possible after an unwind) reads as done.
+// does it resume the program coroutine; a deferred Sync marker resumes it
+// at once. A program that returns without yielding (only possible after
+// an unwind) reads as done.
 func (c *Core) advance() {
 	if c.opqHead < len(c.opq) {
 		c.pending = c.takeQueued()
 		return
 	}
 	if c.hasDeferred {
-		c.pending = c.deferred
-		c.deferred = Op{}
 		c.hasDeferred = false
-		return
+		if c.deferred.Kind != opSync {
+			c.pending = c.deferred
+			return
+		}
 	}
+	c.cluster.run.Resumes++
 	op, ok := c.next()
 	if !ok {
 		op = Op{Kind: OpDone}
 	}
 	// The resume may have queued operations before yielding op; they
-	// precede it in program order.
+	// precede it in program order (Sync yields only behind such a queue).
 	if c.opqHead < len(c.opq) {
 		c.deferred, c.hasDeferred = op, true
 		c.pending = c.takeQueued()
@@ -468,6 +498,9 @@ func (cl *Cluster) step(c *Core) {
 // operations.
 func (cl *Cluster) complete(c *Core, v uint32) {
 	cl.run.ForwardProgress++
+	if c.pending.Kind == opGather {
+		c.gathered = append(c.gathered, v)
+	}
 	c.resp = v
 	c.advance()
 	cl.q.After(1, c.stepFn)
@@ -530,7 +563,7 @@ func (cl *Cluster) execute(c *Core) {
 	case OpWork:
 		cl.run.Instructions += uint64(o.Cycles)
 		cl.q.After(event.Cycle(o.Cycles), c.completeZeroFn)
-	case OpLoad:
+	case OpLoad, opGather:
 		cl.load(c)
 	case OpStore:
 		cl.l2Stage(c.l2StoreFn)

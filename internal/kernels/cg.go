@@ -145,16 +145,29 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 		}
 		x.InvIfSWcc(w(v, lo*n), uint64(4*rows*n))
 	}
+	// reduce sums part's partial slots, each loaded with one cycle of add
+	// work; the rest of the batch holds the words at also.
+	reduce := func(x *rt.Ctx, part addr.Addr, also ...addr.Addr) (float32, gathered) {
+		for t := 0; t < tasks; t++ {
+			x.Gather(w(part, 8*t))
+			x.Work(1)
+		}
+		for _, a := range also {
+			x.Gather(a)
+		}
+		g := gathered(x.Sync())
+		var s float32
+		for t := 0; t < tasks; t++ {
+			s += g.f32()
+		}
+		return s, g
+	}
 	reducePhase := func(x *rt.Ctx, part addr.Addr, dst int) {
 		// Single reducer task: sums partial slots into scalar word dst.
 		x.ParallelFor(1, func(int) {
 			x.InvIfSWcc(part, uint64(4*8*tasks))
 			x.InvIfSWcc(scal, 32)
-			var s float32
-			for t := 0; t < tasks; t++ {
-				s += x.LoadF32(w(part, 8*t))
-				x.Work(1)
-			}
+			s, _ := reduce(x, part)
 			x.StoreF32(w(scal, dst), s)
 			x.FlushIfSWcc(scal, 32)
 		})
@@ -164,11 +177,15 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 		// rr0 = r . r
 		x.ParallelFor(tasks, func(t int) {
 			invHalo(x, rV, t)
+			for i := 0; i < rowsPerTask*n; i++ {
+				x.Gather(w(rV, t*rowsPerTask*n+i))
+				x.Work(2)
+			}
+			g := gathered(x.Sync())
 			var s float32
 			for i := 0; i < rowsPerTask*n; i++ {
-				v := x.LoadF32(w(rV, t*rowsPerTask*n+i))
+				v := g.f32()
 				s += v * v
-				x.Work(2)
 			}
 			x.StoreF32(w(partA, 8*t), s)
 			x.FlushIfSWcc(w(partA, 8*t), 4)
@@ -180,28 +197,38 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 			x.ParallelFor(tasks, func(t int) {
 				f := openFrame(x, 12)
 				invHalo(x, pV, t)
-				var s float32
+				var s, v float32
 				for i := t * rowsPerTask; i < (t+1)*rowsPerTask; i++ {
 					for j := 0; j < n; j++ {
 						k := i*n + j
-						v := 4 * x.LoadF32(w(pV, k))
+						x.Gather(w(pV, k))
 						if j > 0 {
-							v -= x.LoadF32(w(pV, k-1))
+							x.Gather(w(pV, k-1))
 						}
 						if j < n-1 {
-							v -= x.LoadF32(w(pV, k+1))
+							x.Gather(w(pV, k+1))
 						}
 						if i > 0 {
-							v -= x.LoadF32(w(pV, k-n))
+							x.Gather(w(pV, k-n))
 						}
 						if i < n-1 {
-							v -= x.LoadF32(w(pV, k+n))
+							x.Gather(w(pV, k+n))
 						}
 						x.Work(5)
+						g := gathered(x.Sync())
+						if k > t*rowsPerTask*n {
+							s += g.f32() * v // the previous element's p, loaded after its q store
+						}
+						v = 4 * g.f32()
+						for len(g) > 0 {
+							v -= g.f32() // the neighbors, in the operator's order
+						}
 						x.StoreF32(w(qV, k), v)
-						s += x.LoadF32(w(pV, k)) * v
+						x.Gather(w(pV, k)) // joins the next element's batch
 					}
 				}
+				g := gathered(x.Sync())
+				s += g.f32() * v
 				x.StoreF32(w(partA, 8*t), s)
 				x.FlushIfSWcc(blockAddr(qV, t), blockBytes)
 				x.FlushIfSWcc(w(partA, 8*t), 4)
@@ -211,12 +238,8 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 			x.ParallelFor(1, func(int) {
 				x.InvIfSWcc(partA, uint64(4*8*tasks))
 				x.InvIfSWcc(scal, 32)
-				var pq float32
-				for t := 0; t < tasks; t++ {
-					pq += x.LoadF32(w(partA, 8*t))
-					x.Work(1)
-				}
-				rr := x.LoadF32(w(scal, 0))
+				pq, g := reduce(x, partA, w(scal, 0))
+				rr := g.f32()
 				x.StoreF32(w(scal, 2), rr/pq)
 				x.FlushIfSWcc(scal, 32)
 			})
@@ -232,9 +255,15 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 				var s float32
 				for i := 0; i < rowsPerTask*n; i++ {
 					k := t*rowsPerTask*n + i
-					xv := x.LoadF32(w(xV, k)) + alpha*x.LoadF32(w(pV, k))
+					x.Gather(w(xV, k))
+					x.Gather(w(pV, k))
+					g := gathered(x.Sync())
+					xv := g.f32() + alpha*g.f32()
 					x.StoreF32(w(xV, k), xv)
-					rv := x.LoadF32(w(rV, k)) - alpha*x.LoadF32(w(qV, k))
+					x.Gather(w(rV, k))
+					x.Gather(w(qV, k))
+					g = gathered(x.Sync())
+					rv := g.f32() - alpha*g.f32()
 					x.StoreF32(w(rV, k), rv)
 					s += rv * rv
 					x.Work(6)
@@ -249,12 +278,8 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 			x.ParallelFor(1, func(int) {
 				x.InvIfSWcc(partB, uint64(4*8*tasks))
 				x.InvIfSWcc(scal, 32)
-				var rrNew float32
-				for t := 0; t < tasks; t++ {
-					rrNew += x.LoadF32(w(partB, 8*t))
-					x.Work(1)
-				}
-				rr := x.LoadF32(w(scal, 0))
+				rrNew, g := reduce(x, partB, w(scal, 0))
+				rr := g.f32()
 				x.StoreF32(w(scal, 3), rrNew/rr)
 				x.StoreF32(w(scal, 0), rrNew)
 				x.FlushIfSWcc(scal, 32)
@@ -267,7 +292,10 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 				x.InvIfSWcc(blockAddr(pV, t), blockBytes)
 				for i := 0; i < rowsPerTask*n; i++ {
 					k := t*rowsPerTask*n + i
-					x.StoreF32(w(pV, k), x.LoadF32(w(rV, k))+beta*x.LoadF32(w(pV, k)))
+					x.Gather(w(rV, k))
+					x.Gather(w(pV, k))
+					g := gathered(x.Sync())
+					x.StoreF32(w(pV, k), g.f32()+beta*g.f32())
 					x.Work(2)
 				}
 				x.FlushIfSWcc(blockAddr(pV, t), blockBytes)

@@ -46,10 +46,15 @@ func BuildDMM(r *rt.Runtime, p Params) (*Instance, error) {
 		x.ParallelFor(n, func(row int) {
 			f := openFrame(x, 12)
 			for j := 0; j < n; j++ {
+				for k := 0; k < n; k++ {
+					x.Gather(w(a, row*n+k))
+					x.Gather(w(b, k*n+j))
+					x.Work(2) // multiply-add
+				}
+				g := gathered(x.Sync())
 				var s float32
 				for k := 0; k < n; k++ {
-					s += x.LoadF32(w(a, row*n+k)) * x.LoadF32(w(b, k*n+j))
-					x.Work(2) // multiply-add
+					s += g.f32() * g.f32()
 				}
 				x.StoreF32(w(c, row*n+j), s)
 			}

@@ -117,12 +117,22 @@ func BuildGJK(r *rt.Runtime, p Params) (*Instance, error) {
 	worker := func(x *rt.Ctx) {
 		x.ParallelFor(pairs, func(task int) {
 			f := openFrame(x, 8)
-			a := int(x.Load(w(pairIdx, 2*task)))
-			b := int(x.Load(w(pairIdx, 2*task+1)))
-			s, hit := sepOf(func(j int) float32 {
-				x.Work(1)
-				return x.LoadF32(w(objA, j))
-			}, a, b)
+			x.Gather(w(pairIdx, 2*task))
+			x.Gather(w(pairIdx, 2*task+1))
+			g := gathered(x.Sync())
+			a, b := int(g.word()), int(g.word())
+			// sepOf's loads in its order: per direction, both objects'
+			// vertices, each word behind one cycle of dot-product work.
+			for range dirs {
+				for _, obj := range [2]int{a, b} {
+					for j := obj * verts * 3; j < (obj+1)*verts*3; j++ {
+						x.Work(1)
+						x.Gather(w(objA, j))
+					}
+				}
+			}
+			g = gathered(x.Sync())
+			s, hit := sepOf(func(int) float32 { return g.f32() }, a, b)
 			x.StoreF32(w(outSep, task), s)
 			var h uint32
 			if hit {

@@ -64,9 +64,13 @@ func BuildHeat(r *rt.Runtime, p Params) (*Instance, error) {
 				for i := r0; i < r1; i++ {
 					for j := 1; j <= n; j++ {
 						k := i*stride + j
-						v := 0.25 * (x.LoadF32(w(src, k-1)) + x.LoadF32(w(src, k+1)) +
-							x.LoadF32(w(src, k-stride)) + x.LoadF32(w(src, k+stride)))
+						x.Gather(w(src, k-1))
+						x.Gather(w(src, k+1))
+						x.Gather(w(src, k-stride))
+						x.Gather(w(src, k+stride))
 						x.Work(4)
+						g := gathered(x.Sync())
+						v := 0.25 * (g.f32() + g.f32() + g.f32() + g.f32())
 						x.StoreF32(w(dst, k), v)
 					}
 				}

@@ -14,10 +14,16 @@
 // FlushIfSWcc/InvIfSWcc helpers and by choosing, per data structure,
 // between the incoherent heap (software-managed under Cohesion) and the
 // coherent heap (hardware-managed under Cohesion).
+//
+// Kernels gather the loads whose addresses they know (rt.Ctx.Gather) and
+// Sync where a store's value or a load's address needs them. They read a
+// batch back in gathering order, keeping a load-by-load version's float32
+// expressions and evaluation order.
 package kernels
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"cohesion/internal/addr"
@@ -101,13 +107,25 @@ func openFrame(x *rt.Ctx, words int) frame {
 
 // close restores the spilled registers and pops the frame.
 func (f frame) close() {
-	var s uint32
 	for i := 0; i < f.words; i++ {
-		s += f.x.Load(f.base + addr.Addr(4*i))
+		f.x.Gather(f.base + addr.Addr(4*i))
 	}
-	_ = s
+	f.x.Sync()
 	f.x.FrameReset()
 }
+
+// gathered reads a Sync's values in the order they were gathered.
+type gathered []uint32
+
+// word pops the next value.
+func (g *gathered) word() uint32 {
+	v := (*g)[0]
+	*g = (*g)[1:]
+	return v
+}
+
+// f32 pops the next value as a float32.
+func (g *gathered) f32() float32 { return math.Float32frombits(g.word()) }
 
 // approxEqual compares float32 results with a relative/absolute tolerance
 // wide enough for benign re-association differences but tight enough to

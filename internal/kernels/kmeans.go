@@ -109,14 +109,15 @@ func BuildKMeans(r *rt.Runtime, p Params) (*Instance, error) {
 			}
 			x.ParallelFor(tasks, func(task int) {
 				f := openFrame(x, 12)
-				// Read the current centroids once per task.
+				// Read the current centroids once per task; they ride in
+				// the first point's batch.
 				x.InvIfSWcc(cent, uint64(4*k*slot))
-				cents := make([]float32, k*dims)
 				for c := 0; c < k; c++ {
 					for d := 0; d < dims; d++ {
-						cents[c*dims+d] = x.LoadF32(w(cent, c*slot+d))
+						x.Gather(w(cent, c*slot+d))
 					}
 				}
+				cents := make([]float32, k*dims)
 				var lc [k]uint32
 				var ls [k * dims]uint32
 				lo, hi := task*ptsPerTask, (task+1)*ptsPerTask
@@ -124,11 +125,20 @@ func BuildKMeans(r *rt.Runtime, p Params) (*Instance, error) {
 					hi = points
 				}
 				for i := lo; i < hi; i++ {
-					var pt [dims]float32
 					for d := 0; d < dims; d++ {
-						pt[d] = x.LoadF32(w(pts, i*dims+d))
+						x.Gather(w(pts, i*dims+d))
 					}
 					x.Work(2 * k * dims) // distance arithmetic
+					g := gathered(x.Sync())
+					if i == lo {
+						for j := range cents {
+							cents[j] = g.f32()
+						}
+					}
+					var pt [dims]float32
+					for d := range pt {
+						pt[d] = g.f32()
+					}
 					c := nearest(cents, pt[:])
 					x.Store(w(assign, i), uint32(c))
 					if cohesion {
@@ -163,17 +173,22 @@ func BuildKMeans(r *rt.Runtime, p Params) (*Instance, error) {
 				if cohesion {
 					for task := 0; task < tasks; task++ {
 						base := (task*k + c) * slot
-						for d := 0; d < dims; d++ {
-							sum[d] += x.Load(w(part, base+d))
+						for d := 0; d <= dims; d++ {
+							x.Gather(w(part, base+d))
 						}
-						cnt += x.Load(w(part, base+dims))
 					}
 				} else {
 					x.InvIfSWcc(w(sums, sumIdx(c, 0)), uint64(4*slot))
-					for d := 0; d < dims; d++ {
-						sum[d] = x.Load(w(sums, sumIdx(c, d)))
+					for d := 0; d <= dims; d++ {
+						x.Gather(w(sums, sumIdx(c, d)))
 					}
-					cnt = x.Load(w(sums, sumIdx(c, dims)))
+				}
+				// Either way the batch is groups of dims sums and a count.
+				for g := gathered(x.Sync()); len(g) > 0; {
+					for d := range sum {
+						sum[d] += g.word()
+					}
+					cnt += g.word()
 				}
 				if cnt != 0 {
 					for d := 0; d < dims; d++ {

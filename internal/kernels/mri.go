@@ -72,9 +72,17 @@ func BuildMRI(r *rt.Runtime, p Params) (*Instance, error) {
 				hi = voxels
 			}
 			for v := lo; v < hi; v++ {
-				sr, si := fhd(
-					func(i int) float32 { x.Work(12); return x.LoadF32(w(kTraj, i)) }, // trig-heavy inner loop
-					func(i int) float32 { return x.LoadF32(w(vox, i)) }, v)
+				// fhd's loads in its order, each sample word behind its trig.
+				for i := 0; i < 3; i++ {
+					x.Gather(w(vox, v*3+i))
+				}
+				for i := 0; i < samples*5; i++ {
+					x.Work(12) // trig-heavy inner loop
+					x.Gather(w(kTraj, i))
+				}
+				g := gathered(x.Sync())
+				next := func(int) float32 { return g.f32() }
+				sr, si := fhd(next, next, v)
 				x.StoreF32(w(outR, v), sr)
 				x.StoreF32(w(outI, v), si)
 			}

@@ -42,6 +42,11 @@ func BuildSobel(r *rt.Runtime, p Params) (*Instance, error) {
 
 	rowsPerTask := 3
 	tasks := (n + rowsPerTask - 1) / rowsPerTask
+	// The twelve taps of both gradients, in the order gx and gy read them.
+	offs := [12]int{
+		-stride + 1, 1, stride + 1, -stride - 1, -1, stride - 1,
+		stride - 1, stride, stride + 1, -stride - 1, -stride, -stride + 1,
+	}
 
 	worker := func(x *rt.Ctx) {
 		x.ParallelFor(tasks, func(task int) {
@@ -54,11 +59,13 @@ func BuildSobel(r *rt.Runtime, p Params) (*Instance, error) {
 			for i := r0; i < r1; i++ {
 				for j := 0; j < n; j++ {
 					k := (i+1)*stride + (j + 1)
-					gx := (x.LoadF32(w(img, k-stride+1)) + 2*x.LoadF32(w(img, k+1)) + x.LoadF32(w(img, k+stride+1))) -
-						(x.LoadF32(w(img, k-stride-1)) + 2*x.LoadF32(w(img, k-1)) + x.LoadF32(w(img, k+stride-1)))
-					gy := (x.LoadF32(w(img, k+stride-1)) + 2*x.LoadF32(w(img, k+stride)) + x.LoadF32(w(img, k+stride+1))) -
-						(x.LoadF32(w(img, k-stride-1)) + 2*x.LoadF32(w(img, k-stride)) + x.LoadF32(w(img, k-stride+1)))
+					for _, o := range offs {
+						x.Gather(w(img, k+o))
+					}
 					x.Work(6)
+					p := gathered(x.Sync())
+					gx := (p.f32() + 2*p.f32() + p.f32()) - (p.f32() + 2*p.f32() + p.f32())
+					gy := (p.f32() + 2*p.f32() + p.f32()) - (p.f32() + 2*p.f32() + p.f32())
 					v := gx
 					if v < 0 {
 						v = -v

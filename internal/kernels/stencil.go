@@ -46,6 +46,8 @@ func BuildStencil(r *rt.Runtime, p Params) (*Instance, error) {
 	want := cur
 
 	planeWords := s * s
+	// The seven points of the stencil, in the order its sum reads them.
+	offs := [7]int{0, -1, 1, -s, s, -s * s, s * s}
 	worker := func(x *rt.Ctx) {
 		for t := 0; t < iters; t++ {
 			src, dst := vol[t%2], vol[(t+1)%2]
@@ -57,10 +59,12 @@ func BuildStencil(r *rt.Runtime, p Params) (*Instance, error) {
 				for y := 1; y <= n; y++ {
 					for xx := 1; xx <= n; xx++ {
 						k := idx(z, y, xx)
-						v := (x.LoadF32(w(src, k)) + x.LoadF32(w(src, k-1)) + x.LoadF32(w(src, k+1)) +
-							x.LoadF32(w(src, k-s)) + x.LoadF32(w(src, k+s)) +
-							x.LoadF32(w(src, k-s*s)) + x.LoadF32(w(src, k+s*s))) / 7
+						for _, o := range offs {
+							x.Gather(w(src, k+o))
+						}
 						x.Work(7)
+						g := gathered(x.Sync())
+						v := (g.f32() + g.f32() + g.f32() + g.f32() + g.f32() + g.f32() + g.f32()) / 7
 						x.StoreF32(w(dst, k), v)
 					}
 				}

@@ -180,8 +180,10 @@ func (r *Runtime) ReadF32(a addr.Addr) float32     { return math.Float32frombits
 
 // --- worker contexts ---
 
-// Ctx is the per-worker handle kernels program against. All methods park
-// the calling program coroutine until the simulated operation completes.
+// Ctx is the per-worker handle kernels program against. Load, Atomic,
+// UncLoad, UncStore and Sync park the calling program coroutine until the
+// simulated operation completes; the other operations are queued, and
+// issue in program order with unchanged timing.
 type Ctx struct {
 	rt       *Runtime
 	c        *cluster.Core
@@ -212,10 +214,24 @@ func (x *Ctx) CoreID() int { return x.c.ID }
 // Runtime returns the owning runtime.
 func (x *Ctx) Runtime() *Runtime { return x.rt }
 
-// Load returns the word at a.
+// Load returns the word at a. Loads whose addresses are known up front
+// are cheaper gathered.
 func (x *Ctx) Load(a addr.Addr) uint32 {
 	return x.c.Do(cluster.Op{Kind: cluster.OpLoad, Addr: a})
 }
+
+// Gather queues a load of the word at a; the next Sync returns its value.
+// It issues where a Load would, so a batch of gathered loads reads the
+// same values at the same cycles as Loads, for one coroutine round trip.
+// Between a Gather and its Sync, no load's address or issue may depend
+// on a value from the same batch, and no code may read simulated state
+// (IsSWccDomain through FlushIfSWcc/InvIfSWcc, the clock, RaceTrapped).
+func (x *Ctx) Gather(a addr.Addr) { x.c.Gather(a) }
+
+// Sync parks the program until every queued operation has completed and
+// returns the values of the loads gathered since the last Sync, in
+// program order. The slice is reused by the next batch.
+func (x *Ctx) Sync() []uint32 { return x.c.Sync() }
 
 // Store writes the word at a. Stores are result-free, so they are issued
 // asynchronously: the program keeps running (host-side) while the machine

@@ -35,6 +35,11 @@ type Run struct {
 	// Metrics, when non-nil, collects sim-time histograms (message
 	// latency by class, port waits, queue depths, directory occupancy).
 	Metrics *Metrics
+
+	// Resumes counts core program coroutine resumes: host work, not a
+	// simulated quantity, so it stays out of Counters (and with it out of
+	// Digest, checkpoints and sweep cells). It is exact for a given spec.
+	Resumes uint64
 }
 
 // Counters holds every cumulative counter of a run: what Digest hashes
