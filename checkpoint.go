@@ -2,10 +2,7 @@ package cohesion
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"cohesion/internal/snapshot"
@@ -52,9 +49,10 @@ func (s RunSpec) runConfig() RunConfig {
 	}
 }
 
-// RunSnapshot is the payload of a KindRun snapshot file: the run's spec
-// and the per-layer digest vector at the checkpoint, which carries its
-// exact executed-event count and cycle — all that a resume verifies.
+// RunSnapshot is the payload of a KindRun snapshot file: the run's spec,
+// the per-layer digest vector at the checkpoint, which carries its exact
+// executed-event count and cycle — all that a resume verifies — and the
+// name of the scheme that computed the digests.
 //
 // Resume follows the verified-deterministic-replay contract (see the
 // internal/snapshot package doc): the event queue holds closures and
@@ -65,8 +63,11 @@ func (s RunSpec) runConfig() RunConfig {
 // so a resumed run is provably bit-identical to an uninterrupted one,
 // and any divergence is caught at the resume point and named by layer.
 type RunSnapshot struct {
-	Spec    RunSpec           `json:"spec"`
-	Digests *snapshot.Digests `json:"digests"`
+	Spec    RunSpec          `json:"spec"`
+	Digests snapshot.Digests `json:"digests"`
+	// Scheme is snapshot.DigestScheme when this build wrote the file.
+	// ResumeRun refuses any other value, empty included, before replay.
+	Scheme string `json:"digest_scheme"`
 }
 
 // CheckpointConfig asks RunWithCheckpoints to persist snapshots.
@@ -97,10 +98,15 @@ func RunWithCheckpoints(ctx context.Context, rc RunConfig, ck CheckpointConfig) 
 	}
 	spec := specOf(rc)
 	p.m.SetCheckpointFunc(func(events, _ uint64) error {
-		d := p.m.Digests()
-		return snapshot.WriteAtomic(ck.Path, snapshot.KindRun, events, RunSnapshot{Spec: spec, Digests: &d})
+		return writeRunSnapshot(ck.Path, events, spec, p.m.Digests())
 	})
 	return p.run(ctx)
+}
+
+// writeRunSnapshot writes one run checkpoint under the current digest
+// scheme.
+func writeRunSnapshot(path string, events uint64, spec RunSpec, d snapshot.Digests) error {
+	return snapshot.WriteAtomic(path, snapshot.KindRun, events, RunSnapshot{Spec: spec, Digests: d, Scheme: snapshot.DigestScheme})
 }
 
 // ErrDiverged reports a resumed run whose replayed state did not match
@@ -166,18 +172,20 @@ type ResumeInfo struct {
 // snapshot's exact event count, where every layer digest is verified;
 // a mismatch aborts with a *DivergenceError (errors.Is(err,
 // snapshot.ErrDiverged)) rather than continuing from untrusted state.
-// A snapshot with no digest vector (the older full-state format) is
-// refused with snapshot.ErrVersion and a nil *ResumeInfo.
+// A snapshot written under another digest scheme, by an older build,
+// could not verify, so it is refused before any replay with
+// snapshot.ErrVersion and a nil *ResumeInfo.
 func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *ResumeInfo, error) {
 	var snap RunSnapshot
 	env, src, err := snapshot.LoadRecover(path, snapshot.KindRun, &snap)
 	if err != nil {
 		return nil, nil, err
 	}
-	if snap.Digests == nil {
-		return nil, nil, fmt.Errorf("%w: snapshot file %s predates digest-only checkpoints (no digest vector)", snapshot.ErrVersion, src)
+	if snap.Scheme != snapshot.DigestScheme {
+		return nil, nil, fmt.Errorf("%w: run checkpoint %s was not written under this build's digest scheme %q; rerun it from the start",
+			snapshot.ErrVersion, src, snapshot.DigestScheme)
 	}
-	at := *snap.Digests
+	at := snap.Digests
 	if at.Events == 0 || at.Events != env.Seq {
 		return nil, nil, fmt.Errorf("snapshot file %s: inconsistent run snapshot (events=%d seq=%d)", src, at.Events, env.Seq)
 	}
@@ -216,8 +224,7 @@ func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *R
 		if !verified || events < at.Events {
 			return nil // not yet at the resume point; nothing worth persisting
 		}
-		d := p.m.Digests()
-		return snapshot.WriteAtomic(path, snapshot.KindRun, events, RunSnapshot{Spec: snap.Spec, Digests: &d})
+		return writeRunSnapshot(path, events, snap.Spec, p.m.Digests())
 	})
 	res, err := p.run(ctx)
 	if diverged != nil {
@@ -235,169 +242,3 @@ func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *R
 // vector before the resume verification — exercising the divergence path
 // without needing real nondeterminism.
 var testDigestPerturb func(*snapshot.Digests)
-
-// SelfCheckReport is the outcome of one SelfCheckResume harness run.
-type SelfCheckReport struct {
-	TotalEvents uint64   // straight-through run length in events
-	Depths      []uint64 // checkpoint depths exercised
-	Resumed     int      // depths that resumed and matched bit-for-bit
-
-	// Set when a divergence was found:
-	Diverged       bool
-	DivergentDepth uint64   // checkpoint depth that exposed it
-	FirstEvent     uint64   // first divergent event (bisected), 0 if bisect failed
-	Layers         []string // digest layers differing at FirstEvent
-	DumpA, DumpB   string   // diagnostic MachineState dumps (KindState files)
-}
-
-// SelfCheckResume is the resume-divergence self-check harness: it runs
-// rc straight through, then for each of n interior checkpoint depths it
-// interrupts a fresh run at that event count (writing a snapshot),
-// resumes from the snapshot, and compares the final memory fingerprint,
-// cumulative stats, and edge-coverage set against the straight-through
-// run. On any mismatch it bisects to the first event at which two
-// independent replays disagree, dumps both diagnostic machine states
-// under dir, and reports the divergence (errors.Is(err,
-// snapshot.ErrDiverged)). Snapshot and dump files are written under dir.
-func SelfCheckResume(ctx context.Context, rc RunConfig, n int, dir string) (*SelfCheckReport, error) {
-	if n < 1 {
-		n = 3
-	}
-	rc.Limits = RunLimits{}
-	refCov := NewCoverage()
-	refRC := rc
-	refRC.Coverage = refCov
-	ref, err := RunCtx(ctx, refRC)
-	if err != nil {
-		return nil, fmt.Errorf("cohesion: self-check straight-through run: %w", err)
-	}
-	report := &SelfCheckReport{TotalEvents: ref.Stats.Events}
-	refStats := ref.Stats.Digest()
-	refEdges := refCov.CountsByName()
-
-	for i := 1; i <= n; i++ {
-		d := ref.Stats.Events * uint64(i) / uint64(n+1)
-		if d == 0 || (len(report.Depths) > 0 && report.Depths[len(report.Depths)-1] == d) {
-			continue
-		}
-		report.Depths = append(report.Depths, d)
-
-		ckptPath := filepath.Join(dir, fmt.Sprintf("selfcheck-%s-%d.ckpt", rc.Kernel, d))
-		interrupted := rc
-		interrupted.Limits = RunLimits{MaxEvents: d}
-		if _, err := RunWithCheckpoints(ctx, interrupted, CheckpointConfig{Path: ckptPath}); !errors.Is(err, ErrBudgetExhausted) {
-			return report, fmt.Errorf("cohesion: self-check interrupt at %d events: %v", d, err)
-		}
-
-		cov := NewCoverage()
-		res, _, err := ResumeRun(ctx, ckptPath, ResumeOptions{Coverage: cov})
-		if err != nil {
-			if errors.Is(err, snapshot.ErrDiverged) {
-				return report, report.diagnose(ctx, rc, d, dir, err)
-			}
-			return report, fmt.Errorf("cohesion: self-check resume from %d events: %w", d, err)
-		}
-
-		var mismatch []string
-		if res.MemFingerprint != ref.MemFingerprint {
-			mismatch = append(mismatch, fmt.Sprintf("memory fingerprint %#x vs %#x", res.MemFingerprint, ref.MemFingerprint))
-		}
-		if got := res.Stats.Digest(); got != refStats {
-			mismatch = append(mismatch, fmt.Sprintf("stats digest %#x vs %#x", got, refStats))
-		}
-		if diff := edgeSetDiff(cov.CountsByName(), refEdges); diff != "" {
-			mismatch = append(mismatch, "edge coverage: "+diff)
-		}
-		if len(mismatch) > 0 {
-			return report, report.diagnose(ctx, rc, d, dir,
-				fmt.Errorf("%w: resumed run differs from straight-through: %s", snapshot.ErrDiverged, strings.Join(mismatch, "; ")))
-		}
-		report.Resumed++
-	}
-	return report, nil
-}
-
-// diagnose bisects to the first event at which two independent replays
-// disagree and dumps both machine states for post-mortem comparison.
-func (r *SelfCheckReport) diagnose(ctx context.Context, rc RunConfig, depth uint64, dir string, cause error) error {
-	r.Diverged = true
-	r.DivergentDepth = depth
-
-	capture := func(replay int, at uint64) (*snapshot.MachineState, error) {
-		probe := rc
-		probe.Limits = RunLimits{MaxEvents: at}
-		p, err := prepareRun(probe)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.m.SimulateCtx(ctx, probe.MaxCycles, probe.Limits); err != nil && !errors.Is(err, ErrBudgetExhausted) {
-			return nil, err
-		}
-		st := p.m.CaptureState()
-		if testReplayPerturb != nil {
-			testReplayPerturb(replay, st)
-		}
-		return st, nil
-	}
-	var lastA, lastB *snapshot.MachineState
-	first, err := snapshot.Bisect(0, r.TotalEvents, func(at uint64) (bool, error) {
-		a, err := capture(0, at)
-		if err != nil {
-			return false, err
-		}
-		b, err := capture(1, at)
-		if err != nil {
-			return false, err
-		}
-		if diff := a.Digests.Diff(b.Digests); len(diff) > 0 {
-			lastA, lastB = a, b
-			return false, nil
-		}
-		return true, nil
-	})
-	if err != nil || lastA == nil {
-		// Replays agree everywhere (or bisect itself failed): the
-		// divergence is between replay and snapshot content, not between
-		// replays; report the original cause without a bisected event.
-		return cause
-	}
-	r.FirstEvent = first
-	r.Layers = lastA.Digests.Diff(lastB.Digests)
-
-	// Re-capture both states at the first divergent event and dump them.
-	a, errA := capture(0, first)
-	b, errB := capture(1, first)
-	if errA == nil && errB == nil {
-		r.DumpA = filepath.Join(dir, fmt.Sprintf("diverge-%s-%d-a.json", rc.Kernel, first))
-		r.DumpB = filepath.Join(dir, fmt.Sprintf("diverge-%s-%d-b.json", rc.Kernel, first))
-		_ = snapshot.WriteAtomic(r.DumpA, snapshot.KindState, first, a)
-		_ = snapshot.WriteAtomic(r.DumpB, snapshot.KindState, first, b)
-	}
-	return fmt.Errorf("%w; first divergent event %d (layers %s), states dumped to %s / %s",
-		cause, first, strings.Join(r.Layers, ", "), r.DumpA, r.DumpB)
-}
-
-// testReplayPerturb, when set by a test, corrupts one replay's captured
-// state during bisection — exercising the bisect-and-dump path.
-var testReplayPerturb func(replay int, st *snapshot.MachineState)
-
-// edgeSetDiff compares two coverage maps, returning "" when identical.
-func edgeSetDiff(got, want map[string]uint64) string {
-	var names []string
-	for n := range got {
-		names = append(names, n)
-	}
-	for n := range want {
-		if _, ok := got[n]; !ok {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	var diffs []string
-	for _, n := range names {
-		if got[n] != want[n] {
-			diffs = append(diffs, fmt.Sprintf("%s %d vs %d", n, got[n], want[n]))
-		}
-	}
-	return strings.Join(diffs, ", ")
-}

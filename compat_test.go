@@ -3,6 +3,8 @@ package cohesion
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,15 +14,28 @@ import (
 	"cohesion/internal/snapshot"
 )
 
-// compatDir holds files an earlier build of the simulator wrote: a run
-// checkpoint (heat/Cohesion on ScaledConfig(2), scale 1, seed 42, Verify,
-// stopped at 3,000 events), the KindSweep file of compatFig3Params' Fig3
-// (10 cells), and the jobs/ records of one done and one failed
-// heat/cohesion job. It also holds a cohesion-fuzz checkpoint and repro
-// file, which internal/stress and CI load. They pin the on-disk formats:
-// a change that stops one of them loading changes a format, and must say
-// so.
+// compatDir holds files earlier builds of the simulator wrote: two run
+// checkpoints of the same run (heat/Cohesion on ScaledConfig(2), scale 1,
+// seed 42, Verify, stopped at 3,000 events), the KindSweep file of
+// compatFig3Params' Fig3 (10 cells), and the jobs/ records of one done
+// and one failed heat/cohesion job. It also holds a cohesion-fuzz
+// checkpoint and repro file, which internal/stress and CI load. They pin
+// the on-disk formats: a change that stops one of them loading changes a
+// format, and must say so. run.ckpt records digests over sorted lists,
+// an older digest scheme, so it must be refused and rerun;
+// run-orderfree.ckpt records the current scheme and must resume.
 const compatDir = "testdata/compat"
+
+// goldenHeatCohesion is the golden heat/Cohesion fingerprint, the end of
+// the run both run checkpoints record.
+func goldenHeatCohesion(t *testing.T) uint64 {
+	t.Helper()
+	want, err := strconv.ParseUint(loadGoldenFingerprints(t)["heat/Cohesion"], 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
 
 func compatFig3Params() ExpParams {
 	return ExpParams{Clusters: 2, Scale: 1, Kernels: []string{"heat", "kmeans"}, Parallel: 1}
@@ -50,6 +65,23 @@ func TestCompatFixturesStillLoad(t *testing.T) {
 	t.Run("run", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "run.ckpt")
 		copyFixture(t, "run.ckpt", path)
+		_, info, err := ResumeRun(ctx, path, ResumeOptions{})
+		if !errors.Is(err, snapshot.ErrVersion) || errors.Is(err, ErrDiverged) || info != nil {
+			t.Fatalf("ResumeRun on a sorted-digest checkpoint = info %+v, err %v; want an ErrVersion refusal and no info", info, err)
+		}
+		spec := JobSpec{Kernel: "heat", Mode: "cohesion", Clusters: 2, Scale: 1, Seed: 42, Verify: true}
+		out, resumed, err := jobEngine{}.Execute(ctx, spec, path, 0, RunLimits{}, true)
+		if err != nil || resumed {
+			t.Fatalf("Execute(resume) = resumed %v, err %v; want a fresh run", resumed, err)
+		}
+		if want := fmt.Sprintf("%#016x", goldenHeatCohesion(t)); out.MemFingerprint != want {
+			t.Fatalf("rerun ended on %s, want the golden heat/Cohesion %s", out.MemFingerprint, want)
+		}
+	})
+
+	t.Run("run-orderfree", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		copyFixture(t, "run-orderfree.ckpt", path)
 		res, info, err := ResumeRun(ctx, path, ResumeOptions{})
 		if err != nil {
 			t.Fatalf("ResumeRun: %v", err)
@@ -57,11 +89,7 @@ func TestCompatFixturesStillLoad(t *testing.T) {
 		if info.Events != 3_000 {
 			t.Fatalf("resumed at event %d, want 3000", info.Events)
 		}
-		want, err := strconv.ParseUint(loadGoldenFingerprints(t)["heat/Cohesion"], 0, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MemFingerprint != want {
+		if want := goldenHeatCohesion(t); res.MemFingerprint != want {
 			t.Fatalf("resumed run ended on %#x, want the golden heat/Cohesion %#x", res.MemFingerprint, want)
 		}
 	})
@@ -97,6 +125,10 @@ func TestCompatFixturesStillLoad(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ck.state.Cells, fresh.state.Cells) {
 			t.Fatal("cells loaded from the fixture differ from the cells a fresh run records")
+		}
+		// Another kind's file is refused by kind, not decoded as a run.
+		if _, _, err := ResumeRun(ctx, path, ResumeOptions{}); !errors.Is(err, snapshot.ErrKind) {
+			t.Fatalf("ResumeRun on a sweep checkpoint = %v, want ErrKind", err)
 		}
 	})
 

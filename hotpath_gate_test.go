@@ -65,7 +65,7 @@ func TestRunAllocsPerEventGate(t *testing.T) {
 // and reissued out of the usual lockstep — and demands bit-identical
 // outcomes: three straight runs must agree on fingerprint, event count,
 // and cycle count, and a run interrupted at three interior depths must
-// resume from its snapshot to the same fingerprint (SelfCheckResume
+// resume from its snapshot to the same fingerprint (selfCheckResume
 // verifies the replayed per-layer digests at the resume point). A pooled
 // record leaking state between lives would diverge one of these legs.
 // The kernel suite runs this under -race in CI, covering the pools'
@@ -99,12 +99,12 @@ func TestPooledRecyclingDeterminism(t *testing.T) {
 				}
 			}
 
-			report, err := SelfCheckResume(context.Background(), rc, 3, t.TempDir())
+			report, err := selfCheckResume(context.Background(), rc, 3, t.TempDir())
 			if err != nil {
-				t.Fatalf("SelfCheckResume under faults: %v", err)
+				t.Fatalf("selfCheckResume under faults: %v", err)
 			}
-			if report.Resumed != len(report.Depths) || len(report.Depths) < 3 {
-				t.Fatalf("resumed %d of depths %v, want 3 clean resumes", report.Resumed, report.Depths)
+			if report.resumed != len(report.depths) || len(report.depths) < 3 {
+				t.Fatalf("resumed %d of depths %v, want 3 clean resumes", report.resumed, report.depths)
 			}
 		})
 	}

@@ -216,8 +216,8 @@ func (s *Store) tblLinesTouched() int {
 // LinesTouched reports how many distinct lines have ever been written.
 func (s *Store) LinesTouched() int { return len(s.lines) + s.tblLinesTouched() }
 
-// Lines returns every written line in address order (divergence dumps
-// capture the image line by line).
+// Lines returns every written line in address order (tests rebuild the
+// fingerprint from it line by line).
 func (s *Store) Lines() []addr.Line {
 	lines := make([]addr.Line, 0, len(s.lines)+s.tblLinesTouched())
 	for line := range s.lines {

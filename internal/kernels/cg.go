@@ -52,7 +52,7 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 	// (Dirichlet boundary: off-grid terms are zero).
 	apply := func(pv []float32, i, j int) float32 {
 		k := i*n + j
-		v := 4 * pv[k]
+		v := float32(4 * pv[k])
 		if j > 0 {
 			v -= pv[k-1]
 		}
@@ -89,7 +89,7 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 			partial[t] = 0
 			for i := t * rowsPerTask; i < (t+1)*rowsPerTask; i++ {
 				for j := 0; j < n; j++ {
-					partial[t] += rg[i*n+j] * rg[i*n+j]
+					partial[t] += float32(rg[i*n+j] * rg[i*n+j])
 				}
 			}
 		}
@@ -101,7 +101,7 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 					for j := 0; j < n; j++ {
 						q := apply(pg, i, j)
 						qg[i*n+j] = q
-						partial[t] += pg[i*n+j] * q
+						partial[t] += float32(pg[i*n+j] * q)
 					}
 				}
 			}
@@ -111,9 +111,9 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 				for i := t * rowsPerTask; i < (t+1)*rowsPerTask; i++ {
 					for j := 0; j < n; j++ {
 						k := i*n + j
-						xg[k] += alpha * pg[k]
-						rg[k] -= alpha * qg[k]
-						partial[t] += rg[k] * rg[k]
+						xg[k] += float32(alpha * pg[k])
+						rg[k] -= float32(alpha * qg[k])
+						partial[t] += float32(rg[k] * rg[k])
 					}
 				}
 			}
@@ -124,7 +124,7 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 				for i := t * rowsPerTask; i < (t+1)*rowsPerTask; i++ {
 					for j := 0; j < n; j++ {
 						k := i*n + j
-						pg[k] = rg[k] + beta*pg[k]
+						pg[k] = rg[k] + float32(beta*pg[k])
 					}
 				}
 			}
@@ -185,7 +185,7 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 			var s float32
 			for i := 0; i < rowsPerTask*n; i++ {
 				v := g.f32()
-				s += v * v
+				s += float32(v * v)
 			}
 			x.StoreF32(w(partA, 8*t), s)
 			x.FlushIfSWcc(w(partA, 8*t), 4)
@@ -217,9 +217,9 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 						x.Work(5)
 						g := gathered(x.Sync())
 						if k > t*rowsPerTask*n {
-							s += g.f32() * v // the previous element's p, loaded after its q store
+							s += float32(g.f32() * v) // the previous element's p, loaded after its q store
 						}
-						v = 4 * g.f32()
+						v = float32(4 * g.f32())
 						for len(g) > 0 {
 							v -= g.f32() // the neighbors, in the operator's order
 						}
@@ -228,7 +228,7 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 					}
 				}
 				g := gathered(x.Sync())
-				s += g.f32() * v
+				s += float32(g.f32() * v)
 				x.StoreF32(w(partA, 8*t), s)
 				x.FlushIfSWcc(blockAddr(qV, t), blockBytes)
 				x.FlushIfSWcc(w(partA, 8*t), 4)
@@ -258,14 +258,14 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 					x.Gather(w(xV, k))
 					x.Gather(w(pV, k))
 					g := gathered(x.Sync())
-					xv := g.f32() + alpha*g.f32()
+					xv := g.f32() + float32(alpha*g.f32())
 					x.StoreF32(w(xV, k), xv)
 					x.Gather(w(rV, k))
 					x.Gather(w(qV, k))
 					g = gathered(x.Sync())
-					rv := g.f32() - alpha*g.f32()
+					rv := g.f32() - float32(alpha*g.f32())
 					x.StoreF32(w(rV, k), rv)
-					s += rv * rv
+					s += float32(rv * rv)
 					x.Work(6)
 				}
 				x.StoreF32(w(partB, 8*t), s)
@@ -295,7 +295,7 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 					x.Gather(w(rV, k))
 					x.Gather(w(pV, k))
 					g := gathered(x.Sync())
-					x.StoreF32(w(pV, k), g.f32()+beta*g.f32())
+					x.StoreF32(w(pV, k), g.f32()+float32(beta*g.f32()))
 					x.Work(2)
 				}
 				x.FlushIfSWcc(blockAddr(pV, t), blockBytes)
@@ -313,8 +313,8 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 		// Sanity: CG must actually have reduced the residual.
 		var rr0, rrT float64
 		for i := 0; i < N; i++ {
-			rr0 += float64(bv[i]) * float64(bv[i])
-			rrT += float64(wantR[i]) * float64(wantR[i])
+			rr0 += float64(float64(bv[i]) * float64(bv[i]))
+			rrT += float64(float64(wantR[i]) * float64(wantR[i]))
 		}
 		if math.Sqrt(rrT) > 0.9*math.Sqrt(rr0) {
 			return fmt.Errorf("cg: residual did not decrease (%g -> %g)", rr0, rrT)

@@ -36,7 +36,7 @@ func BuildDMM(r *rt.Runtime, p Params) (*Instance, error) {
 		for j := 0; j < n; j++ {
 			var s float32
 			for k := 0; k < n; k++ {
-				s += av[i*n+k] * bv[k*n+j]
+				s += float32(av[i*n+k] * bv[k*n+j])
 			}
 			want[i*n+j] = s
 		}
@@ -54,7 +54,7 @@ func BuildDMM(r *rt.Runtime, p Params) (*Instance, error) {
 				g := gathered(x.Sync())
 				var s float32
 				for k := 0; k < n; k++ {
-					s += g.f32() * g.f32()
+					s += float32(g.f32() * g.f32())
 				}
 				x.StoreF32(w(c, row*n+j), s)
 			}

@@ -41,16 +41,17 @@ func BuildGJK(r *rt.Runtime, p Params) (*Instance, error) {
 
 	ov := make([]float32, objects*verts*3)
 	for o := 0; o < objects; o++ {
-		// A convex-ish cloud: random points around a random center.
-		var cx, cy, cz float32
-		cx = float32(rng.Intn(640)) / 16
-		cy = float32(rng.Intn(640)) / 16
-		cz = float32(rng.Intn(640)) / 16
+		// A convex-ish cloud: random points around a random center. Both
+		// are drawn in sixteenths and added as integers, so each
+		// coordinate is one exact conversion, with no float add to fuse.
+		cx := rng.Intn(640)
+		cy := rng.Intn(640)
+		cz := rng.Intn(640)
 		for v := 0; v < verts; v++ {
 			i := (o*verts + v) * 3
-			ov[i] = cx + float32(rng.Intn(64)-32)/16
-			ov[i+1] = cy + float32(rng.Intn(64)-32)/16
-			ov[i+2] = cz + float32(rng.Intn(64)-32)/16
+			ov[i] = float32(cx+rng.Intn(64)-32) / 16
+			ov[i+1] = float32(cy+rng.Intn(64)-32) / 16
+			ov[i+2] = float32(cz+rng.Intn(64)-32) / 16
 			r.WriteF32(w(objA, i), ov[i])
 			r.WriteF32(w(objA, i+1), ov[i+1])
 			r.WriteF32(w(objA, i+2), ov[i+2])
@@ -73,7 +74,7 @@ func BuildGJK(r *rt.Runtime, p Params) (*Instance, error) {
 	support := func(load func(i int) float32, obj int, d [3]float32) (mx, mn float32) {
 		for v := 0; v < verts; v++ {
 			i := (obj*verts + v) * 3
-			dot := load(i)*d[0] + load(i+1)*d[1] + load(i+2)*d[2]
+			dot := float32(load(i)*d[0]) + float32(load(i+1)*d[1]) + float32(load(i+2)*d[2])
 			if v == 0 || dot > mx {
 				mx = dot
 			}

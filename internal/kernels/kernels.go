@@ -19,6 +19,12 @@
 // Sync where a store's value or a load's address needs them. They read a
 // batch back in gathering order, keeping a load-by-load version's float32
 // expressions and evaluation order.
+//
+// Every product that feeds an add or a subtract is written float32(a*b)
+// (float64 in float64 code). The Go spec lets a compiler fuse x*y + z into
+// one multiply-add that rounds once; arm64, ppc64le, s390x and riscv64 do
+// so on their own, which would move the golden fingerprints on those
+// hosts. An explicit conversion rounds the product and forbids the fusion.
 package kernels
 
 import (
@@ -144,7 +150,7 @@ func approxEqual(a, b float32) bool {
 	} else if -bb > m {
 		m = -bb
 	}
-	return d <= 1e-3*m+1e-5
+	return d <= float32(1e-3*m)+1e-5
 }
 
 func verifyF32(r *rt.Runtime, name string, base uint64, got func(i int) float32, want []float32) error {

@@ -59,7 +59,7 @@ func BuildKMeans(r *rt.Runtime, p Params) (*Instance, error) {
 			var d2 float32
 			for d := 0; d < dims; d++ {
 				df := p[d] - cents[c*dims+d]
-				d2 += df * df
+				d2 += float32(df * df)
 			}
 			if c == 0 || d2 < best {
 				best, bi = d2, c

@@ -47,11 +47,11 @@ func BuildMRI(r *rt.Runtime, p Params) (*Instance, error) {
 		for s := 0; s < samples; s++ {
 			kx, ky, kz := loadK(s*5), loadK(s*5+1), loadK(s*5+2)
 			phiR, phiI := loadK(s*5+3), loadK(s*5+4)
-			arg := float64(2 * math.Pi * (kx*vx + ky*vy + kz*vz))
+			arg := float64(2 * math.Pi * (float32(kx*vx) + float32(ky*vy) + float32(kz*vz)))
 			c := float32(math.Cos(arg))
 			sn := float32(math.Sin(arg))
-			sr += phiR*c - phiI*sn
-			si += phiI*c + phiR*sn
+			sr += float32(phiR*c) - float32(phiI*sn)
+			si += float32(phiI*c) + float32(phiR*sn)
 		}
 		return sr, si
 	}

@@ -32,10 +32,10 @@ func BuildSobel(r *rt.Runtime, p Params) (*Instance, error) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			k := (i+1)*stride + (j + 1)
-			gx := (pix[k-stride+1] + 2*pix[k+1] + pix[k+stride+1]) -
-				(pix[k-stride-1] + 2*pix[k-1] + pix[k+stride-1])
-			gy := (pix[k+stride-1] + 2*pix[k+stride] + pix[k+stride+1]) -
-				(pix[k-stride-1] + 2*pix[k-stride] + pix[k-stride+1])
+			gx := (pix[k-stride+1] + float32(2*pix[k+1]) + pix[k+stride+1]) -
+				(pix[k-stride-1] + float32(2*pix[k-1]) + pix[k+stride-1])
+			gy := (pix[k+stride-1] + float32(2*pix[k+stride]) + pix[k+stride+1]) -
+				(pix[k-stride-1] + float32(2*pix[k-stride]) + pix[k-stride+1])
 			want[i*n+j] = abs(gx) + abs(gy)
 		}
 	}
@@ -64,8 +64,8 @@ func BuildSobel(r *rt.Runtime, p Params) (*Instance, error) {
 					}
 					x.Work(6)
 					p := gathered(x.Sync())
-					gx := (p.f32() + 2*p.f32() + p.f32()) - (p.f32() + 2*p.f32() + p.f32())
-					gy := (p.f32() + 2*p.f32() + p.f32()) - (p.f32() + 2*p.f32() + p.f32())
+					gx := (p.f32() + float32(2*p.f32()) + p.f32()) - (p.f32() + float32(2*p.f32()) + p.f32())
+					gy := (p.f32() + float32(2*p.f32()) + p.f32()) - (p.f32() + float32(2*p.f32()) + p.f32())
 					v := gx
 					if v < 0 {
 						v = -v

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sort"
-
 	"cohesion/internal/cache"
 	"cohesion/internal/directory"
 	"cohesion/internal/snapshot"
@@ -21,14 +19,12 @@ func (m *Machine) SetCheckpointFunc(fn func(events, cycle uint64) error) { m.ckp
 // data state at the current between-events boundary. It never mutates
 // the machine (in particular it does not drain dirty cache lines), so it
 // is safe to call mid-run from a checkpoint callback.
+//
+// The L2 and directory layers are one pass over the live entries: each
+// entry is hashed once, keyed by its cluster or bank and line, and the
+// layer digest is the sum of those hashes, so no list is built or sorted
+// and the walk's order does not matter.
 func (m *Machine) Digests() snapshot.Digests {
-	return m.digests(m.collectL2(), m.collectDir(), m.inflightReport())
-}
-
-// digests hashes the collected L2, directory and in-flight lists, plus
-// the layers that need no list (queue, memory image, region table,
-// oracle, counters), into the digest vector.
-func (m *Machine) digests(l2 []snapshot.CacheLine, dir []snapshot.DirEntry, inflight []string) snapshot.Digests {
 	d := snapshot.Digests{
 		Events:   m.Q.Fired(),
 		Cycle:    uint64(m.Q.Now()),
@@ -36,20 +32,16 @@ func (m *Machine) digests(l2 []snapshot.CacheLine, dir []snapshot.DirEntry, infl
 		Mem:      m.Store.Fingerprint(),
 		Stats:    m.Run.Digest(),
 	}
+	for cid, cl := range m.Clusters {
+		cl.L2().ForEach(func(e *cache.Entry) { d.L2 += l2EntryHash(cid, e) })
+	}
+	for b, h := range m.Homes {
+		if dir := h.Directory(); dir != nil {
+			dir.ForEach(func(e *directory.Entry) { d.Dir += dirEntryHash(b, e) })
+		}
+	}
 
 	h := snapshot.NewHasher()
-	for _, cl := range l2 {
-		mixCacheLine(h, cl)
-	}
-	d.L2 = h.Sum()
-
-	h = snapshot.NewHasher()
-	for _, e := range dir {
-		mixDirEntry(h, e)
-	}
-	d.Dir = h.Sum()
-
-	h = snapshot.NewHasher()
 	if m.Coarse != nil {
 		for _, r := range m.Coarse.Ranges() {
 			h.U64(uint64(r.Base))
@@ -63,99 +55,36 @@ func (m *Machine) digests(l2 []snapshot.CacheLine, dir []snapshot.DirEntry, infl
 	}
 
 	h = snapshot.NewHasher()
-	for _, line := range inflight {
+	for _, line := range m.inflightReport() {
 		h.String(line)
 	}
 	d.Inflight = h.Sum()
 	return d
 }
 
-// CaptureState serializes the machine's complete data state at the
-// current between-events boundary for a divergence dump (checkpoints
-// record only Digests): the DRAM image, every valid L2 entry (dirty and
-// clean), every allocated directory entry, the coarse region table (the
-// fine-grain bitmap lives inside the DRAM image), the outstanding-
-// transaction report, the run's counters, and the digest vector hashed
-// from those same lists. Like Digests it never mutates the machine.
-func (m *Machine) CaptureState() *snapshot.MachineState {
-	st := &snapshot.MachineState{
-		L2:       m.collectL2(),
-		Dir:      m.collectDir(),
-		Inflight: m.inflightReport(),
-		Stats:    m.Run.Counters,
-	}
-	st.Digests = m.digests(st.L2, st.Dir, st.Inflight)
-	for _, line := range m.Store.Lines() {
-		st.Mem = append(st.Mem, snapshot.MemLine{Line: uint64(line), Data: m.Store.ReadLine(line)})
-	}
-	if m.Coarse != nil {
-		for _, r := range m.Coarse.Ranges() {
-			st.Coarse = append(st.Coarse, snapshot.RegionRange{Base: uint64(r.Base), Size: r.Size})
-		}
-	}
-	return st
+// l2EntryHash is one valid L2 entry's term of the L2 digest: its cluster,
+// line, state, domain and pin bits, both masks and every data word.
+func l2EntryHash(cluster int, e *cache.Entry) uint64 {
+	h := snapshot.NewHasher()
+	h.U64(uint64(e.Line))
+	h.U64(uint64(uint32(cluster)) | uint64(e.State)<<32 | uint64(e.ValidMask)<<40 | uint64(e.DirtyMask)<<48 |
+		snapshot.Flag(e.Incoherent)<<56 | snapshot.Flag(e.Pinned)<<57)
+	h.Line(&e.Data)
+	return h.Sum()
 }
 
-// collectL2 gathers every valid L2 entry across clusters, sorted by
-// (cluster, line) so the serialization is independent of cache-internal
-// iteration order.
-func (m *Machine) collectL2() []snapshot.CacheLine {
-	var out []snapshot.CacheLine
-	for cid, cl := range m.Clusters {
-		cl.L2().ForEach(func(e *cache.Entry) {
-			out = append(out, snapshot.CacheLine{
-				Cluster:    cid,
-				Line:       uint64(e.Line),
-				State:      e.State,
-				Incoherent: e.Incoherent,
-				Pinned:     e.Pinned,
-				ValidMask:  e.ValidMask,
-				DirtyMask:  e.DirtyMask,
-				Data:       e.Data,
-			})
-		})
+// dirEntryHash is one allocated directory entry's term of the directory
+// digest: its bank, line, state, owner, sharer words, broadcast and pin
+// bits.
+func dirEntryHash(bank int, e *directory.Entry) uint64 {
+	h := snapshot.NewHasher()
+	h.U64(uint64(e.Line))
+	h.U64(uint64(uint32(bank)) | uint64(e.State)<<32 | snapshot.Flag(e.Broadcast)<<40 | snapshot.Flag(e.Pinned)<<41)
+	h.U64(uint64(int64(e.Owner)))
+	for _, w := range e.Sharers {
+		h.U64(w)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cluster != out[j].Cluster {
-			return out[i].Cluster < out[j].Cluster
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
-}
-
-// collectDir gathers every allocated directory entry across home banks,
-// sorted by (bank, line); the infinite directory iterates a map, so the
-// sort is what makes the serialization deterministic.
-func (m *Machine) collectDir() []snapshot.DirEntry {
-	var out []snapshot.DirEntry
-	for b, h := range m.Homes {
-		d := h.Directory()
-		if d == nil {
-			continue
-		}
-		bank := b
-		d.ForEach(func(e *directory.Entry) {
-			var sharers []int
-			e.Sharers.ForEach(func(c int) { sharers = append(sharers, c) })
-			out = append(out, snapshot.DirEntry{
-				Bank:      bank,
-				Line:      uint64(e.Line),
-				State:     uint8(e.State),
-				Owner:     e.Owner,
-				Sharers:   sharers,
-				Broadcast: e.Broadcast,
-				Pinned:    e.Pinned,
-			})
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bank != out[j].Bank {
-			return out[i].Bank < out[j].Bank
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
+	return h.Sum()
 }
 
 // inflightReport is the deterministic outstanding-transaction report
@@ -170,30 +99,4 @@ func (m *Machine) inflightReport() []string {
 		lines = append(lines, h.StuckReport(now)...)
 	}
 	return lines
-}
-
-func mixCacheLine(h *snapshot.Hasher, c snapshot.CacheLine) {
-	h.Int(c.Cluster)
-	h.U64(c.Line)
-	h.U8(c.State)
-	h.Bool(c.Incoherent)
-	h.Bool(c.Pinned)
-	h.U8(c.ValidMask)
-	h.U8(c.DirtyMask)
-	for _, w := range c.Data {
-		h.U32(w)
-	}
-}
-
-func mixDirEntry(h *snapshot.Hasher, e snapshot.DirEntry) {
-	h.Int(e.Bank)
-	h.U64(e.Line)
-	h.U8(e.State)
-	h.Int(e.Owner)
-	h.Int(len(e.Sharers))
-	for _, c := range e.Sharers {
-		h.Int(c)
-	}
-	h.Bool(e.Broadcast)
-	h.Bool(e.Pinned)
 }

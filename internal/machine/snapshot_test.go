@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cohesion/internal/addr"
+	"cohesion/internal/cache"
 	"cohesion/internal/cluster"
+	"cohesion/internal/config"
+	"cohesion/internal/directory"
 	"cohesion/internal/runctl"
 	"cohesion/internal/simerr"
 	"cohesion/internal/snapshot"
@@ -36,55 +40,138 @@ func startMixers(m *Machine, cores, rounds int) {
 
 // TestDigestsDeterministicAtEventCount runs the same workload twice to
 // the same event budget and asserts the full per-layer digest vector
-// matches — the foundation of the verified-replay resume contract.
+// matches — the foundation of the verified-replay resume contract. The
+// Cohesion case adds the region table to the walk.
 func TestDigestsDeterministicAtEventCount(t *testing.T) {
-	capture := func() snapshot.Digests {
-		m := newMachine(t, hwccCfg(2))
-		startMixers(m, 8, 200)
-		err := m.SimulateCtx(context.Background(), 10_000_000, runctl.Limits{MaxEvents: 6_000})
-		if !errors.Is(err, simerr.ErrBudgetExhausted) {
-			t.Fatalf("SimulateCtx = %v, want ErrBudgetExhausted", err)
-		}
-		return m.Digests()
-	}
-	d1, d2 := capture(), capture()
-	if diff := d1.Diff(d2); diff != nil {
-		t.Fatalf("digest vectors diverged across identical replays: %v", diff)
-	}
-	if d1.Events != 6_000 {
-		t.Fatalf("digests recorded %d events, want the 6000-event budget", d1.Events)
-	}
-	if d1.Mem == 0 || d1.L2 == 0 {
-		t.Fatal("digest layers look uncomputed")
+	for _, tc := range []struct {
+		name string
+		cfg  config.Machine
+	}{{"HWcc", hwccCfg(2)}, {"Cohesion", cohesionCfg(2)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			capture := func() snapshot.Digests {
+				m := newMachine(t, tc.cfg)
+				startMixers(m, 8, 200)
+				err := m.SimulateCtx(context.Background(), 10_000_000, runctl.Limits{MaxEvents: 6_000})
+				if !errors.Is(err, simerr.ErrBudgetExhausted) {
+					t.Fatalf("SimulateCtx = %v, want ErrBudgetExhausted", err)
+				}
+				return m.Digests()
+			}
+			d1, d2 := capture(), capture()
+			if diff := d1.Diff(d2); diff != nil {
+				t.Fatalf("digest vectors diverged across identical replays: %v", diff)
+			}
+			if d1.Events != 6_000 {
+				t.Fatalf("digests recorded %d events, want the 6000-event budget", d1.Events)
+			}
+			if d1.Mem == 0 || d1.L2 == 0 || d1.Dir == 0 {
+				t.Fatal("digest layers look uncomputed")
+			}
+		})
 	}
 }
 
-// TestCaptureStateDeterministic compares full serialized machine states
-// across identical replays, and checks that a dump's digest vector,
-// hashed from its own lists, equals the one a checkpoint would record.
-func TestCaptureStateDeterministic(t *testing.T) {
-	capture := func() *snapshot.MachineState {
-		m := newMachine(t, cohesionCfg(2))
-		startMixers(m, 8, 400)
-		err := m.SimulateCtx(context.Background(), 10_000_000, runctl.Limits{MaxEvents: 5_000})
-		if !errors.Is(err, simerr.ErrBudgetExhausted) {
-			t.Fatalf("SimulateCtx = %v, want ErrBudgetExhausted", err)
-		}
-		st := m.CaptureState()
-		if d := m.Digests(); st.Digests != d {
-			t.Fatalf("dump digests %+v, checkpoint digests %+v", st.Digests, d)
-		}
-		return st
+// stoppedMixers runs the mixer workload on a Cohesion machine to a
+// between-events boundary, where its L2s hold valid lines and its
+// directories hold entries with sharers.
+func stoppedMixers(t *testing.T) *Machine {
+	t.Helper()
+	m := newMachine(t, cohesionCfg(2))
+	startMixers(m, 8, 200)
+	err := m.SimulateCtx(context.Background(), 10_000_000, runctl.Limits{MaxEvents: 4_000})
+	if !errors.Is(err, simerr.ErrBudgetExhausted) {
+		t.Fatalf("SimulateCtx = %v, want ErrBudgetExhausted", err)
 	}
-	s1, s2 := capture(), capture()
-	if diff := s1.Digests.Diff(s2.Digests); diff != nil {
-		t.Fatalf("digest vectors diverged across identical replays: %v", diff)
+	return m
+}
+
+// l2Entries returns cluster 0's valid L2 entries, in slot order.
+func l2Entries(t *testing.T, m *Machine) []*cache.Entry {
+	t.Helper()
+	var out []*cache.Entry
+	m.Clusters[0].L2().ForEach(func(e *cache.Entry) { out = append(out, e) })
+	if len(out) < 2 {
+		t.Fatalf("cluster 0 holds %d valid L2 lines, want at least 2", len(out))
 	}
-	if s1.Digests.Events != 5_000 || s1.Stats.Events != 5_000 {
-		t.Fatalf("dump records event %d, counters say %d; want the 5000-event budget", s1.Digests.Events, s1.Stats.Events)
+	return out
+}
+
+// dirEntry returns the allocated directory entry with the lowest line
+// that has a sharer, so the choice does not depend on map order.
+func dirEntry(t *testing.T, m *Machine) *directory.Entry {
+	t.Helper()
+	var pick *directory.Entry
+	for _, h := range m.Homes {
+		h.Directory().ForEach(func(e *directory.Entry) {
+			if !e.Sharers.Empty() && (pick == nil || e.Line < pick.Line) {
+				pick = e
+			}
+		})
 	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("machine states diverged across identical replays")
+	if pick == nil {
+		t.Fatal("no directory entry has a sharer")
+	}
+	return pick
+}
+
+// TestDigestWalkNamesTheMutatedLayer changes one hashed field of a
+// stopped machine at a time and checks that exactly the layer holding
+// that field moves.
+func TestDigestWalkNamesTheMutatedLayer(t *testing.T) {
+	for _, tc := range []struct {
+		name, layer string
+		mutate      func(t *testing.T, m *Machine)
+	}{
+		{"l2 state", "l2", func(t *testing.T, m *Machine) { l2Entries(t, m)[0].State ^= 1 }},
+		{"l2 valid mask", "l2", func(t *testing.T, m *Machine) { l2Entries(t, m)[0].ValidMask ^= 1 << 3 }},
+		{"l2 data word", "l2", func(t *testing.T, m *Machine) { l2Entries(t, m)[0].Data[5] ^= 1 }},
+		{"l2 incoherent", "l2", func(t *testing.T, m *Machine) {
+			e := l2Entries(t, m)[0]
+			e.Incoherent = !e.Incoherent
+		}},
+		{"dir owner", "dir", func(t *testing.T, m *Machine) { dirEntry(t, m).Owner++ }},
+		{"dir sharer bit", "dir", func(t *testing.T, m *Machine) { dirEntry(t, m).Sharers[0] ^= 1 << 1 }},
+		{"dir broadcast", "dir", func(t *testing.T, m *Machine) {
+			e := dirEntry(t, m)
+			e.Broadcast = !e.Broadcast
+		}},
+		{"coarse range", "region", func(t *testing.T, m *Machine) {
+			if err := m.AddCoarseRegion(addr.Range{Base: addr.HeapBase + 1<<24, Size: 1 << 12}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := stoppedMixers(t)
+			before := m.Digests()
+			tc.mutate(t, m)
+			diff := before.Diff(m.Digests())
+			if len(diff) != 1 || !strings.HasPrefix(diff[0], tc.layer+" ") {
+				t.Fatalf("layers moved: %v, want %s alone", diff, tc.layer)
+			}
+		})
+	}
+}
+
+// TestDigestWalkSumsFinishedEntryHashes checks the two properties of an
+// order-free sum of entry hashes: moving entries between slots changes
+// nothing, and the same change in two entries cannot cancel.
+func TestDigestWalkSumsFinishedEntryHashes(t *testing.T) {
+	m := stoppedMixers(t)
+	before := m.Digests()
+	es := l2Entries(t, m)
+	// Bit 31 of the last data word is bit 63 of the last mixed word.
+	es[0].Data[7] ^= 1 << 31
+	es[1].Data[7] ^= 1 << 31
+	if m.Digests().L2 == before.L2 {
+		t.Fatal("flipping bit 63 of the last mixed word in two L2 entries left the L2 digest unchanged")
+	}
+	es[0].Data[7] ^= 1 << 31
+	es[1].Data[7] ^= 1 << 31
+
+	*es[0], *es[1] = *es[1], *es[0]
+	if got := m.Digests().L2; got != before.L2 {
+		t.Fatalf("swapping two L2 entries' slots moved the L2 digest: %#x vs %#x", got, before.L2)
 	}
 }
 
@@ -124,7 +211,7 @@ func TestCheckpointObservabilityNeutral(t *testing.T) {
 		startMixers(m, 8, 120)
 		if every > 0 {
 			m.SetCheckpointFunc(func(events, cycle uint64) error {
-				_ = m.CaptureState() // exercise the full capture path mid-run
+				_ = m.Digests() // exercise the full digest walk mid-run
 				return nil
 			})
 		}

@@ -59,7 +59,7 @@ func (t *CoarseTable) Contains(a addr.Addr) bool {
 func (t *CoarseTable) Len() int { return len(t.ranges) }
 
 // Ranges returns a copy of the registered ranges in registration order
-// (run digests hash them; divergence dumps capture them).
+// (run digests hash them).
 func (t *CoarseTable) Ranges() []addr.Range {
 	return append([]addr.Range(nil), t.ranges...)
 }

@@ -1,7 +1,7 @@
 // Package snapshot is the checkpoint/restore substrate: a versioned,
-// checksummed file envelope with crash-safe atomic writes, the per-layer
-// digests that let a resumed run prove it replayed to the exact machine
-// state the snapshot recorded, and the state types of divergence dumps.
+// checksummed file envelope with crash-safe atomic writes, and the
+// per-layer digests that let a resumed run prove it replayed to the exact
+// machine state the snapshot recorded.
 //
 // Crash-safety protocol. A snapshot is always written to <path>.tmp
 // first, fsynced, then renamed over <path>. A reader that finds <path>
@@ -51,7 +51,6 @@ const (
 	KindSweep Kind = "sweep" // an experiment sweep's per-cell results
 	KindFuzz  Kind = "fuzz"  // a fuzz batch's progress counters
 	KindJob   Kind = "job"   // a job-service record (internal/serve)
-	KindState Kind = "state" // a divergence dump (MachineState at the root)
 )
 
 // Structured load errors; match with errors.Is.

@@ -180,63 +180,67 @@ func TestDigestsDiff(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	// Divergence begins at event 137: agree(n) is true for n < 137.
-	const first = 137
-	probes := 0
-	at, err := Bisect(0, 10_000, func(n uint64) (bool, error) {
-		probes++
-		return n < first, nil
-	})
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
+// TestHasherMixesEveryWord checks that a digest depends on every word,
+// on word order and on string length, and that the sums of two entries
+// still move when the top bit of each one's last word flips: without the
+// finalizer on every word, each sum would move by 2^63 and the total not
+// at all.
+func TestHasherMixesEveryWord(t *testing.T) {
+	sum := func(words ...uint64) uint64 {
+		h := NewHasher()
+		for _, w := range words {
+			h.U64(w)
+		}
+		return h.Sum()
 	}
-	if at != first {
-		t.Fatalf("Bisect = %d, want %d", at, first)
-	}
-	if probes > 15 {
-		t.Fatalf("Bisect used %d probes for a 10k range, want <= ~log2", probes)
-	}
-
-	// Divergence at the very first candidate.
-	at, err = Bisect(10, 11, func(n uint64) (bool, error) { return false, nil })
-	if err != nil || at != 11 {
-		t.Fatalf("Bisect tight range = %d, %v", at, err)
-	}
-
-	// Probe errors propagate.
-	wantErr := errors.New("replay failed")
-	if _, err := Bisect(0, 100, func(n uint64) (bool, error) { return false, wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("Bisect probe error: %v", err)
-	}
-
-	// Empty range is an error.
-	if _, err := Bisect(5, 5, nil); err == nil {
-		t.Fatal("Bisect empty range: want error")
-	}
-}
-
-func TestHasherMatchesFNVReference(t *testing.T) {
-	// Two different mixes must differ; same mix must be stable.
-	h1 := NewHasher()
-	h1.U64(1)
-	h1.U32(2)
-	h1.Bool(true)
-	h1.String("abc")
-	h2 := NewHasher()
-	h2.U64(1)
-	h2.U32(2)
-	h2.Bool(true)
-	h2.String("abc")
-	if h1.Sum() != h2.Sum() {
+	base := sum(1, 2, 3, 0)
+	if base != sum(1, 2, 3, 0) {
 		t.Fatal("hasher not deterministic")
 	}
-	h3 := NewHasher()
-	h3.U64(1)
-	h3.U32(2)
-	h3.Bool(false)
-	h3.String("abc")
-	if h1.Sum() == h3.Sum() {
-		t.Fatal("hasher ignored a boolean")
+	seen := map[uint64]string{base: "base"}
+	for _, ws := range [][]uint64{{0, 2, 3, 0}, {1, 0, 3, 0}, {1, 2, 0, 0}, {1, 2, 3, 1}, {2, 1, 3, 0}, {1, 2, 3}, {1, 2, 3, 0, 0}} {
+		got := sum(ws...)
+		if prev, dup := seen[got]; dup {
+			t.Fatalf("words %v hash like %s", ws, prev)
+		}
+		seen[got] = "an earlier variant"
+	}
+	if sum() == 0 || sum(0) == 0 {
+		t.Fatal("an empty or all-zero input hashes to zero")
+	}
+
+	a, b := sum(7, 1<<62), sum(9, 5)
+	a2, b2 := sum(7, 1<<62|1<<63), sum(9, 5|1<<63)
+	if a+b == a2+b2 {
+		t.Fatal("flipping bit 63 of the last word in two entries left their sum unchanged")
+	}
+
+	line := func(w [8]uint32) uint64 {
+		h := NewHasher()
+		h.Line(&w)
+		return h.Sum()
+	}
+	data := [8]uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	ref := line(data)
+	for i := range data {
+		d := data
+		d[i] ^= 1 << 31
+		if line(d) == ref {
+			t.Fatalf("data word %d left the line hash unchanged", i)
+		}
+	}
+
+	str := func(parts ...string) uint64 {
+		h := NewHasher()
+		for _, p := range parts {
+			h.String(p)
+		}
+		return h.Sum()
+	}
+	if str("abc") == str("abd") || str("a", "") == str("", "a") || str("abcdefgh") == str("abcdefgh\x00") {
+		t.Fatal("strings that differ hash alike")
+	}
+	if Flag(true) != 1 || Flag(false) != 0 {
+		t.Fatal("Flag")
 	}
 }

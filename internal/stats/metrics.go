@@ -51,7 +51,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	if h.Count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(h.Count))
+	target := uint64(float64(q * float64(h.Count))) // no fused multiply-add (see internal/kernels)
 	if target == 0 {
 		target = 1
 	}

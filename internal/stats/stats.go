@@ -43,9 +43,9 @@ type Run struct {
 }
 
 // Counters holds every cumulative counter of a run: what Digest hashes
-// for a checkpoint's stats layer, what a sweep checkpoint persists per
-// cell and what a divergence dump records. The JSON tags and field order
-// fix the digest, so a new counter is added here and nowhere else.
+// for a checkpoint's stats layer and what a sweep checkpoint persists
+// per cell. The JSON tags and field order fix the digest, so a new
+// counter is added here and nowhere else.
 type Counters struct {
 	// Messages counts L2-output messages by class (the Figs 2/8 stack).
 	Messages [msg.NumKinds]uint64 `json:"messages"`

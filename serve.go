@@ -181,8 +181,8 @@ func (jobEngine) Execute(ctx context.Context, spec JobSpec, ckptPath string, ckp
 			return nil, true, err
 		case info == nil:
 			// No usable snapshot (killed before the first checkpoint, both
-			// files torn, or one that predates digest-only checkpoints): a
-			// fresh deterministic run is bit-identical anyway.
+			// files torn, or one an older build wrote under another digest
+			// scheme): a fresh deterministic run is bit-identical anyway.
 		default:
 			// Snapshot loaded but the resume was rejected (e.g. the job's
 			// own event budget ends at or before the snapshot point). A
