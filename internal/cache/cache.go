@@ -1,5 +1,10 @@
-// Package cache implements the set-associative cache arrays used at every
-// level of the simulated hierarchy (L1I, L1D, L2, L3 tags).
+// Package cache implements the set-associative arrays used at every level
+// of the simulated hierarchy (L1I, L1D, L2, L3 tags).
+//
+// Only the L2 holds values: its entries (Entry, in a Cache) carry a line
+// of data words. The L1I, L1D and L3 arrays (Tags) hold tag entries (Tag)
+// only, because an L1 hit reads the L2's copy and the L3's values live in
+// the backing store. One generic array serves both payloads.
 //
 // Entries carry the metadata the Cohesion protocols need beyond a plain
 // cache: per-word valid and dirty bit vectors (the paper's non-inclusive
@@ -24,9 +29,12 @@ const (
 	StateModified
 )
 
-// Entry is one cache line's worth of state. The Data words are only
-// meaningful where ValidMask has the corresponding bit set.
-type Entry struct {
+// Slot is one line's worth of state in an array whose entries carry a D
+// payload.
+type Slot[D any] struct {
+	// Data comes first: Go pads a struct whose last field has zero size,
+	// which would grow a Tag by a word.
+	Data       D
 	Line       addr.Line
 	Valid      bool
 	Pinned     bool // a transaction is in flight; not evictable
@@ -34,17 +42,23 @@ type Entry struct {
 	State      uint8
 	ValidMask  uint8 // bit w: word w holds valid data
 	DirtyMask  uint8 // bit w: word w is dirty locally
-	Data       [addr.WordsPerLine]uint32
 
 	lastUse uint64
 }
 
+// Entry is an L2 line: its tag, state and data words. The Data words are
+// only meaningful where ValidMask has the corresponding bit set.
+type Entry = Slot[[addr.WordsPerLine]uint32]
+
+// Tag is an L1 or L3 line: tag and state, no data.
+type Tag = Slot[struct{}]
+
 // FullMask has the valid/dirty bit set for every word of a line.
 const FullMask = uint8(1<<addr.WordsPerLine - 1)
 
-// Cache is a set-associative array with LRU replacement.
-type Cache struct {
-	ents  []Entry // slot set*ways+way
+// Array is a set-associative array with LRU replacement.
+type Array[D any] struct {
+	ents  []Slot[D] // slot set*ways+way
 	nsets int
 	ways  int
 	mask  uint64 // nsets-1 when nsets is a power of two, else 0
@@ -59,15 +73,26 @@ type Cache struct {
 	occ []uint64
 }
 
-// New builds a cache of sizeBytes capacity and the given associativity.
+// Cache is the L2's array, the only one that holds data.
+type Cache = Array[[addr.WordsPerLine]uint32]
+
+// Tags is a tag-only array: the L1I, the L1D and an L3 bank.
+type Tags = Array[struct{}]
+
+// New builds an L2 of sizeBytes capacity and the given associativity.
 // sizeBytes must be a multiple of assoc lines.
-func New(sizeBytes, assoc int) *Cache {
+func New(sizeBytes, assoc int) *Cache { return newArray[[addr.WordsPerLine]uint32](sizeBytes, assoc) }
+
+// NewTags builds a tag-only array of the geometry New takes.
+func NewTags(sizeBytes, assoc int) *Tags { return newArray[struct{}](sizeBytes, assoc) }
+
+func newArray[D any](sizeBytes, assoc int) *Array[D] {
 	lines := sizeBytes / addr.LineBytes
 	if lines < 1 || assoc < 1 || lines%assoc != 0 {
 		panic(fmt.Sprintf("cache: bad geometry %d bytes %d-way", sizeBytes, assoc))
 	}
 	nsets := lines / assoc
-	c := &Cache{ents: make([]Entry, lines), nsets: nsets, ways: assoc, occ: make([]uint64, (lines+63)/64)}
+	c := &Array[D]{ents: make([]Slot[D], lines), nsets: nsets, ways: assoc, occ: make([]uint64, (lines+63)/64)}
 	if nsets&(nsets-1) == 0 {
 		c.mask = uint64(nsets - 1)
 	}
@@ -75,15 +100,15 @@ func New(sizeBytes, assoc int) *Cache {
 }
 
 // Sets and Ways report the geometry; Lines the total capacity in lines.
-func (c *Cache) Sets() int  { return c.nsets }
-func (c *Cache) Ways() int  { return c.ways }
-func (c *Cache) Lines() int { return len(c.ents) }
+func (c *Array[D]) Sets() int  { return c.nsets }
+func (c *Array[D]) Ways() int  { return c.ways }
+func (c *Array[D]) Lines() int { return len(c.ents) }
 
 // Count reports how many entries are currently valid.
-func (c *Cache) Count() int { return c.valid }
+func (c *Array[D]) Count() int { return c.valid }
 
 // set returns the ways of set si.
-func (c *Cache) set(si uint64) []Entry {
+func (c *Array[D]) set(si uint64) []Slot[D] {
 	base := si * uint64(c.ways)
 	end := base + uint64(c.ways)
 	return c.ents[base:end:end]
@@ -93,7 +118,7 @@ func (c *Cache) set(si uint64) []Entry {
 // real geometry, so indexing is a mask; the modulo fallback (a hardware
 // divide, measurably hot at one per cache access) only runs for odd
 // test-constructed geometries.
-func (c *Cache) setIdx(line addr.Line) uint64 {
+func (c *Array[D]) setIdx(line addr.Line) uint64 {
 	if c.mask != 0 || c.nsets == 1 {
 		return uint64(line) & c.mask
 	}
@@ -102,12 +127,12 @@ func (c *Cache) setIdx(line addr.Line) uint64 {
 
 // markSlot and clearSlot maintain the occupancy bitmap for slot w of the
 // given set.
-func (c *Cache) markSlot(setIdx uint64, w int) {
+func (c *Array[D]) markSlot(setIdx uint64, w int) {
 	i := setIdx*uint64(c.ways) + uint64(w)
 	c.occ[i>>6] |= 1 << (i & 63)
 }
 
-func (c *Cache) clearSlot(setIdx uint64, w int) {
+func (c *Array[D]) clearSlot(setIdx uint64, w int) {
 	i := setIdx*uint64(c.ways) + uint64(w)
 	c.occ[i>>6] &^= 1 << (i & 63)
 }
@@ -115,7 +140,7 @@ func (c *Cache) clearSlot(setIdx uint64, w int) {
 // Lookup returns the entry holding line and refreshes its LRU position, or
 // nil on a miss. The returned pointer stays valid until the entry is
 // evicted; callers mutate protocol state through it.
-func (c *Cache) Lookup(line addr.Line) *Entry {
+func (c *Array[D]) Lookup(line addr.Line) *Slot[D] {
 	set := c.set(c.setIdx(line))
 	for i := range set {
 		if set[i].Valid && set[i].Line == line {
@@ -128,9 +153,12 @@ func (c *Cache) Lookup(line addr.Line) *Entry {
 }
 
 // Peek is Lookup without the LRU refresh; used by probes and invariant
-// checks so observation does not perturb replacement.
-func (c *Cache) Peek(line addr.Line) *Entry {
-	set := c.set(c.setIdx(line))
+// checks so observation does not perturb replacement. It slices its set
+// itself: through set, a generic Peek outgrows the inlining budget.
+func (c *Array[D]) Peek(line addr.Line) *Slot[D] {
+	base := c.setIdx(line) * uint64(c.ways)
+	end := base + uint64(c.ways)
+	set := c.ents[base:end:end]
 	for i := range set {
 		if set[i].Valid && set[i].Line == line {
 			return &set[i]
@@ -147,7 +175,7 @@ func (c *Cache) Peek(line addr.Line) *Entry {
 //
 // The new entry starts Valid with empty masks, StateInvalid protocol state,
 // and the incoherent bit clear; the caller fills it in.
-func (c *Cache) Allocate(line addr.Line) (entry *Entry, victim Entry, evicted bool) {
+func (c *Array[D]) Allocate(line addr.Line) (entry *Slot[D], victim Slot[D], evicted bool) {
 	si := c.setIdx(line)
 	set := c.set(si)
 	slotW := -1
@@ -176,20 +204,20 @@ func (c *Cache) Allocate(line addr.Line) (entry *Entry, victim Entry, evicted bo
 		c.valid--
 	}
 	c.tick++
-	*slot = Entry{Line: line, Valid: true, lastUse: c.tick}
+	*slot = Slot[D]{Line: line, Valid: true, lastUse: c.tick}
 	c.valid++
 	c.markSlot(si, slotW)
 	return slot, victim, evicted
 }
 
 // Invalidate drops line if present, returning a copy of the dropped entry.
-func (c *Cache) Invalidate(line addr.Line) (dropped Entry, was bool) {
+func (c *Array[D]) Invalidate(line addr.Line) (dropped Slot[D], was bool) {
 	si := c.setIdx(line)
 	set := c.set(si)
 	for i := range set {
 		if set[i].Valid && set[i].Line == line {
 			dropped, was = set[i], true
-			set[i] = Entry{}
+			set[i] = Slot[D]{}
 			c.valid--
 			c.clearSlot(si, i)
 			return
@@ -200,7 +228,7 @@ func (c *Cache) Invalidate(line addr.Line) (dropped Entry, was bool) {
 
 // ForEach calls fn for every valid entry, in set then way order. fn may
 // mutate entries but must not invalidate or allocate.
-func (c *Cache) ForEach(fn func(*Entry)) {
+func (c *Array[D]) ForEach(fn func(*Slot[D])) {
 	for wi, word := range c.occ {
 		for ; word != 0; word &= word - 1 {
 			fn(&c.ents[wi<<6+bits.TrailingZeros64(word)])

@@ -4,9 +4,35 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cohesion/internal/addr"
 )
+
+// bothPayloads runs a test on the L2's data-carrying array and on a
+// tag-only array, each built by its own constructor.
+func bothPayloads(t *testing.T, l2, tags func(*testing.T)) {
+	t.Run("L2", l2)
+	t.Run("tags", tags)
+}
+
+// stamp marks an entry with v in every field its payload has room for:
+// the dirty mask, and in an L2 entry the first data word. stampOf reads
+// the mark back, or -1 where the two disagree, so a test can follow an
+// entry's own contents through lookups, copies and evictions.
+func stamp[D any](e *Slot[D], v uint8) {
+	e.DirtyMask = v
+	if words, ok := any(&e.Data).(*[addr.WordsPerLine]uint32); ok {
+		words[0] = uint32(v)
+	}
+}
+
+func stampOf[D any](e *Slot[D]) int {
+	if words, ok := any(&e.Data).(*[addr.WordsPerLine]uint32); ok && words[0] != uint32(e.DirtyMask) {
+		return -1
+	}
+	return int(e.DirtyMask)
+}
 
 func TestGeometry(t *testing.T) {
 	c := New(64<<10, 16) // the Table-3 L2
@@ -17,25 +43,40 @@ func TestGeometry(t *testing.T) {
 
 // sink keeps the caches TestNewAllocatesPerCacheNotPerSet builds on the
 // heap.
-var sink *Cache
+var sink any
 
 // TestNewAllocatesPerCacheNotPerSet locks in that a cache holds its
 // entries in one array indexed set*ways+way: building one costs the same
 // few allocations at every level of the hierarchy, however many sets it
-// has.
+// has, with the data-carrying and the tag-only constructor alike.
 func TestNewAllocatesPerCacheNotPerSet(t *testing.T) {
+	l2 := func(size, assoc int) any { return New(size, assoc) }
+	tags := func(size, assoc int) any { return NewTags(size, assoc) }
 	for _, g := range []struct {
 		name        string
 		size, assoc int
+		build       func(size, assoc int) any
 	}{
-		{"L1I", 2 << 10, 2},
-		{"L1D", 1 << 10, 2},
-		{"L2", 64 << 10, 16},
-		{"L3 bank", 128 << 10, 8},
+		{"L1I", 2 << 10, 2, tags},
+		{"L1D", 1 << 10, 2, tags},
+		{"L2", 64 << 10, 16, l2},
+		{"L3 bank", 128 << 10, 8, tags},
 	} {
-		if n := testing.AllocsPerRun(10, func() { sink = New(g.size, g.assoc) }); n > 4 {
-			t.Errorf("%s: New(%d, %d) made %.0f allocations, want at most 4", g.name, g.size, g.assoc, n)
+		if n := testing.AllocsPerRun(10, func() { sink = g.build(g.size, g.assoc) }); n > 4 {
+			t.Errorf("%s: building a %d-byte %d-way array made %.0f allocations, want at most 4", g.name, g.size, g.assoc, n)
 		}
+	}
+}
+
+// TestEntrySizes holds each payload's entry to its footprint: a tag entry
+// is its line, flags, masks and LRU stamp with no padding after them, and
+// an L2 entry adds its data words.
+func TestEntrySizes(t *testing.T) {
+	if n := unsafe.Sizeof(Tag{}); n > 24 {
+		t.Errorf("a tag entry is %d bytes, want at most 24", n)
+	}
+	if n := unsafe.Sizeof(Entry{}); n > 56 {
+		t.Errorf("an L2 entry is %d bytes, want at most 56", n)
 	}
 }
 
@@ -89,31 +130,41 @@ func TestAllocateResidentPanics(t *testing.T) {
 	c.Allocate(3)
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(64, 2) // one set, two ways
-	c.Allocate(0)
-	c.Allocate(2)
-	c.Lookup(0) // 0 now MRU; 2 is LRU
-	_, victim, ev := c.Allocate(4)
-	if !ev || victim.Line != 2 {
-		t.Fatalf("evicted %v (ev=%v), want line 2", victim.Line, ev)
-	}
-	if c.Peek(0) == nil || c.Peek(4) == nil || c.Peek(2) != nil {
-		t.Fatal("post-eviction contents wrong")
+func TestLRUEviction(t *testing.T) { bothPayloads(t, testLRUEviction(New), testLRUEviction(NewTags)) }
+
+func testLRUEviction[D any](build func(int, int) *Array[D]) func(*testing.T) {
+	return func(t *testing.T) {
+		c := build(64, 2) // one set, two ways
+		c.Allocate(0)
+		c.Allocate(2)
+		c.Lookup(0) // 0 now MRU; 2 is LRU
+		_, victim, ev := c.Allocate(4)
+		if !ev || victim.Line != 2 {
+			t.Fatalf("evicted %v (ev=%v), want line 2", victim.Line, ev)
+		}
+		if c.Peek(0) == nil || c.Peek(4) == nil || c.Peek(2) != nil {
+			t.Fatal("post-eviction contents wrong")
+		}
 	}
 }
 
 func TestPinnedNotEvicted(t *testing.T) {
-	c := New(64, 2)
-	a, _, _ := c.Allocate(0)
-	a.Pinned = true
-	c.Allocate(2)
-	_, victim, ev := c.Allocate(4) // must evict 2 even though 0 is LRU
-	if !ev || victim.Line != 2 {
-		t.Fatalf("evicted line %d, want 2", victim.Line)
-	}
-	if c.Peek(0) == nil {
-		t.Fatal("pinned line evicted")
+	bothPayloads(t, testPinnedNotEvicted(New), testPinnedNotEvicted(NewTags))
+}
+
+func testPinnedNotEvicted[D any](build func(int, int) *Array[D]) func(*testing.T) {
+	return func(t *testing.T) {
+		c := build(64, 2)
+		a, _, _ := c.Allocate(0)
+		a.Pinned = true
+		c.Allocate(2)
+		_, victim, ev := c.Allocate(4) // must evict 2 even though 0 is LRU
+		if !ev || victim.Line != 2 {
+			t.Fatalf("evicted line %d, want 2", victim.Line)
+		}
+		if c.Peek(0) == nil {
+			t.Fatal("pinned line evicted")
+		}
 	}
 }
 
@@ -131,30 +182,39 @@ func TestFullyPinnedPanics(t *testing.T) {
 }
 
 func TestVictimCopyIndependent(t *testing.T) {
-	c := New(64, 1)
-	e, _, _ := c.Allocate(1)
-	e.Data[3] = 99
-	e.DirtyMask = 1 << 3
-	_, victim, ev := c.Allocate(3) // same set as line 1 in a 2-set cache
-	if !ev || victim.Data[3] != 99 || victim.DirtyMask != 1<<3 {
-		t.Fatal("victim copy lost data")
-	}
-	// Mutating the new resident must not affect the victim copy.
-	c.Lookup(3).Data[3] = 1
-	if victim.Data[3] != 99 {
-		t.Fatal("victim aliases live entry")
+	bothPayloads(t, testVictimCopyIndependent(New), testVictimCopyIndependent(NewTags))
+}
+
+func testVictimCopyIndependent[D any](build func(int, int) *Array[D]) func(*testing.T) {
+	return func(t *testing.T) {
+		c := build(64, 1)
+		e, _, _ := c.Allocate(1)
+		stamp(e, 1<<3)
+		_, victim, ev := c.Allocate(3) // same set as line 1 in a 2-set cache
+		if !ev || stampOf(&victim) != 1<<3 {
+			t.Fatal("victim copy lost its contents")
+		}
+		// Mutating the new resident must not affect the victim copy.
+		stamp(c.Lookup(3), 1)
+		if stampOf(&victim) != 1<<3 {
+			t.Fatal("victim aliases live entry")
+		}
 	}
 }
 
-func TestForEach(t *testing.T) {
-	c := New(1<<10, 4)
-	for i := addr.Line(0); i < 10; i++ {
-		c.Allocate(i)
-	}
-	n := 0
-	c.ForEach(func(e *Entry) { n++ })
-	if n != 10 {
-		t.Fatalf("ForEach visited %d, want 10", n)
+func TestForEach(t *testing.T) { bothPayloads(t, testForEach(New), testForEach(NewTags)) }
+
+func testForEach[D any](build func(int, int) *Array[D]) func(*testing.T) {
+	return func(t *testing.T) {
+		c := build(1<<10, 4)
+		for i := addr.Line(0); i < 10; i++ {
+			c.Allocate(i)
+		}
+		n, seen := 0, uint64(0)
+		c.ForEach(func(e *Slot[D]) { n, seen = n+1, seen|1<<e.Line })
+		if n != 10 || seen != 1<<10-1 {
+			t.Fatalf("ForEach visited %d entries, lines %b, want lines 0-9 once each", n, seen)
+		}
 	}
 }
 
@@ -166,18 +226,18 @@ func TestWordBit(t *testing.T) {
 
 // lruModel is the reference for a cache's contents and replacement: per
 // set, its resident lines from least to most recently used, with their
-// data word and pin bit. Lookup and Allocate make a line most recent; Peek
+// stamp and pin bit. Lookup and Allocate make a line most recent; Peek
 // does not; a full set evicts its least recent unpinned line.
 type lruModel struct {
 	sets   [][]addr.Line
-	data   map[addr.Line]uint32
+	data   map[addr.Line]uint8
 	pinned map[addr.Line]bool
 	ways   int
 }
 
-func newLRUModel(c *Cache) *lruModel {
-	return &lruModel{sets: make([][]addr.Line, c.Sets()), data: map[addr.Line]uint32{},
-		pinned: map[addr.Line]bool{}, ways: c.Ways()}
+func newLRUModel(sets, ways int) *lruModel {
+	return &lruModel{sets: make([][]addr.Line, sets), data: map[addr.Line]uint8{},
+		pinned: map[addr.Line]bool{}, ways: ways}
 }
 
 func (m *lruModel) set(line addr.Line) *[]addr.Line { return &m.sets[int(line)%len(m.sets)] }
@@ -203,7 +263,7 @@ func (m *lruModel) touch(line addr.Line) {
 	m.pinned[line] = pin
 }
 
-func (m *lruModel) insert(line addr.Line, v uint32) {
+func (m *lruModel) insert(line addr.Line, v uint8) {
 	set := m.set(line)
 	*set = append(*set, line)
 	m.data[line] = v
@@ -227,80 +287,87 @@ func (m *lruModel) victim(line addr.Line) (v addr.Line, evict, ok bool) {
 
 // Property: the cache agrees with an LRU reference model under a random
 // stream of allocate/lookup/peek/invalidate/pin operations, on a
-// power-of-two and a non-power-of-two set count: the same lines resident,
-// the same data, and the same victim chosen on every allocation.
+// power-of-two and a non-power-of-two set count and with both payloads:
+// the same lines resident, the same stamps, and the same victim chosen on
+// every allocation.
 func TestQuickGoldenModel(t *testing.T) {
-	for _, g := range []struct{ size, assoc int }{
-		{512, 2}, // 16 lines, 8 sets
-		{192, 2}, // 6 lines, 3 sets: the modulo set index
-	} {
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			c := New(g.size, g.assoc)
-			m := newLRUModel(c)
-			for op := 0; op < 2000; op++ {
-				line := addr.Line(rng.Intn(64))
-				_, inModel := m.data[line]
-				switch rng.Intn(4) {
-				case 0: // allocate or touch
-					if e := c.Lookup(line); e != nil {
-						if !inModel || m.data[line] != e.Data[0] {
+	bothPayloads(t, testGoldenModel(New), testGoldenModel(NewTags))
+}
+
+func testGoldenModel[D any](build func(int, int) *Array[D]) func(*testing.T) {
+	return func(t *testing.T) {
+		for _, g := range []struct{ size, assoc int }{
+			{512, 2}, // 16 lines, 8 sets
+			{192, 2}, // 6 lines, 3 sets: the modulo set index
+		} {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				c := build(g.size, g.assoc)
+				m := newLRUModel(c.Sets(), c.Ways())
+				for op := 0; op < 2000; op++ {
+					line := addr.Line(rng.Intn(64))
+					v, inModel := m.data[line]
+					switch rng.Intn(4) {
+					case 0: // allocate or touch
+						if e := c.Lookup(line); e != nil {
+							if !inModel || stampOf(e) != int(v) {
+								return false
+							}
+							m.touch(line)
+							continue
+						}
+						if inModel {
 							return false
 						}
-						m.touch(line)
-						continue
-					}
-					if inModel {
-						return false
-					}
-					want, wantEvict, ok := m.victim(line)
-					if !ok {
-						continue // fully pinned: the controller would stall
-					}
-					e, victim, ev := c.Allocate(line)
-					if ev != wantEvict {
-						return false
-					}
-					if ev {
-						if victim.Line != want || m.data[want] != victim.Data[0] {
+						want, wantEvict, ok := m.victim(line)
+						if !ok {
+							continue // fully pinned: the controller would stall
+						}
+						e, victim, ev := c.Allocate(line)
+						if ev != wantEvict {
 							return false
 						}
-						m.remove(want)
+						if ev {
+							if victim.Line != want || stampOf(&victim) != int(m.data[want]) {
+								return false
+							}
+							m.remove(want)
+						}
+						v := uint8(rng.Intn(256))
+						stamp(e, v)
+						m.insert(line, v)
+					case 1: // observe without refreshing
+						e := c.Peek(line)
+						if (e != nil) != inModel {
+							return false
+						}
+						if e != nil && stampOf(e) != int(v) {
+							return false
+						}
+					case 2: // invalidate
+						d, was := c.Invalidate(line)
+						if was != inModel {
+							return false
+						}
+						if was && stampOf(&d) != int(v) {
+							return false
+						}
+						m.remove(line)
+					case 3: // pin or unpin a resident line
+						if e := c.Peek(line); e != nil {
+							e.Pinned = !e.Pinned
+							m.pinned[line] = e.Pinned
+						}
 					}
-					v := rng.Uint32()
-					e.Data[0] = v
-					m.insert(line, v)
-				case 1: // observe without refreshing
-					e := c.Peek(line)
-					if (e != nil) != inModel {
+					if c.Count() != len(m.data) {
 						return false
-					}
-					if e != nil && m.data[line] != e.Data[0] {
-						return false
-					}
-				case 2: // invalidate
-					d, was := c.Invalidate(line)
-					if was != inModel {
-						return false
-					}
-					if was && m.data[line] != d.Data[0] {
-						return false
-					}
-					m.remove(line)
-				case 3: // pin or unpin a resident line
-					if e := c.Peek(line); e != nil {
-						e.Pinned = !e.Pinned
-						m.pinned[line] = e.Pinned
 					}
 				}
-				if c.Count() != len(m.data) {
-					return false
-				}
+				return true
 			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-			t.Fatalf("New(%d, %d): %v", g.size, g.assoc, err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+				t.Fatalf("%d bytes %d-way: %v", g.size, g.assoc, err)
+			}
 		}
 	}
 }

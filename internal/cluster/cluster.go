@@ -98,8 +98,8 @@ type Op struct {
 type Core struct {
 	ID      int // global core id
 	cluster *Cluster
-	l1i     *cache.Cache
-	l1d     *cache.Cache
+	l1i     *cache.Tags
+	l1d     *cache.Tags
 
 	// Coroutine handles for the program (iter.Pull over its op stream).
 	// next resumes the program with the value left in resp and returns
@@ -128,9 +128,9 @@ type Core struct {
 	hasDeferred bool
 	gathered    []uint32
 
-	pc       int // instruction index within the kernel code footprint
+	pcOff    int // byte offset of the next fetch within the code footprint
 	codeBase addr.Addr
-	codeLen  int // code footprint in bytes
+	codeLen  int // code footprint in bytes, at least one word
 
 	started bool
 	done    bool
@@ -233,7 +233,7 @@ func (c *Core) SetCode(base addr.Addr, bytes int) {
 	if bytes < addr.WordBytes {
 		bytes = addr.WordBytes
 	}
-	c.codeBase, c.codeLen, c.pc = base, bytes, 0
+	c.codeBase, c.codeLen, c.pcOff = base, bytes, 0
 }
 
 // advance produces the core's next operation: first any operations the
@@ -364,8 +364,8 @@ func New(id int, cfg config.Machine, q *event.Queue, run *stats.Run) *Cluster {
 		c := &Core{
 			ID:      id*cfg.CoresPerCluster + i,
 			cluster: cl,
-			l1i:     cache.New(cfg.L1ISize, cfg.L1IAssoc),
-			l1d:     cache.New(cfg.L1DSize, cfg.L1DAssoc),
+			l1i:     cache.NewTags(cfg.L1ISize, cfg.L1IAssoc),
+			l1d:     cache.NewTags(cfg.L1DSize, cfg.L1DAssoc),
 			codeLen: addr.WordBytes,
 		}
 		c.fetchFn = func() { cl.fetchNext(c) }
@@ -512,9 +512,11 @@ func (cl *Cluster) complete(c *Core, v uint32) {
 // Instruction Requests, always coherence-free reads for code).
 func (cl *Cluster) ifetch(c *Core) {
 	cl.run.Instructions++
-	pcAddr := c.codeBase + addr.Addr((c.pc*addr.WordBytes)%c.codeLen)
-	c.pc++
-	line := addr.LineOf(pcAddr)
+	line := addr.LineOf(c.codeBase + addr.Addr(c.pcOff))
+	c.pcOff += addr.WordBytes
+	if c.pcOff >= c.codeLen { // codeLen >= WordBytes: one subtraction wraps
+		c.pcOff -= c.codeLen
+	}
 	if c.l1i.Lookup(line) != nil {
 		cl.execute(c)
 		return

@@ -12,6 +12,7 @@ package dram
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"slices"
 
@@ -20,14 +21,15 @@ import (
 	"cohesion/internal/stats"
 )
 
-// Geometry of the fine-grain-table segment: 8,192 blocks of 64 lines.
+// Table segment geometry: 8,192 blocks of 64 lines, 64 blocks a chunk.
 const (
-	tblLines   = addr.TableBytes / addr.LineBytes
-	tblLine0   = addr.Line(addr.TableBase >> addr.LineShift)
-	blockLines = 64
-	blockWords = blockLines * addr.WordsPerLine
-	blockBytes = blockWords * addr.WordBytes
-	tblBlocks  = tblLines / blockLines
+	tblLines    = addr.TableBytes / addr.LineBytes
+	tblLine0    = addr.Line(addr.TableBase >> addr.LineShift)
+	blockLines  = 64
+	blockWords  = blockLines * addr.WordsPerLine
+	blockBytes  = blockWords * addr.WordBytes
+	tblBlocks   = tblLines / blockLines
+	chunkBlocks = 64
 )
 
 // Store holds the architectural contents of memory, one 32-bit word at a
@@ -40,14 +42,15 @@ const (
 // thousands of lines that, in all but a few blocks, repeat one word. A
 // block holds that word as its pattern and copies it out into real words
 // only when a write stores a different value. The block headers are
-// allocated on the first table write, so SWcc/HWcc machines never pay for
-// them. The two representations are observationally identical: Lines,
+// allocated in chunks of 64, on the first write into a chunk, so SWcc/HWcc
+// machines never pay for them and a preset pays only for the chunks it
+// paints. The two representations are observationally identical: Lines,
 // ReadLine, LinesTouched, and Fingerprint present the merged image in
 // address order, with a table line participating once any of its words
 // has been written (even with zero), exactly as a map entry would.
 type Store struct {
 	lines map[addr.Line]*[addr.WordsPerLine]uint32
-	tbl   []tblBlock // table segment by block; nil until the first table write
+	tbl   [tblBlocks / chunkBlocks]*[chunkBlocks]tblBlock // nil until written into
 }
 
 // tblBlock is one 64-line block of the table segment. While words is nil
@@ -103,22 +106,50 @@ func inTable(a addr.Addr) bool {
 	return a >= addr.TableBase && a-addr.TableBase < addr.TableBytes
 }
 
-// table returns the table segment's blocks, allocating them on first use.
-func (s *Store) table() []tblBlock {
-	if s.tbl == nil {
-		s.tbl = make([]tblBlock, tblBlocks)
+// unwritten stands for every block of an unallocated chunk: no line
+// written, every word zero. Only reads see it.
+var unwritten tblBlock
+
+// block returns table block bi for reading.
+func (s *Store) block(bi int) *tblBlock {
+	if c := s.tbl[bi/chunkBlocks]; c != nil {
+		return &c[bi%chunkBlocks]
 	}
-	return s.tbl
+	return &unwritten
+}
+
+// writeBlock returns table block bi, allocating its chunk on first use.
+func (s *Store) writeBlock(bi int) *tblBlock {
+	c := s.tbl[bi/chunkBlocks]
+	if c == nil {
+		c = new([chunkBlocks]tblBlock)
+		s.tbl[bi/chunkBlocks] = c
+	}
+	return &c[bi%chunkBlocks]
+}
+
+// blocks yields the blocks of every allocated chunk with their indices, in
+// address order.
+func (s *Store) blocks() iter.Seq2[int, *tblBlock] {
+	return func(yield func(int, *tblBlock) bool) {
+		for ci, c := range s.tbl {
+			if c == nil {
+				continue
+			}
+			for j := range c {
+				if !yield(ci*chunkBlocks+j, &c[j]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // ReadWord returns the word containing address a.
 func (s *Store) ReadWord(a addr.Addr) uint32 {
 	if inTable(a) {
-		if s.tbl == nil {
-			return 0
-		}
 		w := int(a-addr.TableBase) >> addr.WordShift
-		return s.tbl[w/blockWords].word(w % blockWords)
+		return s.block(w / blockWords).word(w % blockWords)
 	}
 	l := s.lines[addr.LineOf(a)]
 	if l == nil {
@@ -131,7 +162,7 @@ func (s *Store) ReadWord(a addr.Addr) uint32 {
 func (s *Store) WriteWord(a addr.Addr, v uint32) {
 	if inTable(a) {
 		w := int(a-addr.TableBase) >> addr.WordShift
-		s.table()[w/blockWords].write(w%blockWords, v)
+		s.writeBlock(w/blockWords).write(w%blockWords, v)
 		return
 	}
 	line := addr.LineOf(a)
@@ -152,20 +183,16 @@ func (s *Store) FillTable(r addr.Range, v uint32) {
 	if !inTable(r.Base) || off%blockBytes != 0 || r.Size%blockBytes != 0 || off+addr.Addr(r.Size) > addr.TableBytes {
 		panic(fmt.Sprintf("dram: FillTable range %v is not whole table blocks", r))
 	}
-	tbl := s.table()
 	for bi := int(off / blockBytes); bi < int((off+addr.Addr(r.Size))/blockBytes); bi++ {
-		tbl[bi] = tblBlock{written: ^uint64(0), pattern: v}
+		*s.writeBlock(bi) = tblBlock{written: ^uint64(0), pattern: v}
 	}
 }
 
 // ReadLine copies the full contents of a line.
 func (s *Store) ReadLine(line addr.Line) [addr.WordsPerLine]uint32 {
 	if base := line.Base(); inTable(base) {
-		if s.tbl == nil {
-			return [addr.WordsPerLine]uint32{}
-		}
 		li := int(line - tblLine0)
-		return s.tbl[li/blockLines].line(li % blockLines)
+		return s.block(li / blockLines).line(li % blockLines)
 	}
 	if l := s.lines[line]; l != nil {
 		return *l
@@ -183,7 +210,7 @@ func (s *Store) MergeLine(line addr.Line, mask uint8, data [addr.WordsPerLine]ui
 	}
 	if base := line.Base(); inTable(base) {
 		li := int(line - tblLine0)
-		b := &s.table()[li/blockLines]
+		b := s.writeBlock(li / blockLines)
 		w0 := li % blockLines * addr.WordsPerLine
 		for w := 0; w < addr.WordsPerLine; w++ {
 			if mask&(1<<w) != 0 {
@@ -207,8 +234,8 @@ func (s *Store) MergeLine(line addr.Line, mask uint8, data [addr.WordsPerLine]ui
 // tblLinesTouched counts written table lines.
 func (s *Store) tblLinesTouched() int {
 	n := 0
-	for i := range s.tbl {
-		n += bits.OnesCount64(s.tbl[i].written)
+	for _, b := range s.blocks() {
+		n += bits.OnesCount64(b.written)
 	}
 	return n
 }
@@ -226,8 +253,8 @@ func (s *Store) Lines() []addr.Line {
 	slices.Sort(lines)
 	// The table segment is the top of the address space: every written
 	// table line sorts after every map line.
-	for bi := range s.tbl {
-		for w := s.tbl[bi].written; w != 0; w &= w - 1 {
+	for bi, b := range s.blocks() {
+		for w := b.written; w != 0; w &= w - 1 {
 			lines = append(lines, tblLine0+addr.Line(bi*blockLines+bits.TrailingZeros64(w)))
 		}
 	}
@@ -302,8 +329,7 @@ func (s *Store) Fingerprint() uint64 {
 	// cached affine transform instead of ~4600 dependent multiplies;
 	// ragged or copied-out blocks take the per-line path with the concrete
 	// running state, so the result is bit-identical either way.
-	for bi := range s.tbl {
-		b := &s.tbl[bi]
+	for bi, b := range s.blocks() {
 		if b.written == ^uint64(0) && b.words == nil {
 			x := blockXformFor(bi, b.pattern)
 			h = h*x.mult + x.add[h&0xff]

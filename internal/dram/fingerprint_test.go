@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"slices"
 	"testing"
 
 	"cohesion/internal/addr"
@@ -76,7 +77,7 @@ func TestFingerprintFastPathMatchesLineWalk(t *testing.T) {
 		if got, want := s.Fingerprint(), slowFingerprint(s); got != want {
 			t.Fatalf("%s: fast-path fingerprint %#x, reference %#x", stage, got, want)
 		}
-		if b := &s.tbl[bi]; (b.written == ^uint64(0) && b.words == nil) != fast {
+		if b := s.block(bi); (b.written == ^uint64(0) && b.words == nil) != fast {
 			t.Fatalf("%s: block %d takes the fast path = %v, want %v", stage, bi, !fast, fast)
 		}
 	}
@@ -118,4 +119,39 @@ func TestFingerprintFastPathMatchesLineWalk(t *testing.T) {
 	check("block repainted with a new pattern", 3, true)
 	paint(5, 1, 0x5555aaaa)
 	check("copied-out block repainted", 5, true)
+}
+
+// TestAbsentChunksReadZeroAndStayOut writes blocks in two chunks with an
+// unwritten chunk between them. The walks (Fingerprint, Lines,
+// LinesTouched) must skip the absent chunk and agree with the line-by-line
+// reference, and reads inside it must return zero without allocating it.
+func TestAbsentChunksReadZeroAndStayOut(t *testing.T) {
+	s := NewStore()
+	s.WriteWord(0x100, 42)
+	lo, hi := 5, 2*chunkBlocks+3 // blocks in chunks 0 and 2
+	s.FillTable(addr.Range{Base: blockAt(lo), Size: blockBytes}, ^uint32(0))
+	s.WriteWord(blockAt(hi)+addr.LineBytes, 9) // block hi, line 1
+
+	if got, want := s.Fingerprint(), slowFingerprint(s); got != want {
+		t.Fatalf("fingerprint %#x, reference %#x", got, want)
+	}
+	if got, want := s.LinesTouched(), 1+blockLines+1; got != want {
+		t.Fatalf("LinesTouched = %d, want %d", got, want)
+	}
+	want := []addr.Line{addr.LineOf(0x100)}
+	for j := 0; j < blockLines; j++ {
+		want = append(want, tblLine0+addr.Line(lo*blockLines+j))
+	}
+	want = append(want, tblLine0+addr.Line(hi*blockLines+1))
+	if got := s.Lines(); !slices.Equal(got, want) {
+		t.Fatalf("Lines = %v, want %v", got, want)
+	}
+
+	absent := blockAt(chunkBlocks + 7) // a block of chunk 1
+	if s.ReadWord(absent+4) != 0 || s.ReadLine(addr.LineOf(absent)) != ([addr.WordsPerLine]uint32{}) {
+		t.Fatal("an absent chunk reads nonzero")
+	}
+	if s.tbl[0] == nil || s.tbl[1] != nil || s.tbl[2] == nil {
+		t.Fatalf("chunks allocated = %v %v %v, want true false true", s.tbl[0] != nil, s.tbl[1] != nil, s.tbl[2] != nil)
+	}
 }

@@ -203,21 +203,32 @@ func TestSetRangeMatchesPerLineSet(t *testing.T) {
 	}
 }
 
-// TestSetRangeAllocatesBlocksNotTable locks in that painting the whole
-// 256 MiB incoherent heap allocates the table's block headers, not a
-// dense copy of the 16 MiB table.
+// TestSetRangeAllocatesBlocksNotTable locks in that painting a range
+// allocates only the table chunks it writes into. The whole 256 MiB
+// incoherent heap costs its chunks of block headers, not a dense copy of
+// the 16 MiB table; one line, the fuzzer's preset, costs one chunk plus
+// the block its write copies out.
 func TestSetRangeAllocatesBlocksNotTable(t *testing.T) {
-	ft := NewFineTable(dram.NewStore(), 8)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ft.SetRange(addr.Range{Base: addr.CohHeapBase, Size: 256 << 20})
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("SetRange over the incoherent heap allocated %d bytes", got)
-	if got >= 1<<20 {
-		t.Fatalf("SetRange over the incoherent heap allocated %d bytes, want under 1 MiB", got)
-	}
-	if !ft.IsSWcc(addr.CohHeapBase) || !ft.IsSWcc(addr.CohHeapBase+256<<20-1) || ft.IsSWcc(addr.CohHeapBase+256<<20) {
-		t.Fatal("SetRange painted the wrong span")
+	for _, c := range []struct {
+		name  string
+		r     addr.Range
+		under uint64
+	}{
+		{"the incoherent heap", addr.Range{Base: addr.CohHeapBase, Size: 256 << 20}, 32 << 10},
+		{"one line", addr.Range{Base: addr.CohHeapBase + 0x140, Size: addr.LineBytes}, 8 << 10},
+	} {
+		ft := NewFineTable(dram.NewStore(), 8)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ft.SetRange(c.r)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("SetRange over %s allocated %d bytes", c.name, got)
+		if got >= c.under {
+			t.Errorf("SetRange over %s allocated %d bytes, want under %d", c.name, got, c.under)
+		}
+		if !ft.IsSWcc(c.r.Base) || !ft.IsSWcc(c.r.End()-1) || ft.IsSWcc(c.r.End()) {
+			t.Errorf("SetRange over %s painted the wrong span", c.name)
+		}
 	}
 }

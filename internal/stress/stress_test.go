@@ -242,8 +242,8 @@ func TestBuildMachineCostsWhatItHolds(t *testing.T) {
 		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 		allocs := (after.Mallocs - before.Mallocs) / runs
 		t.Logf("%s: BuildMachine allocated %d bytes in %d allocations", mode, bytes, allocs)
-		if bytes >= 450<<10 || allocs >= 500 {
-			t.Errorf("%s: BuildMachine allocated %d bytes in %d allocations, want under 450 KiB and 500", mode, bytes, allocs)
+		if bytes >= 256<<10 || allocs >= 500 {
+			t.Errorf("%s: BuildMachine allocated %d bytes in %d allocations, want under 256 KiB and 500", mode, bytes, allocs)
 		}
 	}
 }
