@@ -13,39 +13,36 @@ import (
 // in every run snapshot so a resume can reconstruct the run without the
 // original command line.
 type RunSpec struct {
-	Machine   MachineConfig `json:"machine"`
-	Kernel    string        `json:"kernel"`
-	Scale     int           `json:"scale"`
-	Seed      int64         `json:"seed"`
-	Workers   int           `json:"workers"`
-	Verify    bool          `json:"verify"`
-	MaxCycles uint64        `json:"max_cycles,omitempty"`
+	Machine MachineConfig `json:"machine"`
+	Kernel  string        `json:"kernel"`
+	Scale   int           `json:"scale"`
+	Seed    int64         `json:"seed"`
+	Workers int           `json:"workers"`
+	Verify  bool          `json:"verify"`
 }
 
 // specOf extracts the reproducible subset of a RunConfig (limits and
 // observability attachments are per-process choices, not run identity).
 func specOf(rc RunConfig) RunSpec {
 	return RunSpec{
-		Machine:   rc.Machine,
-		Kernel:    rc.Kernel,
-		Scale:     rc.Scale,
-		Seed:      rc.Seed,
-		Workers:   rc.Workers,
-		Verify:    rc.Verify,
-		MaxCycles: rc.MaxCycles,
+		Machine: rc.Machine,
+		Kernel:  rc.Kernel,
+		Scale:   rc.Scale,
+		Seed:    rc.Seed,
+		Workers: rc.Workers,
+		Verify:  rc.Verify,
 	}
 }
 
 // runConfig rebuilds a RunConfig from the spec.
 func (s RunSpec) runConfig() RunConfig {
 	return RunConfig{
-		Machine:   s.Machine,
-		Kernel:    s.Kernel,
-		Scale:     s.Scale,
-		Seed:      s.Seed,
-		Workers:   s.Workers,
-		Verify:    s.Verify,
-		MaxCycles: s.MaxCycles,
+		Machine: s.Machine,
+		Kernel:  s.Kernel,
+		Scale:   s.Scale,
+		Seed:    s.Seed,
+		Workers: s.Workers,
+		Verify:  s.Verify,
 	}
 }
 

@@ -143,20 +143,16 @@ type RunConfig struct {
 	Workers int   // cores running the kernel; 0 = 4 per cluster
 	Verify  bool  // check kernel output against the golden reference
 
-	// MaxCycles bounds the simulation (0 = generous default). Exceeding
-	// it is a failure (ErrCycleLimit) — it is the runaway guard, not a
-	// budget; use Limits for structured early ends with partial results.
-	MaxCycles uint64
-
 	// Limits are the run-lifecycle budgets (max events, max sim-cycles,
 	// wall clock, memory soft limit). A budget-ended run returns a
 	// partial Result together with an ErrBudgetExhausted error.
 	Limits RunLimits
 
 	// TraceSink, when non-nil, is the run's protocol trace ring
-	// (Result.Stats.Trace): it receives every protocol event as a
-	// structured record for Chrome-trace/text export (see NewTraceSink),
-	// and an early end's diagnostic prints its tail.
+	// (Result.Stats.Trace): it receives one structured record per
+	// protocol step, named by its coverage edge, plus the begin and end of
+	// every L2 transaction, for Chrome-trace/text export (see
+	// NewTraceSink), and an early end's diagnostic prints its tail.
 	TraceSink *TraceSink
 
 	// Coverage, when non-nil, records which protocol-transition edges the
@@ -177,7 +173,7 @@ type Coverage = trace.Coverage
 // NewCoverage returns an empty protocol-transition coverage tracker.
 func NewCoverage() *Coverage { return trace.NewCoverage() }
 
-// TraceSink is a bounded ring of structured protocol events with
+// TraceSink is a bounded ring of structured protocol-step records with
 // Chrome-trace-event and text exporters.
 type TraceSink = trace.Sink
 
@@ -324,7 +320,7 @@ func prepareRun(rc RunConfig) (*preparedRun, error) {
 // cancellation) and packages the Result.
 func (p *preparedRun) run(ctx context.Context) (*Result, error) {
 	rc, m := p.rc, p.m
-	if err := m.SimulateCtx(ctx, rc.MaxCycles, rc.Limits); err != nil {
+	if err := m.SimulateCtx(ctx, 0, rc.Limits); err != nil {
 		wrapped := fmt.Errorf("cohesion: %s on %s: %w", rc.Kernel, rc.Machine.Label, err)
 		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted) {
 			// Graceful early end: the machine is already shut down; drain
@@ -341,7 +337,7 @@ func (p *preparedRun) run(ctx context.Context) (*Result, error) {
 // simulate runs the event loop alone — the O(events) phase.
 func (p *preparedRun) simulate(ctx context.Context) error {
 	rc := p.rc
-	if err := p.m.SimulateCtx(ctx, rc.MaxCycles, rc.Limits); err != nil {
+	if err := p.m.SimulateCtx(ctx, 0, rc.Limits); err != nil {
 		return fmt.Errorf("cohesion: %s on %s: %w", rc.Kernel, rc.Machine.Label, err)
 	}
 	return nil

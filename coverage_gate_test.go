@@ -2,10 +2,13 @@ package cohesion
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"cohesion/internal/stress"
+	"cohesion/internal/trace"
 )
 
 // TestProtocolEdgeCoverageGate is the coverage gate: the kernel suite run
@@ -14,8 +17,31 @@ import (
 // starvation, fault recovery), must together exercise every registered
 // protocol-transition edge. A gap means either dead protocol code or a
 // test hole; the failure message lists exactly which edges never fired.
+//
+// Every run also carries its own trace sink, since coverage and the trace
+// are two consumers of one step call: across the runs, the step records
+// must name exactly the covered edges, and every other record must be a
+// transaction span endpoint.
 func TestProtocolEdgeCoverageGate(t *testing.T) {
 	cov := NewCoverage()
+	var mu sync.Mutex
+	traced := map[string]bool{} // edge names the step records carry
+	collect := func(t *testing.T, sink *trace.Sink) {
+		if sink.Dropped() > 0 {
+			t.Fatalf("trace ring dropped %d of %d records", sink.Dropped(), sink.Total())
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range sink.Records() {
+			switch r.Phase {
+			case 0:
+				traced[r.Event] = true
+			case 'b', 'e':
+			default:
+				t.Errorf("record %+v is neither a step nor a span endpoint", r)
+			}
+		}
+	}
 
 	t.Run("kernels", func(t *testing.T) {
 		for _, kernel := range KernelNames() {
@@ -23,17 +49,20 @@ func TestProtocolEdgeCoverageGate(t *testing.T) {
 				kernel, mode := kernel, mode
 				t.Run(fmt.Sprintf("%s/%v", kernel, mode), func(t *testing.T) {
 					t.Parallel()
+					sink := NewTraceSink(0)
 					_, err := Run(RunConfig{
-						Machine:  ScaledConfig(2).WithMode(mode),
-						Kernel:   kernel,
-						Scale:    1,
-						Seed:     42,
-						Verify:   true,
-						Coverage: cov,
+						Machine:   ScaledConfig(2).WithMode(mode),
+						Kernel:    kernel,
+						Scale:     1,
+						Seed:      42,
+						Verify:    true,
+						Coverage:  cov,
+						TraceSink: sink,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
+					collect(t, sink)
 				})
 			}
 		}
@@ -75,10 +104,12 @@ func TestProtocolEdgeCoverageGate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := stress.RunProgramOpts(p, stress.RunOpts{Coverage: cov})
+				sink := trace.NewSink(0)
+				res := stress.RunProgramOpts(p, stress.RunOpts{Coverage: cov, Sink: sink})
 				if res.Err != nil {
 					t.Fatalf("stress run failed: %v", res.Err)
 				}
+				collect(t, sink)
 			})
 		}
 	})
@@ -86,5 +117,21 @@ func TestProtocolEdgeCoverageGate(t *testing.T) {
 	if un := cov.Uncovered(); len(un) > 0 {
 		t.Fatalf("%d/%d protocol edges never fired:\n  %s",
 			len(un), cov.Total(), strings.Join(un, "\n  "))
+	}
+	covered := cov.CountsByName()
+	var diff []string
+	for name := range covered {
+		if !traced[name] {
+			diff = append(diff, name+" covered, never traced")
+		}
+	}
+	for name := range traced {
+		if covered[name] == 0 {
+			diff = append(diff, name+" traced, never covered")
+		}
+	}
+	if len(diff) > 0 {
+		sort.Strings(diff)
+		t.Fatalf("trace records and coverage disagree:\n  %s", strings.Join(diff, "\n  "))
 	}
 }

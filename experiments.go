@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"cohesion/internal/addr"
-	"cohesion/internal/config"
 	"cohesion/internal/directory"
 	"cohesion/internal/msg"
 	"cohesion/internal/pool"
@@ -735,5 +734,3 @@ func BreakdownTable(rows []MessageBreakdown) *stats.Table {
 	}
 	return t
 }
-
-var _ = config.Table3 // keep the import pinned for the type aliases above

@@ -13,10 +13,11 @@
 // strictly — exactly one of them runs at any moment — so the simulation
 // stays single-threaded and deterministic, and programs may freely touch
 // host-side state (statistics, allocators, golden models) between
-// operations. Programs may also queue operations without suspending
-// (DoAsync), including loads whose addresses they already know (Gather);
-// the machine issues them with unchanged timing and resumes the program
-// once per batch, at its next Do or Sync.
+// operations. Every operation goes through one queue per core: Do queues
+// its operation and suspends the program, while DoAsync queues without
+// suspending, including loads whose addresses the program already knows
+// (Gather). The machine issues queued operations in program order with
+// unchanged timing and resumes the program once the queue is empty.
 package cluster
 
 import (
@@ -55,7 +56,6 @@ const (
 	OpDone  // program finished
 
 	opGather // a load whose value joins the batch Sync returns
-	opSync   // wait marker: resume the program once the queue drains
 )
 
 func (k OpKind) String() string {
@@ -101,32 +101,28 @@ type Core struct {
 	l1i     *cache.Tags
 	l1d     *cache.Tags
 
-	// Coroutine handles for the program (iter.Pull over its op stream).
-	// next resumes the program with the value left in resp and returns
-	// the operation it yields; stop unwinds a suspended program.
-	next  func() (Op, bool)
-	stop  func()
-	yield func(Op) bool
-	resp  uint32
+	// Coroutine handles for the program (iter.Pull over its parks). next
+	// resumes the program with the value left in resp and returns once it
+	// parks (false once it has returned); stop unwinds a parked program.
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	resp     uint32
+	returned bool // the program has returned; the queue holds its last ops
 
-	// opq queues the operations (stores, compute, flushes, gathered
-	// loads) issued by the program via DoAsync without suspending it: a
-	// coroutine switch costs more than issuing the operation itself, so
-	// the program runs ahead — host-side only — and the machine drains
-	// the queue one operation per completion, exactly as if each had
-	// been yielded individually. Per-core program order, issue timing,
-	// and the global event schedule are bit-identical to the unbatched
-	// execution; the only thing that moves is when program host code
-	// runs, which by construction cannot observe simulated state except
-	// through the values Do and Sync return. deferred holds the operation
-	// the program yielded while queued operations were still pending; it
-	// issues after the queue drains. gathered collects, in program order,
-	// the values of gathered loads for Sync.
-	opq         []Op
-	opqHead     int
-	deferred    Op
-	hasDeferred bool
-	gathered    []uint32
+	// opq queues every operation the program issues, and the machine
+	// drains it one operation per completion. DoAsync queues without
+	// parking the program: a coroutine switch costs more than issuing the
+	// operation itself, so the program runs ahead — host-side only — and
+	// per-core program order, issue timing, and the global event schedule
+	// are bit-identical to parking at every operation; the only thing that
+	// moves is when program host code runs, which by construction cannot
+	// observe simulated state except through the values Do and Sync
+	// return. gathered collects, in program order, the values of gathered
+	// loads for Sync.
+	opq      []Op
+	opqHead  int
+	gathered []uint32
 
 	pcOff    int // byte offset of the next fetch within the code footprint
 	codeBase addr.Addr
@@ -166,15 +162,21 @@ type Core struct {
 // when the machine aborts a run; StartCore's wrapper swallows it.
 type coreShutdown struct{}
 
-// Do issues one operation and suspends the program until it completes,
-// returning the operation's result (loaded value, atomic's old value).
-// It must be called only from inside the core's program. If the cluster
-// has been shut down (the machine aborted the run), Do unwinds the
-// program instead of suspending forever.
-func (c *Core) Do(o Op) uint32 {
-	if !c.yield(o) {
+// park suspends the program until the machine has issued every queued
+// operation. If the cluster has been shut down (the machine aborted the
+// run), it unwinds the program instead of suspending forever.
+func (c *Core) park() {
+	if !c.yield(struct{}{}) {
 		panic(coreShutdown{})
 	}
+}
+
+// Do issues one operation and suspends the program until it completes,
+// returning the operation's result (loaded value, atomic's old value).
+// It must be called only from inside the core's program.
+func (c *Core) Do(o Op) uint32 {
+	c.opq = append(c.opq, o)
+	c.park()
 	return c.resp
 }
 
@@ -185,17 +187,15 @@ const asyncBatchCap = 64
 // DoAsync issues an operation without suspending the program. The
 // operation is queued and issued by the machine in program order,
 // with the same per-operation timing as a synchronous Do; the program
-// suspends at its next Do or Sync (or when the queue fills) until every
-// queued operation has completed. Must only be called from inside the
-// core's program, and only for operations whose result is discarded or,
-// for a gathered load, collected by Sync.
+// suspends at its next Do or Sync (or once the queue holds more than
+// asyncBatchCap operations) until every queued operation has completed.
+// Must only be called from inside the core's program, and only for
+// operations whose result is discarded or, for a gathered load, collected
+// by Sync.
 func (c *Core) DoAsync(o Op) {
-	if len(c.opq) < asyncBatchCap {
-		c.opq = append(c.opq, o)
-		return
-	}
-	if !c.yield(o) {
-		panic(coreShutdown{})
+	c.opq = append(c.opq, o)
+	if len(c.opq) > asyncBatchCap {
+		c.park()
 	}
 }
 
@@ -209,8 +209,8 @@ func (c *Core) Gather(a addr.Addr) { c.DoAsync(Op{Kind: opGather, Addr: a}) }
 // gathered since the last Sync in program order. The next batch reuses
 // the slice.
 func (c *Core) Sync() []uint32 {
-	if len(c.opq) > 0 && !c.yield(Op{Kind: opSync}) {
-		panic(coreShutdown{})
+	if len(c.opq) > 0 {
+		c.park()
 	}
 	vals := c.gathered
 	c.gathered = c.gathered[:0]
@@ -236,49 +236,24 @@ func (c *Core) SetCode(base addr.Addr, bytes int) {
 	c.codeBase, c.codeLen, c.pcOff = base, bytes, 0
 }
 
-// advance produces the core's next operation: first any operations the
-// program queued through DoAsync (in program order), then a synchronous
-// operation deferred behind them, and only then — with the queue empty —
-// does it resume the program coroutine; a deferred Sync marker resumes it
-// at once. A program that returns without yielding (only possible after
-// an unwind) reads as done.
+// advance pops the core's next operation from its queue. With the queue
+// empty it first resumes the program, which runs until it parks; a
+// program that has returned with nothing queued is done.
 func (c *Core) advance() {
-	if c.opqHead < len(c.opq) {
-		c.pending = c.takeQueued()
-		return
+	if c.opqHead == len(c.opq) && !c.returned {
+		c.cluster.run.Resumes++
+		_, parked := c.next()
+		c.returned = !parked
 	}
-	if c.hasDeferred {
-		c.hasDeferred = false
-		if c.deferred.Kind != opSync {
-			c.pending = c.deferred
-			return
-		}
-	}
-	c.cluster.run.Resumes++
-	op, ok := c.next()
-	if !ok {
-		op = Op{Kind: OpDone}
-	}
-	// The resume may have queued operations before yielding op; they
-	// precede it in program order (Sync yields only behind such a queue).
-	if c.opqHead < len(c.opq) {
-		c.deferred, c.hasDeferred = op, true
-		c.pending = c.takeQueued()
-		return
-	}
-	c.pending = op
-}
-
-// takeQueued pops the next DoAsync-queued operation, rewinding the queue
-// storage for reuse once drained.
-func (c *Core) takeQueued() Op {
-	op := c.opq[c.opqHead]
-	c.opqHead++
 	if c.opqHead == len(c.opq) {
-		c.opq = c.opq[:0]
-		c.opqHead = 0
+		c.pending = Op{Kind: OpDone}
+		return
 	}
-	return op
+	c.pending = c.opq[c.opqHead]
+	c.opqHead++
+	if c.opqHead == len(c.opq) { // drained: rewind the storage for reuse
+		c.opq, c.opqHead = c.opq[:0], 0
+	}
 }
 
 // Cluster is eight cores, their L1s, and the shared L2.
@@ -451,7 +426,7 @@ func (cl *Cluster) StartCore(i int, program func(c *Core)) {
 		panic(simerr.Invariant(uint64(cl.q.Now()), cl.site(), 0, "core %d started twice", c.ID))
 	}
 	c.started = true
-	c.next, c.stop = iter.Pull(func(yield func(Op) bool) {
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
@@ -461,13 +436,12 @@ func (cl *Cluster) StartCore(i int, program func(c *Core)) {
 			}
 		}()
 		program(c)
-		yield(Op{Kind: OpDone})
 	})
 	cl.q.After(1, c.fetchFn)
 }
 
-// fetchNext resumes the program until it yields its next operation, then
-// steps it. The strict alternation keeps simulation deterministic:
+// fetchNext takes the core's first operation, resuming the program for
+// it, then steps it. The strict alternation keeps simulation deterministic:
 // exactly one of machine and program runs at any moment.
 func (cl *Cluster) fetchNext(c *Core) {
 	c.advance()
@@ -477,10 +451,6 @@ func (cl *Cluster) fetchNext(c *Core) {
 func (cl *Cluster) step(c *Core) {
 	if c.pending.Kind == OpDone {
 		c.done = true
-		// The program is parked in its final yield; stop finishes the
-		// coroutine so nothing lingers across the thousands of
-		// simulations a parallel sweep runs per process.
-		c.stop()
 		if cl.onCoreDone != nil {
 			cl.onCoreDone()
 		}
@@ -489,13 +459,13 @@ func (cl *Cluster) step(c *Core) {
 	cl.ifetch(c)
 }
 
-// complete resumes the program with the op's result, runs it until it
-// yields its next operation, and schedules that operation's issue one
-// cycle later. Resuming here — rather than when the issue event fires —
-// is what keeps the strict machine/program alternation: the event loop
-// never runs concurrently with program code, so programs may freely touch
-// host-side state (statistics, allocators, golden models) between
-// operations.
+// complete records the op's result, takes the next operation (resuming
+// the program once the queue is empty, until it parks), and schedules
+// that operation's issue one cycle later. Resuming here — rather than when
+// the issue event fires — is what keeps the strict machine/program
+// alternation: the event loop never runs concurrently with program code,
+// so programs may freely touch host-side state (statistics, allocators,
+// golden models) between operations.
 func (cl *Cluster) complete(c *Core, v uint32) {
 	cl.run.ForwardProgress++
 	if c.pending.Kind == opGather {
@@ -581,31 +551,31 @@ func (cl *Cluster) execute(c *Core) {
 	}
 }
 
-// trace records an L2-side protocol event in the run's trace ring. Hot
-// call sites guard on run.Tracing() themselves: a variadic call boxes its
-// arguments at the call site even when tracing is off.
-func (cl *Cluster) trace(format string, args ...any) {
-	if !cl.run.Tracing() {
-		return
+// edge records one L2-side protocol step on line (stats.Run.Step). The
+// check inlines at every call site, so a run with neither coverage nor a
+// trace attached pays one branch.
+func (cl *Cluster) edge(e trace.EdgeID, line addr.Line) {
+	if r := cl.run; r.Coverage != nil || r.Trace != nil {
+		cl.record(e, line)
 	}
-	cl.run.Trace.Add(trace.Record{Cycle: uint64(cl.q.Now()), Site: cl.name, Event: fmt.Sprintf(format, args...)})
+}
+
+// record is edge's out-of-line half; inlined, it would push edge past the
+// compiler's inlining budget.
+//
+//go:noinline
+func (cl *Cluster) record(e trace.EdgeID, line addr.Line) {
+	cl.run.Step(e, uint64(cl.q.Now()), cl.name, line, cl.ID)
 }
 
 // traceTxn records one endpoint of a tracked transaction's lifecycle span
-// (phase 'b' at first transmission, 'e' at settle). The Chrome exporter
-// pairs the endpoints by transaction ID into an async span, so retry storms
-// and NACK convoys are visible as long bars in the trace viewer.
-func (cl *Cluster) traceTxn(phase byte, id uint64, format string, args ...any) {
-	if !cl.run.Tracing() {
-		return
-	}
-	cl.run.Trace.Add(trace.Record{
-		Cycle: uint64(cl.q.Now()),
-		Site:  cl.name,
-		Event: fmt.Sprintf(format, args...),
-		ID:    id,
-		Phase: phase,
-	})
+// (phase 'b' at first transmission, 'e' at settle) in the attached trace
+// ring. The Chrome exporter pairs the endpoints by transaction ID into an
+// async span, so retry storms and NACK convoys are visible as long bars in
+// the trace viewer.
+func (cl *Cluster) traceTxn(phase byte, t *l2txn) {
+	cl.run.Trace.Add(trace.Record{Cycle: uint64(cl.q.Now()), Site: cl.name, Event: t.kind.String(),
+		Line: uint64(t.line.Base()), ID: t.id, Cluster: int32(cl.ID), Phase: phase})
 }
 
 // send counts and transmits a request to the line's home bank.
@@ -674,9 +644,9 @@ func (cl *Cluster) l2Store(c *Core) {
 	if e != nil {
 		if e.Incoherent || e.State == cache.StateModified {
 			if e.Incoherent {
-				cl.run.Edge(trace.EdgeL2StoreHitIncoherent)
+				cl.edge(trace.EdgeL2StoreHitIncoherent, line)
 			} else {
-				cl.run.Edge(trace.EdgeL2StoreHitModified)
+				cl.edge(trace.EdgeL2StoreHitModified, line)
 			}
 			if cl.orc != nil {
 				cl.orc.StoreObserved(cl.ID, a, v, e.Incoherent)
@@ -692,7 +662,7 @@ func (cl *Cluster) l2Store(c *Core) {
 		return
 	}
 	if cl.cfg.Mode == config.SWcc {
-		cl.run.Edge(trace.EdgeL2WriteAllocate)
+		cl.edge(trace.EdgeL2WriteAllocate, line)
 		ne, victim, evicted := cl.l2.Allocate(line)
 		if evicted {
 			cl.evictVictim(victim)
@@ -753,7 +723,7 @@ func (cl *Cluster) joinTxn(line addr.Line, write bool, retry func(), kind msg.Re
 	}
 	if cl.txns.Len() >= cl.cfg.L2MSHRs {
 		// All miss-status registers busy: stall and retry when one drains.
-		cl.run.Edge(trace.EdgeL2MSHRStall)
+		cl.edge(trace.EdgeL2MSHRStall, line)
 		cl.q.After(event.Cycle(cl.cfg.L2Latency), retry)
 		return
 	}
@@ -781,8 +751,8 @@ func (cl *Cluster) sendAttempt(line addr.Line, t *l2txn) {
 	// (gen is monotonic across pool reuse, so it cannot distinguish
 	// incarnations; the retry counters reset per incarnation and every
 	// retransmission path bumps one before resending).
-	if t.id != 0 && t.timeouts == 0 && t.nacks == 0 && cl.run.Tracing() {
-		cl.traceTxn('b', t.id, "%v line=%#x", t.kind, uint64(line))
+	if t.id != 0 && t.timeouts == 0 && t.nacks == 0 && cl.run.Trace != nil {
+		cl.traceTxn('b', t)
 	}
 	cl.send(msg.Req{Kind: t.kind, Line: line, ID: t.id}, t.respFn)
 	cl.armTimeout(line, t, t.gen)
@@ -796,18 +766,14 @@ func (cl *Cluster) handleResp(line addr.Line, t *l2txn, resp msg.Resp) {
 		// check catches the recycled-record case: the pool may have reused
 		// the record for a new transaction on the same line.
 		cl.run.StaleResponses++
-		cl.trace("stale-resp line=%#x grant=%v", uint64(line), resp.Grant)
 		return
 	}
 	if resp.Grant == msg.GrantNack {
 		cl.nackBackoff(line, t)
 		return
 	}
-	if cl.run.Tracing() {
-		cl.trace("install line=%#x grant=%v", uint64(line), resp.Grant)
-		if t.id != 0 {
-			cl.traceTxn('e', t.id, "%v line=%#x grant=%v", t.kind, uint64(line), resp.Grant)
-		}
+	if t.id != 0 && cl.run.Trace != nil {
+		cl.traceTxn('e', t)
 	}
 	if m := cl.run.Metrics; m != nil {
 		m.MsgLatency[t.kind.Class()].Observe(uint64(cl.q.Now() - t.bornAt))
@@ -830,13 +796,12 @@ func (cl *Cluster) nackBackoff(line addr.Line, t *l2txn) {
 			"%v NACKed %d times since cycle %d", t.kind, t.nacks, t.bornAt))
 	}
 	cl.run.NackRetries++
-	cl.run.Edge(trace.EdgeRecNackBackoff)
+	cl.edge(trace.EdgeRecNackBackoff, line)
 	shift := t.nacks - 1
 	if shift > 6 {
 		shift = 6
 	}
 	delay := event.Cycle(nackBackoffBase) << uint(shift)
-	cl.trace("nack line=%#x attempt=%d backoff=%d", uint64(line), t.nacks, delay)
 	gen := t.gen
 	cl.q.After(delay, func() {
 		if cur, _ := cl.txns.Get(line); cur != t || t.gen != gen {
@@ -876,8 +841,7 @@ func (cl *Cluster) armTimeout(line addr.Line, t *l2txn, gen int) {
 				"%v outstanding since cycle %d after %d timeout retransmissions", t.kind, t.bornAt, t.timeouts-1))
 		}
 		cl.run.L2Retries++
-		cl.run.Edge(trace.EdgeRecTimeoutRetry)
-		cl.trace("timeout-retry line=%#x attempt=%d", uint64(line), t.timeouts)
+		cl.edge(trace.EdgeRecTimeoutRetry, line)
 		cl.sendAttempt(line, t)
 	})
 }
@@ -909,7 +873,7 @@ func (cl *Cluster) install(line addr.Line, resp msg.Resp) {
 		if resp.HasData {
 			// Merge fetched words under locally dirty ones (SWcc partial
 			// lines keep their write-allocated words).
-			cl.run.Edge(trace.EdgeL2MergeFill)
+			cl.edge(trace.EdgeL2MergeFill, line)
 			for w := 0; w < addr.WordsPerLine; w++ {
 				if e.ValidMask&(1<<w) == 0 {
 					e.Data[w] = resp.Data[w]
@@ -921,21 +885,21 @@ func (cl *Cluster) install(line addr.Line, resp msg.Resp) {
 	switch resp.Grant {
 	case msg.GrantShared:
 		if fresh {
-			cl.run.Edge(trace.EdgeL2FillShared)
+			cl.edge(trace.EdgeL2FillShared, line)
 		}
 		e.Incoherent = false
 		e.State = cache.StateShared
 	case msg.GrantModified:
 		if fresh {
-			cl.run.Edge(trace.EdgeL2FillModified)
+			cl.edge(trace.EdgeL2FillModified, line)
 		} else if !resp.HasData {
-			cl.run.Edge(trace.EdgeL2UpgradeDataless)
+			cl.edge(trace.EdgeL2UpgradeDataless, line)
 		}
 		e.Incoherent = false
 		e.State = cache.StateModified
 	case msg.GrantIncoherent:
 		if fresh {
-			cl.run.Edge(trace.EdgeL2FillIncoherent)
+			cl.edge(trace.EdgeL2FillIncoherent, line)
 		}
 		e.Incoherent = true
 		e.State = cache.StateInvalid
@@ -991,17 +955,17 @@ func (cl *Cluster) flush(c *Core) {
 	cl.run.WBIssued++
 	e := cl.l2.Peek(line)
 	if e == nil {
-		cl.run.Edge(trace.EdgeL2FlushAbsent)
+		cl.edge(trace.EdgeL2FlushAbsent, line)
 		cl.complete(c, 0)
 		return
 	}
 	cl.run.WBUseful++
 	if e.DirtyMask == 0 {
-		cl.run.Edge(trace.EdgeL2FlushClean)
+		cl.edge(trace.EdgeL2FlushClean, line)
 		cl.complete(c, 0)
 		return
 	}
-	cl.run.Edge(trace.EdgeL2FlushDirty)
+	cl.edge(trace.EdgeL2FlushDirty, line)
 	req := msg.Req{Kind: msg.ReqSWFlush, Line: line, Mask: e.DirtyMask, Data: e.Data}
 	e.DirtyMask = 0
 	if cl.orc != nil {
@@ -1021,12 +985,12 @@ func (cl *Cluster) inv(c *Core) {
 	cl.run.InvIssued++
 	e := cl.l2.Peek(line)
 	if e == nil || e.Pinned {
-		cl.run.Edge(trace.EdgeL2InvAbsent)
+		cl.edge(trace.EdgeL2InvAbsent, line)
 		cl.complete(c, 0)
 		return
 	}
 	cl.run.InvUseful++
-	cl.run.Edge(trace.EdgeL2InvDrop)
+	cl.edge(trace.EdgeL2InvDrop, line)
 	cl.dropLine(e)
 	cl.complete(c, 0)
 }
@@ -1064,19 +1028,19 @@ func (cl *Cluster) surrender(e cache.Entry) {
 	switch {
 	case e.Incoherent:
 		if e.DirtyMask != 0 {
-			cl.run.Edge(trace.EdgeL2EvictDirtyIncoh)
+			cl.edge(trace.EdgeL2EvictDirtyIncoh, e.Line)
 			cl.send(msg.Req{Kind: msg.ReqEvict, Line: e.Line, Mask: e.DirtyMask, Data: e.Data}, nil)
 		} else {
-			cl.run.Edge(trace.EdgeL2EvictSilent)
+			cl.edge(trace.EdgeL2EvictSilent, e.Line)
 		}
 	case e.State == cache.StateModified:
-		cl.run.Edge(trace.EdgeL2EvictDirtyHW)
+		cl.edge(trace.EdgeL2EvictDirtyHW, e.Line)
 		cl.send(msg.Req{Kind: msg.ReqEvict, Line: e.Line, Mask: e.DirtyMask, Data: e.Data}, nil)
 	case e.State == cache.StateShared && cl.cfg.ReadReleases:
-		cl.run.Edge(trace.EdgeL2EvictReadRel)
+		cl.edge(trace.EdgeL2EvictReadRel, e.Line)
 		cl.send(msg.Req{Kind: msg.ReqReadRel, Line: e.Line}, nil)
 	default:
-		cl.run.Edge(trace.EdgeL2EvictSilent)
+		cl.edge(trace.EdgeL2EvictSilent, e.Line)
 	}
 }
 
@@ -1100,14 +1064,11 @@ func (cl *Cluster) HandleProbe(p msg.Probe, reply func(msg.ProbeReply)) {
 		}
 	}
 	e := cl.l2.Peek(p.Line)
-	if cl.run.Tracing() {
-		cl.trace("probe %v line=%#x present=%v", p.Kind, uint64(p.Line), e != nil)
-	}
 	base := msg.ProbeReply{Cluster: cl.ID, Line: p.Line}
 	switch p.Kind {
 	case msg.ProbeInv:
 		if e == nil {
-			cl.run.Edge(trace.EdgeL2ProbeInvAbsent)
+			cl.edge(trace.EdgeL2ProbeInvAbsent, p.Line)
 			base.Kind = msg.ReplyAck
 			reply(base)
 			return
@@ -1123,7 +1084,7 @@ func (cl *Cluster) HandleProbe(p msg.Probe, reply func(msg.ProbeReply)) {
 			base.Mask = e.DirtyMask
 			base.Data = e.Data
 		} else {
-			cl.run.Edge(trace.EdgeL2ProbeInvClean)
+			cl.edge(trace.EdgeL2ProbeInvClean, p.Line)
 			base.Kind = msg.ReplyAck
 		}
 		cl.l2.Invalidate(p.Line)
@@ -1132,12 +1093,12 @@ func (cl *Cluster) HandleProbe(p msg.Probe, reply func(msg.ProbeReply)) {
 
 	case msg.ProbeWB:
 		if e == nil {
-			cl.run.Edge(trace.EdgeL2ProbeWBAbsent)
+			cl.edge(trace.EdgeL2ProbeWBAbsent, p.Line)
 			base.Kind = msg.ReplyAck // eviction in flight; home will merge it
 			reply(base)
 			return
 		}
-		cl.run.Edge(trace.EdgeL2ProbeWBData)
+		cl.edge(trace.EdgeL2ProbeWBData, p.Line)
 		base.Kind = msg.ReplyData
 		base.Mask = e.DirtyMask
 		base.Data = e.Data
@@ -1148,16 +1109,16 @@ func (cl *Cluster) HandleProbe(p msg.Probe, reply func(msg.ProbeReply)) {
 	case msg.ProbeCapture:
 		switch {
 		case e == nil:
-			cl.run.Edge(trace.EdgeL2CaptureAbsent)
+			cl.edge(trace.EdgeL2CaptureAbsent, p.Line)
 			base.Kind = msg.ReplyNotPresent
 		case e.DirtyMask != 0:
 			// Report dirty words; phase two decides writeback vs upgrade.
-			cl.run.Edge(trace.EdgeL2CaptureDirty)
+			cl.edge(trace.EdgeL2CaptureDirty, p.Line)
 			base.Kind = msg.ReplyDirty
 			base.Mask = e.DirtyMask
 		default:
 			// Clean: the line becomes a hardware sharer in place.
-			cl.run.Edge(trace.EdgeL2CaptureClean)
+			cl.edge(trace.EdgeL2CaptureClean, p.Line)
 			e.Incoherent = false
 			e.State = cache.StateShared
 			base.Kind = msg.ReplyClean
@@ -1170,7 +1131,7 @@ func (cl *Cluster) HandleProbe(p msg.Probe, reply func(msg.ProbeReply)) {
 			reply(base)
 			return
 		}
-		cl.run.Edge(trace.EdgeL2CaptureUpgrade)
+		cl.edge(trace.EdgeL2CaptureUpgrade, p.Line)
 		e.Incoherent = false
 		e.State = cache.StateModified
 		base.Kind = msg.ReplyAck

@@ -107,7 +107,8 @@ func newFixture(t *testing.T, mode config.Mode) *fixture {
 // exec runs a program on core 0 to completion.
 func (f *fixture) exec(body func(c *Core)) {
 	f.execOn(0, body)
-	f.q.Run(0)
+	for f.q.Step() {
+	}
 	if f.done == 0 {
 		f.t.Fatal("program did not finish")
 	}
@@ -226,6 +227,26 @@ func TestClusterSWccStoreMissIsSilent(t *testing.T) {
 	}
 }
 
+// TestClusterResumesOncePerPark: every operation goes through the core's
+// queue; the program is resumed at its start and once per park, and not
+// again after it returns, even with operations still queued then.
+func TestClusterResumesOncePerPark(t *testing.T) {
+	f := newFixture(t, config.SWcc)
+	f.home.respond = grantAll(f.mem, func(msg.Req) msg.Grant { return msg.GrantIncoherent })
+	f.exec(func(c *Core) {
+		c.DoAsync(Op{Kind: OpStore, Addr: dataAddr, Value: 1})
+		c.Do(Op{Kind: OpStore, Addr: dataAddr + 4, Value: 2}) // parks
+		c.DoAsync(Op{Kind: OpStore, Addr: dataAddr + 8, Value: 3})
+	})
+	if f.run.Resumes != 2 {
+		t.Fatalf("program resumed %d times, want 2 (start, after the Do)", f.run.Resumes)
+	}
+	e := f.cl.L2().Peek(addr.LineOf(dataAddr))
+	if e == nil || e.Data[0] != 1 || e.Data[1] != 2 || e.Data[2] != 3 {
+		t.Fatalf("entry = %+v, want words 1, 2, 3 stored", e)
+	}
+}
+
 func TestClusterPartialLineFetchMergePreservesDirty(t *testing.T) {
 	f := newFixture(t, config.SWcc)
 	f.mem[dataAddr] = 1000 // stale memory under the locally dirty word
@@ -257,7 +278,8 @@ func TestClusterMissCoalescing(t *testing.T) {
 	f.mem[dataAddr] = 77
 	f.execOn(0, func(c *Core) { got[0] = c.Do(Op{Kind: OpLoad, Addr: dataAddr}) })
 	f.execOn(1, func(c *Core) { got[1] = c.Do(Op{Kind: OpLoad, Addr: dataAddr}) })
-	f.q.Run(0)
+	for f.q.Step() {
+	}
 	if f.done != 2 {
 		t.Fatal("programs did not finish")
 	}
@@ -439,7 +461,8 @@ func TestClusterProbeMatrix(t *testing.T) {
 	}
 	f.done = 0
 	f.execOn(1, func(c *Core) { _ = c.Do(Op{Kind: OpLoad, Addr: swAddr}) })
-	f.q.Run(0)
+	for f.q.Step() {
+	}
 	r = probe(msg.ProbeCapture, addr.LineOf(swAddr))
 	if r.Kind != msg.ReplyClean {
 		t.Fatalf("capture clean = %v", r.Kind)
@@ -454,7 +477,8 @@ func TestClusterProbeMatrix(t *testing.T) {
 	swAddr2 := dataAddr + 0xC000
 	f.done = 0
 	f.execOn(2, func(c *Core) { c.Do(Op{Kind: OpStore, Addr: swAddr2, Value: 8}) })
-	f.q.Run(0)
+	for f.q.Step() {
+	}
 	// Force the line incoherent-dirty (the fake home granted M; rewrite).
 	e2 := f.cl.L2().Peek(addr.LineOf(swAddr2))
 	e2.Incoherent = true
@@ -482,7 +506,8 @@ func TestClusterIFetchSharedCodeLine(t *testing.T) {
 	f.home.respond = grantAll(f.mem, func(msg.Req) msg.Grant { return msg.GrantShared })
 	f.execOn(0, func(c *Core) { c.Do(Op{Kind: OpWork, Cycles: 1}) })
 	f.execOn(1, func(c *Core) { c.Do(Op{Kind: OpWork, Cycles: 1}) })
-	f.q.Run(0)
+	for f.q.Step() {
+	}
 	if n := f.countKind(msg.ReqInstr); n != 1 {
 		t.Fatalf("instruction requests = %d, want 1", n)
 	}
@@ -497,7 +522,8 @@ func TestClusterLargeCodeFootprintMisses(t *testing.T) {
 			c.Do(Op{Kind: OpWork, Cycles: 1})
 		}
 	})
-	f.q.Run(0)
+	for f.q.Step() {
+	}
 	if n := f.countKind(msg.ReqInstr); n < 100 {
 		t.Fatalf("instruction requests = %d, want many (footprint exceeds L1I)", n)
 	}
@@ -565,7 +591,8 @@ func TestClusterMSHRLimitStallsNotDeadlocks(t *testing.T) {
 			got[c] = core.Do(Op{Kind: OpLoad, Addr: dataAddr + addr.Addr(0x1000*c)})
 		})
 	}
-	f.q.Run(0)
+	for f.q.Step() {
+	}
 	if f.done != 4 {
 		t.Fatalf("only %d cores finished", f.done)
 	}

@@ -185,7 +185,7 @@ func (h *Home) allocSvc() *svc {
 			s.h.finish(s, msg.Resp{Grant: s.grant, HasData: true, Data: data})
 		}
 		s.uncLoadFn = func([addr.WordsPerLine]uint32) {
-			s.h.run.Edge(trace.EdgeHomeUncachedAtL3)
+			s.h.edge(trace.EdgeHomeUncachedAtL3, s.req.Line, s.req.Cluster)
 			v := s.h.store.ReadWord(s.req.Addr)
 			if s.h.orc != nil {
 				s.h.orc.UncLoadObserved(s.req.Addr, v)
@@ -209,8 +209,7 @@ func (h *Home) allocSvc() *svc {
 		s.allocDoneFn = func(e *directory.Entry) { s.h.allocDone(s, e) }
 		s.nackFn = func() {
 			s.h.run.NacksSent++
-			s.h.run.Edge(trace.EdgeDirCapacityNack)
-			s.h.trace("nack (capacity) %v line=%#x cluster=%d", s.req.Kind, uint64(s.req.Line), s.req.Cluster)
+			s.h.edge(trace.EdgeDirCapacityNack, s.req.Line, s.req.Cluster)
 			s.h.finish(s, msg.Resp{Grant: msg.GrantNack})
 		}
 		s.grantFreshFn = func() { s.h.grantFresh(s) }
@@ -311,17 +310,16 @@ func (h *Home) allocRecall(line addr.Line, cont func()) *recall {
 		}
 		r.wbRepFn = func(rep msg.ProbeReply) {
 			if rep.Kind == msg.ReplyData {
-				r.h.run.Edge(trace.EdgeHomeRecallWBData)
+				r.h.edge(trace.EdgeHomeRecallWBData, r.line, rep.Cluster)
 				r.h.mergeToL3(r.line, rep.Mask, rep.Data)
 				r.finishFn()
 				return
 			}
 			// Line absent at the owner: the dirty eviction is (or was) in
 			// flight. Link FIFO ordering means it normally arrived already.
-			r.h.run.Edge(trace.EdgeHomeRecallWBAbsent)
+			r.h.edge(trace.EdgeHomeRecallWBAbsent, r.line, rep.Cluster)
 			t, _ := r.h.txns.Get(r.line)
 			if t != nil && !t.wbArrived {
-				r.h.trace("recall line=%#x waiting for writeback", uint64(r.line))
 				t.onWB = r.finishFn
 				return
 			}
@@ -400,8 +398,7 @@ func (h *Home) markServiced(id uint64) {
 // its grant already or will discard the extra response as stale.
 func (h *Home) dropDup(req msg.Req) {
 	h.run.DupsDropped++
-	h.run.Edge(trace.EdgeRecHomeDupDrop)
-	h.trace("dup-drop %v line=%#x cluster=%d id=%#x", req.Kind, uint64(req.Line), req.Cluster, req.ID)
+	h.edge(trace.EdgeRecHomeDupDrop, req.Line, req.Cluster)
 }
 
 // Directory exposes the bank's directory for occupancy sampling and
@@ -485,12 +482,21 @@ func (h *Home) stage(fn func()) {
 	h.q.At(start+event.Cycle(h.cfg.L3Latency), fn)
 }
 
-// trace records a home-side protocol event in the run's trace ring.
-func (h *Home) trace(format string, args ...any) {
-	if !h.run.Tracing() {
-		return
+// edge records one home-side protocol step on line for cluster (-1 for
+// none; stats.Run.Step). The check inlines at every call site, so a run
+// with neither coverage nor a trace attached pays one branch.
+func (h *Home) edge(e trace.EdgeID, line addr.Line, cluster int) {
+	if r := h.run; r.Coverage != nil || r.Trace != nil {
+		h.record(e, line, cluster)
 	}
-	h.run.Trace.Add(trace.Record{Cycle: uint64(h.q.Now()), Site: h.name, Event: fmt.Sprintf(format, args...)})
+}
+
+// record is edge's out-of-line half; inlined, it would push edge past the
+// compiler's inlining budget.
+//
+//go:noinline
+func (h *Home) record(e trace.EdgeID, line addr.Line, cluster int) {
+	h.run.Step(e, uint64(h.q.Now()), h.name, line, cluster)
 }
 
 func (h *Home) process(s *svc) {
@@ -546,9 +552,6 @@ func (h *Home) start(s *svc) {
 			"transaction collision servicing %v from cluster %d", req.Kind, req.Cluster))
 	}
 	h.txns.Put(line, h.allocTxn())
-	if h.run.Tracing() {
-		h.trace("start %v line=%#x cluster=%d", req.Kind, uint64(line), req.Cluster)
-	}
 	switch req.Kind {
 	case msg.ReqRead, msg.ReqWrite, msg.ReqInstr:
 		h.dispatch(s)
@@ -567,9 +570,6 @@ func (h *Home) start(s *svc) {
 func (h *Home) finish(s *svc, resp msg.Resp) {
 	req, reply := s.req, s.reply
 	resp.ID = req.ID // echo so the requester can discard late aliases
-	if h.run.Tracing() {
-		h.trace("done %v line=%#x cluster=%d grant=%v", req.Kind, uint64(req.Line), req.Cluster, resp.Grant)
-	}
 	if h.orc != nil {
 		// Value/domain/ownership checks happen at grant time, the same
 		// event that read the store, so the comparison cannot race
@@ -655,7 +655,7 @@ func (h *Home) handleEvict(req msg.Req) {
 	h.mergeToL3(req.Line, req.Mask, req.Data)
 	if t, _ := h.txns.Get(req.Line); t != nil {
 		// An in-flight transaction may be waiting for exactly this data.
-		h.run.Edge(trace.EdgeHomeEvictDuringTxn)
+		h.edge(trace.EdgeHomeEvictDuringTxn, req.Line, req.Cluster)
 		t.wbArrived = true
 		if t.onWB != nil {
 			cont := t.onWB
@@ -664,7 +664,7 @@ func (h *Home) handleEvict(req msg.Req) {
 		}
 		return
 	}
-	h.run.Edge(trace.EdgeHomeEvictMerge)
+	h.edge(trace.EdgeHomeEvictMerge, req.Line, req.Cluster)
 	if h.dir != nil {
 		if e := h.dir.Lookup(req.Line); e != nil && e.State == directory.Modified && e.Owner == req.Cluster {
 			h.dir.Remove(req.Line)
@@ -688,17 +688,17 @@ func (h *Home) handleReadRel(req msg.Req) {
 	}
 	if e.Sharers.Empty() && !e.Pinned && !e.Broadcast {
 		h.dir.Remove(req.Line)
-		h.run.Edge(trace.EdgeHomeReadRelDealloc)
+		h.edge(trace.EdgeHomeReadRelDealloc, req.Line, req.Cluster)
 		return
 	}
-	h.run.Edge(trace.EdgeHomeReadRelSharer)
+	h.edge(trace.EdgeHomeReadRelSharer, req.Line, req.Cluster)
 }
 
 // addSharer records a sharer on a directory entry, marking the Dir4B
 // pointer-overflow edge when the broadcast bit is newly set.
 func (h *Home) addSharer(e *directory.Entry, cluster int) {
 	if directory.AddSharer(h.dir, e, cluster) {
-		h.run.Edge(trace.EdgeDirOverflowBcast)
+		h.edge(trace.EdgeDirOverflowBcast, e.Line, cluster)
 	}
 }
 
@@ -719,7 +719,7 @@ func (h *Home) dispatch(s *svc) {
 // coherence domain is known (domainOf may have gone to the region table).
 func (h *Home) domainDecided(s *svc, sw bool) {
 	if sw {
-		h.run.Edge(trace.EdgeCohGrantIncoherent)
+		h.edge(trace.EdgeCohGrantIncoherent, s.req.Line, s.req.Cluster)
 		s.grant = msg.GrantIncoherent
 		h.dataAccess(s, s.grantDataFn)
 		return
@@ -733,8 +733,7 @@ func (h *Home) grantFresh(s *svc) {
 	req := s.req
 	if h.faults != nil && req.ID != 0 && h.faults.NackAlloc() {
 		h.run.NacksSent++
-		h.run.Edge(trace.EdgeRecNackInjected)
-		h.trace("nack (injected) %v line=%#x cluster=%d", req.Kind, uint64(req.Line), req.Cluster)
+		h.edge(trace.EdgeRecNackInjected, req.Line, req.Cluster)
 		h.finish(s, msg.Resp{Grant: msg.GrantNack})
 		return
 	}
@@ -752,11 +751,11 @@ func (h *Home) allocDone(s *svc, e *directory.Entry) {
 		e.State = directory.Modified
 		e.Owner = req.Cluster
 		s.grant = msg.GrantModified
-		h.run.Edge(trace.EdgeHomeWriteMissAllocM)
+		h.edge(trace.EdgeHomeWriteMissAllocM, req.Line, req.Cluster)
 	} else {
 		e.State = directory.Shared
 		s.grant = msg.GrantShared
-		h.run.Edge(trace.EdgeHomeReadMissAllocS)
+		h.edge(trace.EdgeHomeReadMissAllocS, req.Line, req.Cluster)
 	}
 	h.addSharer(e, req.Cluster)
 	h.dataAccess(s, s.grantDataFn)
@@ -768,7 +767,7 @@ func (h *Home) dispatchHWHit(s *svc, e *directory.Entry) {
 	switch req.Kind {
 	case msg.ReqRead, msg.ReqInstr:
 		if e.State == directory.Shared {
-			h.run.Edge(trace.EdgeHomeReadHitShared)
+			h.edge(trace.EdgeHomeReadHitShared, req.Line, req.Cluster)
 			h.addSharer(e, req.Cluster)
 			s.grant = msg.GrantShared
 			h.dataAccess(s, s.grantDataFn)
@@ -778,7 +777,7 @@ func (h *Home) dispatchHWHit(s *svc, e *directory.Entry) {
 		// fresh. (The owner is invalidated rather than downgraded; with the
 		// L3 as the communication point this costs one re-fetch if the old
 		// owner reads again — the paper's rationale for omitting E/O.)
-		h.run.Edge(trace.EdgeHomeReadRecallsM)
+		h.edge(trace.EdgeHomeReadRecallsM, req.Line, req.Cluster)
 		h.recallEntry(req.Line, e, s.grantFreshFn)
 
 	case msg.ReqWrite:
@@ -787,13 +786,12 @@ func (h *Home) dispatchHWHit(s *svc, e *directory.Entry) {
 				// The requester already owns the line: a duplicate or
 				// retransmission that slipped past dedup. Re-grant in place —
 				// recalling would probe the requester for its own writeback.
-				h.trace("re-grant M line=%#x cluster=%d", uint64(req.Line), req.Cluster)
 				s.grant = msg.GrantModified
 				h.dataAccess(s, s.grantDataFn)
 				return
 			}
 			// Owned dirty by another cluster.
-			h.run.Edge(trace.EdgeHomeWriteRecallsM)
+			h.edge(trace.EdgeHomeWriteRecallsM, req.Line, req.Cluster)
 			h.recallEntry(req.Line, e, s.grantFreshFn)
 			return
 		}
@@ -805,7 +803,7 @@ func (h *Home) dispatchHWHit(s *svc, e *directory.Entry) {
 			h.upgradeFinish(s)
 			return
 		}
-		h.run.Edge(trace.EdgeHomeUpgradeInv)
+		h.edge(trace.EdgeHomeUpgradeInv, req.Line, req.Cluster)
 		s.pending = len(targets)
 		for _, c := range targets {
 			h.sendProbe(c, msg.Probe{Kind: msg.ProbeInv, Line: req.Line}, s.upgradeRepFn)
@@ -829,11 +827,11 @@ func (h *Home) upgradeFinish(s *svc) {
 	e.Sharers = directory.Sharers{}
 	h.addSharer(e, req.Cluster)
 	if s.wasSharer {
-		h.run.Edge(trace.EdgeHomeUpgradeDataless)
+		h.edge(trace.EdgeHomeUpgradeDataless, req.Line, req.Cluster)
 		h.finish(s, msg.Resp{Grant: msg.GrantModified})
 		return
 	}
-	h.run.Edge(trace.EdgeHomeUpgradeData)
+	h.edge(trace.EdgeHomeUpgradeData, req.Line, req.Cluster)
 	s.grant = msg.GrantModified
 	h.dataAccess(s, s.grantDataFn)
 }
@@ -849,11 +847,12 @@ func (h *Home) atomicFlow(s *svc) {
 	if h.dir != nil {
 		if e := h.dir.Lookup(req.Line); e != nil {
 			e.Pinned = true
-			h.run.Edge(trace.EdgeHomeAtomicRecall)
+			h.edge(trace.EdgeHomeAtomicRecall, req.Line, req.Cluster)
 			h.recallEntry(req.Line, e, s.atomicRetryFn)
 			return
 		}
 	}
+	h.edge(trace.EdgeHomeUncachedAtL3, req.Line, req.Cluster)
 	old := h.store.ReadWord(req.Addr)
 	var next uint32
 	if req.Kind == msg.ReqUncStore {
@@ -883,9 +882,6 @@ func (h *Home) atomicFlow(s *svc) {
 // current in the L3/store and absent from every L2 — exactly the paper's
 // Figure 7(a) right-hand states.
 func (h *Home) recallEntry(line addr.Line, e *directory.Entry, cont func()) {
-	if h.run.Tracing() {
-		h.trace("recall line=%#x state=%v owner=%d", uint64(line), e.State, e.Owner)
-	}
 	e.Pinned = true
 	if e.State == directory.Modified {
 		r := h.allocRecall(line, cont)
@@ -898,7 +894,7 @@ func (h *Home) recallEntry(line addr.Line, e *directory.Entry, cont func()) {
 		cont()
 		return
 	}
-	h.run.Edge(trace.EdgeHomeRecallInv)
+	h.edge(trace.EdgeHomeRecallInv, line, -1)
 	r := h.allocRecall(line, cont)
 	r.pending = len(targets)
 	for _, c := range targets {
@@ -935,7 +931,7 @@ func (h *Home) allocEntry(line addr.Line, nack func(), cont func(*directory.Entr
 			return
 		}
 		// Retry once one drains.
-		h.run.Edge(trace.EdgeDirAllocRetryPinned)
+		h.edge(trace.EdgeDirAllocRetryPinned, line, -1)
 		h.q.After(retryDelay, func() { h.allocEntry(line, nack, cont) })
 		return
 	}
@@ -947,7 +943,7 @@ func (h *Home) allocEntry(line addr.Line, nack func(), cont func(*directory.Entr
 		return
 	}
 	h.run.DirEvictions++
-	h.run.Edge(trace.EdgeDirCapacityEvict)
+	h.edge(trace.EdgeDirCapacityEvict, victimLine, -1)
 	h.txns.Put(victimLine, h.allocTxn())
 	h.recallEntry(victimLine, v, func() {
 		h.completeTxn(victimLine)
@@ -964,7 +960,7 @@ func (h *Home) probeTargets(e *directory.Entry, skip int) []int {
 	out := h.targets[:0]
 	if e.Broadcast {
 		h.run.DirBroadcasts++
-		h.run.Edge(trace.EdgeDirBroadcastProbe)
+		h.edge(trace.EdgeDirBroadcastProbe, e.Line, -1)
 		for c := 0; c < h.cfg.Clusters; c++ {
 			if c != skip {
 				out = append(out, c)
@@ -993,9 +989,6 @@ func (h *Home) probeTargets(e *directory.Entry, skip int) []int {
 // the port pipeline — and a recall would then grant pre-writeback data.
 func (h *Home) sendProbe(cluster int, p msg.Probe, onReply func(msg.ProbeReply)) {
 	h.run.ProbesSent++
-	if h.run.Tracing() {
-		h.trace("%v line=%#x -> cl%d", p.Kind, uint64(p.Line), cluster)
-	}
 	pr := h.allocProbeRet()
 	pr.onReply = onReply
 	h.probe(cluster, p, pr.recvFn)

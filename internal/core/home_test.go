@@ -115,11 +115,17 @@ func (h *harness) sendNoReply(req msg.Req) {
 	h.home.HandleReq(req, nil)
 }
 
-func (h *harness) runAll() { h.q.Run(0) }
+func (h *harness) runAll() {
+	for h.q.Step() {
+	}
+}
 
 // runFor advances bounded simulated time; used when a retry loop keeps the
 // queue non-empty until the test intervenes.
-func (h *harness) runFor(cycles event.Cycle) { h.q.RunUntil(h.q.Now() + cycles) }
+func (h *harness) runFor(cycles event.Cycle) {
+	for end := h.q.Now() + cycles; h.q.Now() < end && h.q.Step(); {
+	}
+}
 
 func (h *harness) dir() directory.Directory { return h.home.Directory() }
 

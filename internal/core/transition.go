@@ -27,7 +27,7 @@ func (h *Home) domainOf(s *svc) {
 	}
 	base := s.req.Line.Base()
 	if h.coarse != nil && h.coarse.Contains(base) {
-		h.run.Edge(trace.EdgeCohDomainCoarse)
+		h.edge(trace.EdgeCohDomainCoarse, s.req.Line, s.req.Cluster)
 		h.domainDecided(s, true)
 		return
 	}
@@ -46,9 +46,9 @@ func (h *Home) tableRead(s *svc) {
 	word := h.store.ReadWord(s.tableWord)
 	sw := word&(1<<region.TblBitIndex(base)) != 0
 	if sw {
-		h.run.Edge(trace.EdgeCohDomainFineSW)
+		h.edge(trace.EdgeCohDomainFineSW, s.req.Line, s.req.Cluster)
 	} else {
-		h.run.Edge(trace.EdgeCohDomainFineHW)
+		h.edge(trace.EdgeCohDomainFineHW, s.req.Line, s.req.Cluster)
 	}
 	h.domainDecided(s, sw)
 }
@@ -101,7 +101,7 @@ func (h *Home) transitionChanged(wordAddr addr.Addr, changed, newWord uint32, co
 // retrying while a regular request holds it.
 func (h *Home) acquireLine(line addr.Line, body func()) {
 	if _, busy := h.txns.Get(line); busy {
-		h.run.Edge(trace.EdgeCohWaitsTxn)
+		h.edge(trace.EdgeCohWaitsTxn, line, -1)
 		h.q.After(retryDelay, func() { h.acquireLine(line, body) })
 		return
 	}
@@ -116,7 +116,6 @@ func (h *Home) acquireLine(line addr.Line, body func()) {
 // beyond the already-written table bit.
 func (h *Home) transitionToSW(line addr.Line, cont func(raced bool)) {
 	h.run.TransitionsToSW++
-	h.trace("transition toSW line=%#x", uint64(line))
 	h.acquireLine(line, func() {
 		finish := func() {
 			if h.orc != nil {
@@ -127,14 +126,14 @@ func (h *Home) transitionToSW(line addr.Line, cont func(raced bool)) {
 		}
 		e := h.dir.Lookup(line)
 		if e == nil {
-			h.run.Edge(trace.EdgeCohToSWNoEntry)
+			h.edge(trace.EdgeCohToSWNoEntry, line, -1)
 			finish()
 			return
 		}
 		if e.State == directory.Modified {
-			h.run.Edge(trace.EdgeCohToSWRecallM)
+			h.edge(trace.EdgeCohToSWRecallM, line, -1)
 		} else {
-			h.run.Edge(trace.EdgeCohToSWInvShared)
+			h.edge(trace.EdgeCohToSWInvShared, line, -1)
 		}
 		e.Pinned = true
 		h.recallEntry(line, e, finish)
@@ -151,7 +150,6 @@ func (h *Home) transitionToSW(line addr.Line, cont func(raced bool)) {
 // counted and merged in cluster order.
 func (h *Home) transitionToHW(line addr.Line, cont func(raced bool)) {
 	h.run.TransitionsToHW++
-	h.trace("transition toHW line=%#x (capture broadcast)", uint64(line))
 	h.acquireLine(line, func() {
 		broadcast := func() {
 			replies := make([]msg.ProbeReply, 0, h.cfg.Clusters)
@@ -172,7 +170,7 @@ func (h *Home) transitionToHW(line addr.Line, cont func(raced bool)) {
 		// line. Tear that state down first: recalled copies land in the L3,
 		// and only pre-flip incoherent copies remain for the capture to see.
 		if e := h.dir.Lookup(line); e != nil {
-			h.run.Edge(trace.EdgeCohToHWRecallFirst)
+			h.edge(trace.EdgeCohToHWRecallFirst, line, -1)
 			e.Pinned = true
 			h.recallEntry(line, e, broadcast)
 			return
@@ -206,13 +204,13 @@ func (h *Home) captureDecide(line addr.Line, replies []msg.ProbeReply, cont func
 	case len(dirty) == 0 && len(clean) == 0:
 		// Cached nowhere (Figure 7b Case 1b): no entry needed until the
 		// next request allocates one.
-		h.run.Edge(trace.EdgeCohToHWUncached)
+		h.edge(trace.EdgeCohToHWUncached, line, -1)
 		finish()
 
 	case len(dirty) == 0:
 		// Clean copies only (Case 2b): they already cleared their
 		// incoherent bits; record them as hardware sharers.
-		h.run.Edge(trace.EdgeCohToHWClean)
+		h.edge(trace.EdgeCohToHWClean, line, -1)
 		h.allocEntry(line, nil, func(e *directory.Entry) {
 			e.State = directory.Shared
 			for _, rep := range clean {
@@ -223,8 +221,8 @@ func (h *Home) captureDecide(line addr.Line, replies []msg.ProbeReply, cont func
 
 	case len(dirty) == 1 && len(clean) == 0:
 		// Single dirty writer (Case 4b): upgrade in place, no writeback.
-		h.run.Edge(trace.EdgeCohToHWUpgrade)
 		owner := dirty[0].Cluster
+		h.edge(trace.EdgeCohToHWUpgrade, line, owner)
 		h.allocEntry(line, nil, func(e *directory.Entry) {
 			e.State = directory.Modified
 			e.Owner = owner
@@ -244,13 +242,13 @@ func (h *Home) captureDecide(line addr.Line, replies []msg.ProbeReply, cont func
 		// Mixed sharers or multiple writers (Cases 3b/5b): write back every
 		// dirty copy, invalidate every clean copy; the per-word masks let
 		// the L3 merge disjoint write sets. Overlap is the Case 5b race.
-		h.run.Edge(trace.EdgeCohToHWMerge)
+		h.edge(trace.EdgeCohToHWMerge, line, -1)
 		var seen uint8
 		for _, rep := range dirty {
 			if seen&rep.Mask != 0 {
 				h.run.OverlapRaces++
 				raced = true
-				h.run.Edge(trace.EdgeCohToHWOverlap)
+				h.edge(trace.EdgeCohToHWOverlap, line, rep.Cluster)
 			}
 			seen |= rep.Mask
 		}

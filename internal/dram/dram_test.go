@@ -153,7 +153,8 @@ func TestControllerLatencyAndBandwidth(t *testing.T) {
 	}
 	// One access on channel 1: independent (its own row miss).
 	c.Access(4, line, true, func() { done = append(done, q.Now()) })
-	q.Run(0)
+	for q.Step() {
+	}
 
 	// Channel 0: starts at 0,4,8 -> completions 100, 54, 58. Channel 1:
 	// start 0 -> 100. Events fire in time order: 54, 58, 100, 100.
@@ -182,13 +183,15 @@ func TestRowBufferLocality(t *testing.T) {
 	for _, l := range sameRow {
 		c.Access(0, l, false, func() {})
 	}
-	q.Run(0)
+	for q.Step() {
+	}
 	if c.RowMisses != 1 || c.RowHits != 3 {
 		t.Fatalf("same-row: hits/misses = %d/%d, want 3/1", c.RowHits, c.RowMisses)
 	}
 	c.Access(0, otherRow, false, func() {})
 	c.Access(0, sameRow[0], false, func() {})
-	q.Run(0)
+	for q.Step() {
+	}
 	// Both are row misses: the second because otherRow closed row 0 in the
 	// same bank.
 	if c.RowMisses != 3 {
@@ -205,7 +208,8 @@ func TestDifferentBanksKeepRowsOpen(t *testing.T) {
 	c.Access(0, bank1, false, func() {})
 	c.Access(0, bank0, false, func() {}) // bank 0's row still open
 	c.Access(0, bank1, false, func() {})
-	q.Run(0)
+	for q.Step() {
+	}
 	if c.RowHits != 2 || c.RowMisses != 2 {
 		t.Fatalf("hits/misses = %d/%d, want 2/2", c.RowHits, c.RowMisses)
 	}
@@ -222,7 +226,8 @@ func TestQueueDelay(t *testing.T) {
 	if c.QueueDelay(0) != 8 {
 		t.Fatalf("QueueDelay = %d, want 8", c.QueueDelay(0))
 	}
-	q.Run(0)
+	for q.Step() {
+	}
 }
 
 func TestBadGeometryPanics(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // refQueue is the engine's original implementation — container/heap over
 // interface-boxed items — kept here as the semantic reference. The
 // production queue must fire the exact same (cycle, order) sequence for any
-// interleaving of At, After, Step, Run, and RunUntil.
+// interleaving of At, After, and Step.
 type refQueue struct {
 	h    refHeap
 	now  Cycle
@@ -69,29 +69,10 @@ func (q *refQueue) Step() bool {
 	return true
 }
 
-func (q *refQueue) Run(limit uint64) (executed uint64, drained bool) {
-	for {
-		if limit != 0 && executed >= limit {
-			return executed, false
-		}
-		if !q.Step() {
-			return executed, true
-		}
-		executed++
-	}
-}
-
-func (q *refQueue) RunUntil(deadline Cycle) bool {
-	for len(q.h) > 0 && q.h[0].at <= deadline {
-		q.Step()
-	}
-	return len(q.h) == 0
-}
-
 // TestConformanceWithReferenceHeap drives the production queue and the old
 // container/heap reference through identical random interleavings of At,
-// After, Run, and RunUntil — including events that schedule more events —
-// and asserts the fired sequences, Now(), Fired(), and drain reports agree
+// After, and Step — including events that schedule more events — and
+// asserts the fired sequences, Now(), Fired(), and drain reports agree
 // step for step. This pins the 4-ary heap to the original's semantics.
 func TestConformanceWithReferenceHeap(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -121,7 +102,7 @@ func TestConformanceWithReferenceHeap(t *testing.T) {
 		}
 
 		for step := 0; step < 200; step++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(3) {
 			case 0: // absolute schedule
 				at := q.Now() + Cycle(rng.Intn(20))
 				q.At(at, spawnQ(0))
@@ -130,19 +111,7 @@ func TestConformanceWithReferenceHeap(t *testing.T) {
 				d := Cycle(rng.Intn(10))
 				q.After(d, spawnQ(1))
 				r.After(d, spawnR(1))
-			case 2: // bounded run
-				limit := uint64(rng.Intn(8))
-				eq, dq := q.Run(limit)
-				er, dr := r.Run(limit)
-				if eq != er || dq != dr {
-					t.Fatalf("seed %d: Run(%d) = (%d,%v) vs ref (%d,%v)", seed, limit, eq, dq, er, dr)
-				}
-			case 3: // run to a deadline
-				dl := q.Now() + Cycle(rng.Intn(15))
-				if dq, dr := q.RunUntil(dl), r.RunUntil(dl); dq != dr {
-					t.Fatalf("seed %d: RunUntil(%d) = %v vs ref %v", seed, dl, dq, dr)
-				}
-			case 4: // single step
+			case 2: // single step
 				if sq, sr := q.Step(), r.Step(); sq != sr {
 					t.Fatalf("seed %d: Step = %v vs ref %v", seed, sq, sr)
 				}
@@ -152,8 +121,10 @@ func TestConformanceWithReferenceHeap(t *testing.T) {
 					seed, step, q.Now(), q.Fired(), q.Pending(), r.Now(), r.Fired(), len(r.h))
 			}
 		}
-		q.Run(0)
-		r.Run(0)
+		for q.Step() {
+		}
+		for r.Step() {
+		}
 		if len(gotQ) != len(gotR) {
 			t.Fatalf("seed %d: fired %d events vs ref %d", seed, len(gotQ), len(gotR))
 		}
@@ -183,13 +154,15 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			q.After(Cycle(d), nop)
 		}
 	}
-	q.Run(0)
+	for q.Step() {
+	}
 
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 1024; i++ {
 			q.After(Cycle(i%64), nop)
 		}
-		q.Run(0)
+		for q.Step() {
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+fire allocated %.1f times per 1024-event batch, want 0", allocs)
@@ -212,7 +185,8 @@ func TestFreshQueueAllocatesWhatItHolds(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sink.At(Cycle(i%100), nop)
 	}
-	sink.Run(0)
+	for sink.Step() {
+	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("a fresh queue firing 1,000 events over 100 cycles allocated %d bytes", got)
@@ -237,7 +211,8 @@ func BenchmarkScheduleFire1M(b *testing.B) {
 	for i := 0; i < batch; i++ { // pre-grow outside the timed region
 		q.After(Cycle(i%64), nop)
 	}
-	q.Run(0)
+	for q.Step() {
+	}
 	for i := 0; i < batch; i++ { // refill: the timed loop runs 1024 deep
 		q.After(Cycle(i%64), nop)
 	}

@@ -326,26 +326,6 @@ func (q *Queue) next() (fn Func, ok bool) {
 	return fn, false
 }
 
-// peekAt reports the cycle of the earliest pending event. It retires an
-// exhausted current run as a side effect (pure bookkeeping; no event
-// fires and now does not move).
-func (q *Queue) peekAt() (Cycle, bool) {
-	if q.cur != 0 {
-		r := &q.runs[q.cur]
-		if r.next < len(r.fns) {
-			return r.at, true
-		}
-		q.release()
-	}
-	if i := q.scan(q.now); i >= 0 {
-		return q.runs[q.slots[i]].at, true
-	}
-	if q.far.len() > 0 {
-		return q.far.s[0].at, true
-	}
-	return 0, false
-}
-
 // Step executes the single earliest pending event and reports whether one
 // existed.
 func (q *Queue) Step() bool {
@@ -356,39 +336,4 @@ func (q *Queue) Step() bool {
 	q.fire++
 	fn()
 	return true
-}
-
-// Run executes events until the queue drains or the limit on executed
-// events is reached. A limit of 0 means no limit. It returns the number of
-// events executed by this call and whether the queue drained.
-func (q *Queue) Run(limit uint64) (executed uint64, drained bool) {
-	for {
-		if limit != 0 && executed >= limit {
-			return executed, false
-		}
-		fn, ok := q.next()
-		if !ok {
-			return executed, true
-		}
-		q.fire++
-		fn()
-		executed++
-	}
-}
-
-// RunUntil executes events with Now <= deadline. Events scheduled beyond
-// the deadline remain pending. It reports whether the queue drained.
-func (q *Queue) RunUntil(deadline Cycle) (drained bool) {
-	for {
-		at, ok := q.peekAt()
-		if !ok {
-			return true
-		}
-		if at > deadline {
-			return false
-		}
-		fn, _ := q.next()
-		q.fire++
-		fn()
-	}
 }

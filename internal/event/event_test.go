@@ -23,7 +23,8 @@ func TestOrderingByCycle(t *testing.T) {
 	q.At(30, func() { got = append(got, 30) })
 	q.At(10, func() { got = append(got, 10) })
 	q.At(20, func() { got = append(got, 20) })
-	q.Run(0)
+	for q.Step() {
+	}
 	want := []int{10, 20, 30}
 	for i := range want {
 		if got[i] != want[i] {
@@ -42,7 +43,8 @@ func TestFIFOWithinSameCycle(t *testing.T) {
 		i := i
 		q.At(5, func() { got = append(got, i) })
 	}
-	q.Run(0)
+	for q.Step() {
+	}
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-cycle events reordered at %d: %v", i, got[:i+1])
@@ -56,7 +58,8 @@ func TestAfterRelativeToNow(t *testing.T) {
 	q.At(10, func() {
 		q.After(7, func() { fired = q.Now() })
 	})
-	q.Run(0)
+	for q.Step() {
+	}
 	if fired != 17 {
 		t.Fatalf("After fired at %d, want 17", fired)
 	}
@@ -72,42 +75,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		q.At(5, func() {})
 	})
-	q.Run(0)
-}
-
-func TestRunLimit(t *testing.T) {
-	var q Queue
-	n := 0
-	for i := 0; i < 10; i++ {
-		q.At(Cycle(i), func() { n++ })
-	}
-	exec, drained := q.Run(4)
-	if exec != 4 || drained || n != 4 {
-		t.Fatalf("Run(4) = (%d,%v), n=%d", exec, drained, n)
-	}
-	exec, drained = q.Run(0)
-	if exec != 6 || !drained || n != 10 {
-		t.Fatalf("Run(0) = (%d,%v), n=%d", exec, drained, n)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var q Queue
-	n := 0
-	for _, c := range []Cycle{1, 5, 9, 15, 20} {
-		q.At(c, func() { n++ })
-	}
-	if q.RunUntil(9) {
-		t.Fatal("RunUntil(9) claimed drained")
-	}
-	if n != 3 {
-		t.Fatalf("n = %d after RunUntil(9), want 3", n)
-	}
-	if !q.RunUntil(100) {
-		t.Fatal("RunUntil(100) did not drain")
-	}
-	if n != 5 {
-		t.Fatalf("n = %d, want 5", n)
+	for q.Step() {
 	}
 }
 
@@ -124,7 +92,8 @@ func TestCascadingEvents(t *testing.T) {
 		}
 	}
 	q.At(0, step)
-	q.Run(0)
+	for q.Step() {
+	}
 	if depth != 1000 {
 		t.Fatalf("chain depth = %d, want 1000", depth)
 	}
@@ -148,7 +117,8 @@ func TestQuickSortedExecution(t *testing.T) {
 			i := i
 			q.At(at, func() { got = append(got, tag{at, i}) })
 		}
-		q.Run(0)
+		for q.Step() {
+		}
 		want := make([]tag, len(got))
 		copy(want, got)
 		sort.SliceStable(want, func(a, b int) bool {
@@ -186,7 +156,8 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			q.At(Cycle(rng.Intn(10)), spawn)
 		}
-		q.Run(0)
+		for q.Step() {
+		}
 		return trace
 	}
 	a, b := run(42), run(42)

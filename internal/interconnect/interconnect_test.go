@@ -14,7 +14,8 @@ func TestUnloadedLatency(t *testing.T) {
 	}
 	var arrived event.Cycle
 	n.ToBank(0, 0, 8, func() { arrived = q.Now() })
-	q.Run(0)
+	for q.Step() {
+	}
 	// Ctrl message: leaf departs 0, +6 tree latency, trunk departs 6, bank
 	// port departs 6, +4 crossbar latency = 10.
 	if arrived != 10 {
@@ -29,7 +30,8 @@ func TestRoundTrip(t *testing.T) {
 	n.ToBank(1, 1, 8, func() {
 		n.ToCluster(1, 1, 40, func() { done = q.Now() })
 	})
-	q.Run(0)
+	for q.Step() {
+	}
 	if done != 20 {
 		t.Fatalf("round trip at %d, want 20", done)
 	}
@@ -45,7 +47,8 @@ func TestLinkContentionSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		n.ToBank(0, 0, 40, func() { arrivals = append(arrivals, q.Now()) }) // 5-cycle occupancy
 	}
-	q.Run(0)
+	for q.Step() {
+	}
 	if len(arrivals) != 3 {
 		t.Fatalf("arrivals = %v", arrivals)
 	}
@@ -67,7 +70,8 @@ func TestSameTreeClustersContendOnTrunk(t *testing.T) {
 	var a, b event.Cycle
 	n.ToBank(0, 0, 8, func() { a = q.Now() })
 	n.ToBank(1, 1, 8, func() { b = q.Now() })
-	q.Run(0)
+	for q.Step() {
+	}
 	// First: leaf departs 0, trunk departs 3, bank port departs 3, +3 = 6.
 	// Second: trunk busy until 4 -> departs 4, arrives 7.
 	if a != 6 || b != 7 {
@@ -82,7 +86,8 @@ func TestDifferentTreesFullyParallel(t *testing.T) {
 	var a, b event.Cycle
 	n.ToBank(0, 0, 8, func() { a = q.Now() })
 	n.ToBank(16, 1, 8, func() { b = q.Now() })
-	q.Run(0)
+	for q.Step() {
+	}
 	if a != 6 || b != 6 {
 		t.Fatalf("arrivals a=%d b=%d, want both 6", a, b)
 	}
@@ -97,7 +102,8 @@ func TestPointToPointOrdering(t *testing.T) {
 	n.ToBank(0, 0, 40, func() { order = append(order, 0) })
 	n.ToBank(0, 0, 8, func() { order = append(order, 1) })
 	n.ToBank(0, 0, 40, func() { order = append(order, 2) })
-	q.Run(0)
+	for q.Step() {
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("delivery order %v", order)
@@ -111,7 +117,8 @@ func TestZeroByteMessageStillOccupies(t *testing.T) {
 	var arr []event.Cycle
 	n.ToBank(0, 0, 0, func() { arr = append(arr, q.Now()) })
 	n.ToBank(0, 0, 0, func() { arr = append(arr, q.Now()) })
-	q.Run(0)
+	for q.Step() {
+	}
 	if arr[0] != 0 || arr[1] != 1 {
 		t.Fatalf("arrivals %v, want [0 1]", arr)
 	}
@@ -126,7 +133,8 @@ func TestJitterPreservesPointToPointOrdering(t *testing.T) {
 		i := i
 		n.ToBank(0, 0, 8+(i%2)*32, func() { order = append(order, i) })
 	}
-	q.Run(0)
+	for q.Step() {
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("jitter reordered same-path messages: %v", order[:i+1])
@@ -143,7 +151,8 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			n.ToBank(i%2, i%2, 40, func() { last = q.Now() })
 		}
-		q.Run(0)
+		for q.Step() {
+		}
 		return last
 	}
 	if run(7) != run(7) {
@@ -158,7 +167,8 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 	n.SetJitter(0, 1)
 	var at event.Cycle
 	n.ToBank(0, 0, 8, func() { at = q.Now() })
-	q.Run(0)
+	for q.Step() {
+	}
 	if at != 0 {
 		t.Fatalf("disabled jitter still delayed: %d", at)
 	}

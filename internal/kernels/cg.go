@@ -304,10 +304,10 @@ func BuildCG(r *rt.Runtime, p Params) (*Instance, error) {
 	}
 
 	verify := func(r *rt.Runtime) error {
-		if err := verifyF32(r, "cg.x", uint64(xV), func(i int) float32 { return r.ReadF32(w(xV, i)) }, wantX); err != nil {
+		if err := verifyF32("cg.x", func(i int) float32 { return r.ReadF32(w(xV, i)) }, wantX); err != nil {
 			return err
 		}
-		if err := verifyF32(r, "cg.r", uint64(rV), func(i int) float32 { return r.ReadF32(w(rV, i)) }, wantR); err != nil {
+		if err := verifyF32("cg.r", func(i int) float32 { return r.ReadF32(w(rV, i)) }, wantR); err != nil {
 			return err
 		}
 		// Sanity: CG must actually have reduced the residual.

@@ -64,7 +64,7 @@ func BuildDMM(r *rt.Runtime, p Params) (*Instance, error) {
 	}
 
 	verify := func(r *rt.Runtime) error {
-		return verifyF32(r, "dmm", uint64(c), func(i int) float32 { return r.ReadF32(w(c, i)) }, want)
+		return verifyF32("dmm", func(i int) float32 { return r.ReadF32(w(c, i)) }, want)
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("dmm: bad scale")

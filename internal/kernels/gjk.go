@@ -147,7 +147,7 @@ func BuildGJK(r *rt.Runtime, p Params) (*Instance, error) {
 	}
 
 	verify := func(r *rt.Runtime) error {
-		if err := verifyF32(r, "gjk.sep", uint64(outSep), func(i int) float32 { return r.ReadF32(w(outSep, i)) }, wantSep); err != nil {
+		if err := verifyF32("gjk.sep", func(i int) float32 { return r.ReadF32(w(outSep, i)) }, wantSep); err != nil {
 			return err
 		}
 		for i := range wantHit {

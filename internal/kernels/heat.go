@@ -83,7 +83,7 @@ func BuildHeat(r *rt.Runtime, p Params) (*Instance, error) {
 
 	verify := func(r *rt.Runtime) error {
 		final := grid[iters%2]
-		return verifyF32(r, "heat", uint64(final), func(i int) float32 { return r.ReadF32(w(final, i)) }, want)
+		return verifyF32("heat", func(i int) float32 { return r.ReadF32(w(final, i)) }, want)
 	}
 	return &Instance{Name: "heat", CodeBytes: 2 << 10, Worker: worker, Verify: verify}, nil
 }

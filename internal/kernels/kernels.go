@@ -153,13 +153,12 @@ func approxEqual(a, b float32) bool {
 	return d <= float32(1e-3*m)+1e-5
 }
 
-func verifyF32(r *rt.Runtime, name string, base uint64, got func(i int) float32, want []float32) error {
+func verifyF32(name string, got func(i int) float32, want []float32) error {
 	for i, w := range want {
 		g := got(i)
 		if !approxEqual(g, w) {
 			return fmt.Errorf("%s: element %d = %v, want %v", name, i, g, w)
 		}
 	}
-	_ = base
 	return nil
 }

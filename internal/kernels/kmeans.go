@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"cohesion/internal/addr"
 	"cohesion/internal/config"
 	"cohesion/internal/rt"
 )
@@ -207,9 +206,8 @@ func BuildKMeans(r *rt.Runtime, p Params) (*Instance, error) {
 				return fmt.Errorf("kmeans: point %d assigned to %d, want %d", i, got, wantAssign[i])
 			}
 		}
-		return verifyF32(r, "kmeans", uint64(cent),
+		return verifyF32("kmeans",
 			func(i int) float32 { return r.ReadF32(w(cent, (i/dims)*slot+i%dims)) }, cv)
 	}
-	_ = addr.Addr(0)
 	return &Instance{Name: "kmeans", CodeBytes: 3 << 10, Worker: worker, Verify: verify}, nil
 }

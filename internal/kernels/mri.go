@@ -93,10 +93,10 @@ func BuildMRI(r *rt.Runtime, p Params) (*Instance, error) {
 	}
 
 	verify := func(r *rt.Runtime) error {
-		if err := verifyF32(r, "mri.re", uint64(outR), func(i int) float32 { return r.ReadF32(w(outR, i)) }, wantR); err != nil {
+		if err := verifyF32("mri.re", func(i int) float32 { return r.ReadF32(w(outR, i)) }, wantR); err != nil {
 			return err
 		}
-		return verifyF32(r, "mri.im", uint64(outI), func(i int) float32 { return r.ReadF32(w(outI, i)) }, wantI)
+		return verifyF32("mri.im", func(i int) float32 { return r.ReadF32(w(outI, i)) }, wantI)
 	}
 	return &Instance{Name: "mri", CodeBytes: 2 << 10, Worker: worker, Verify: verify}, nil
 }

@@ -83,7 +83,7 @@ func BuildSobel(r *rt.Runtime, p Params) (*Instance, error) {
 	}
 
 	verify := func(r *rt.Runtime) error {
-		return verifyF32(r, "sobel", uint64(out), func(i int) float32 { return r.ReadF32(w(out, i)) }, want)
+		return verifyF32("sobel", func(i int) float32 { return r.ReadF32(w(out, i)) }, want)
 	}
 	return &Instance{Name: "sobel", CodeBytes: 2 << 10, Worker: worker, Verify: verify}, nil
 }

@@ -77,7 +77,7 @@ func BuildStencil(r *rt.Runtime, p Params) (*Instance, error) {
 
 	verify := func(r *rt.Runtime) error {
 		final := vol[iters%2]
-		return verifyF32(r, "stencil", uint64(final), func(i int) float32 { return r.ReadF32(w(final, i)) }, want)
+		return verifyF32("stencil", func(i int) float32 { return r.ReadF32(w(final, i)) }, want)
 	}
 	return &Instance{Name: "stencil", CodeBytes: 3 << 10, Worker: worker, Verify: verify}, nil
 }

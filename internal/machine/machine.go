@@ -282,15 +282,11 @@ func (m *Machine) deliverReq(clusterID int, req msg.Req, onResp func(msg.Resp)) 
 	if m.faults != nil && req.Kind.Retryable() && req.ID != 0 {
 		switch m.faults.RequestVerdict() {
 		case fault.Drop:
-			m.Run.Edge(trace.EdgeRecNetDrop)
-			m.Run.TraceEvent(uint64(m.Q.Now()), "net", "drop %v line=%#x cl%d id=%#x",
-				req.Kind, uint64(req.Line.Base()), clusterID, req.ID)
+			m.Run.Step(trace.EdgeRecNetDrop, uint64(m.Q.Now()), "net", req.Line, clusterID)
 			m.Net.ToBank(clusterID, bank, req.Bytes(), nop)
 			return
 		case fault.Duplicate:
-			m.Run.Edge(trace.EdgeRecNetDup)
-			m.Run.TraceEvent(uint64(m.Q.Now()), "net", "dup %v line=%#x cl%d id=%#x",
-				req.Kind, uint64(req.Line.Base()), clusterID, req.ID)
+			m.Run.Step(trace.EdgeRecNetDup, uint64(m.Q.Now()), "net", req.Line, clusterID)
 			dup := m.allocNetReq()
 			dup.bank, dup.clusterID, dup.req, dup.onResp = bank, clusterID, req, onResp
 			m.Net.ToBank(clusterID, bank, req.Bytes(), dup.deliverFn)

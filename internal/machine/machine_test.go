@@ -645,28 +645,79 @@ func TestInstructionFetchTraffic(t *testing.T) {
 	}
 }
 
+// TestTraceCapturesProtocolEvents: every protocol step leaves a record
+// named by its edge, with the line and cluster it involved.
 func TestTraceCapturesProtocolEvents(t *testing.T) {
-	m := newMachine(t, hwccCfg(2))
-	m.Run.Trace = trace.NewSink(64)
 	a := addr.Addr(addr.HeapBase)
+	cases := []struct {
+		name  string
+		setup func(m *Machine)
+		want  []trace.Record // Event, Site prefix, Line and Cluster must match
+	}{
+		{"recall", func(m *Machine) {
+			program(m, 0, func(c *cluster.Core) {
+				st(c, a, 1)
+				uncStore(c, syncWord, 1)
+			})
+			program(m, 8, func(c *cluster.Core) {
+				spinUntil(c, syncWord, 1)
+				_ = ld(c, a) // forces a recall: probe + writeback
+			})
+		}, []trace.Record{
+			{Event: "msi.read_recalls_modified", Site: "home", Cluster: 1},
+			{Event: "l2.probe_wb_data", Site: "cl0", Cluster: 0},
+			{Event: "msi.recall_wb_data", Site: "home", Cluster: 0},
+		}},
+		// Overflowing one L2 set evicts the clean first line, whose read
+		// release the home then handles.
+		{"eviction", func(m *Machine) {
+			setStride := addr.Addr(m.Cfg.L2Size / m.Cfg.L2Assoc)
+			program(m, 0, func(c *cluster.Core) {
+				for i := 0; i <= m.Cfg.L2Assoc; i++ {
+					_ = ld(c, a+addr.Addr(i)*setStride)
+				}
+			})
+		}, []trace.Record{
+			{Event: "l2.evict_clean_readrel", Site: "cl0", Cluster: 0},
+			{Event: "msi.readrel_dealloc", Site: "home", Cluster: 0},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(t, hwccCfg(2))
+			m.Run.Trace = trace.NewSink(0)
+			tc.setup(m)
+			simulate(t, m)
+			recs := m.Run.Trace.Records()
+			for _, want := range tc.want {
+				found := false
+				for _, r := range recs {
+					found = found || (r.Event == want.Event && strings.HasPrefix(r.Site, want.Site) &&
+						r.Line == uint64(addr.LineOf(a).Base()) && r.Cluster == want.Cluster)
+				}
+				if !found {
+					var b strings.Builder
+					_ = m.Run.Trace.WriteText(&b)
+					t.Fatalf("no %s record for line %#x from %s*, cluster %d:\n%s",
+						want.Event, uint64(a), want.Site, want.Cluster, b.String())
+				}
+			}
+		})
+	}
+}
+
+// TestUncachedAtL3MarksEveryUncachedOp: the edge counts each atomic and
+// uncached operation the L3 applies, not only uncached loads.
+func TestUncachedAtL3MarksEveryUncachedOp(t *testing.T) {
+	m := newMachine(t, hwccCfg(1))
+	m.Run.Coverage = trace.NewCoverage()
 	program(m, 0, func(c *cluster.Core) {
-		st(c, a, 1)
-		uncStore(c, syncWord, 1)
-	})
-	program(m, 8, func(c *cluster.Core) {
-		spinUntil(c, syncWord, 1)
-		_ = ld(c, a) // forces a recall: probe + writeback events
+		atomic(c, syncWord, msg.AtomicAdd, 1)
+		uncStore(c, syncWord+4, 2)
 	})
 	simulate(t, m)
-	var b strings.Builder
-	if err := m.Run.Trace.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	dump := b.String()
-	for _, want := range []string{"WrReq", "RdReq", "ProbeWB", "recall", "grant"} {
-		if !strings.Contains(dump, want) {
-			t.Fatalf("trace missing %q:\n%s", want, dump)
-		}
+	if n := m.Run.Coverage.Count(trace.EdgeHomeUncachedAtL3); n != 2 {
+		t.Fatalf("%v marked %d times for one atomic and one uncached store, want 2", trace.EdgeHomeUncachedAtL3, n)
 	}
 }
 

@@ -107,13 +107,11 @@ type Stop struct {
 	// Sentinel is simerr.ErrCanceled or simerr.ErrBudgetExhausted.
 	Sentinel error
 	// Reason is the human-readable trigger, e.g. "event budget (50000
-	// events) exhausted".
+	// events) exhausted". A stop point that depends on host timing
+	// (cancellation, wall clock, memory) says "[non-reproducible stop
+	// point]"; event and cycle budgets stop at a pure function of the
+	// event sequence.
 	Reason string
-	// Deterministic is true when the stop point is a pure function of
-	// the event sequence (event/cycle budgets) and false when it depends
-	// on host timing (cancellation, wall clock, memory). Callers tag
-	// non-deterministic partial results as non-reproducible.
-	Deterministic bool
 }
 
 // Controller enforces a context and Limits over one run. It is owned by
@@ -201,16 +199,14 @@ func (c *Controller) CheckpointDue(fired uint64) bool {
 func (c *Controller) Check(fired, cycle uint64) *Stop {
 	if c.lim.MaxEvents != 0 && fired >= c.lim.MaxEvents {
 		return &Stop{
-			Sentinel:      simerr.ErrBudgetExhausted,
-			Reason:        fmt.Sprintf("event budget (%d events) exhausted", c.lim.MaxEvents),
-			Deterministic: true,
+			Sentinel: simerr.ErrBudgetExhausted,
+			Reason:   fmt.Sprintf("event budget (%d events) exhausted", c.lim.MaxEvents),
 		}
 	}
 	if c.lim.MaxCycles != 0 && cycle > c.lim.MaxCycles {
 		return &Stop{
-			Sentinel:      simerr.ErrBudgetExhausted,
-			Reason:        fmt.Sprintf("sim-cycle budget (%d cycles) exhausted at cycle %d", c.lim.MaxCycles, cycle),
-			Deterministic: true,
+			Sentinel: simerr.ErrBudgetExhausted,
+			Reason:   fmt.Sprintf("sim-cycle budget (%d cycles) exhausted at cycle %d", c.lim.MaxCycles, cycle),
 		}
 	}
 	if c.countdown--; c.countdown > 0 {

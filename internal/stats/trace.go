@@ -1,28 +1,22 @@
 package stats
 
 import (
-	"fmt"
-
+	"cohesion/internal/addr"
 	"cohesion/internal/trace"
 )
 
-// Tracing reports whether a trace ring is attached; emitters use it to
-// skip the Sprintf that renders an event's detail.
-func (r *Run) Tracing() bool { return r.Trace != nil }
-
-// TraceEvent records a protocol event when tracing is enabled; it is a
-// no-op (and avoids the Sprintf) otherwise.
-func (r *Run) TraceEvent(cycle uint64, site, format string, args ...any) {
-	if !r.Tracing() {
-		return
-	}
-	r.Trace.Add(trace.Record{Cycle: cycle, Site: site, Event: fmt.Sprintf(format, args...)})
-}
-
-// Edge marks a protocol-transition edge as exercised when a coverage
-// tracker is attached; nil-checked so the hot paths pay one branch.
-func (r *Run) Edge(e trace.EdgeID) {
+// Step records one protocol step: edge e fired at cycle on site, touching
+// line on behalf of cluster (-1 for none). Coverage and the trace ring are
+// its two consumers; with neither attached it does nothing. It is the one
+// way a component records a step: the cluster's and home's hot paths call
+// it through helpers that inline the nil checks, so a bare run pays one
+// branch per step and the record is built out of line.
+func (r *Run) Step(e trace.EdgeID, cycle uint64, site string, line addr.Line, cluster int) {
 	if r.Coverage != nil {
 		r.Coverage.Mark(e)
+	}
+	if r.Trace != nil {
+		r.Trace.Add(trace.Record{Cycle: cycle, Site: site, Event: e.String(),
+			Line: uint64(line.Base()), Cluster: int32(cluster)})
 	}
 }

@@ -1,22 +1,26 @@
 package stats
 
 import (
-	"strings"
 	"testing"
 
+	"cohesion/internal/addr"
 	"cohesion/internal/trace"
 )
 
-func TestTraceEventNilSafe(t *testing.T) {
+// TestStepFeedsBothConsumers: one Step marks the coverage edge and appends
+// one record, and with neither consumer attached it is a no-op.
+func TestStepFeedsBothConsumers(t *testing.T) {
 	var r Run
-	r.TraceEvent(1, "x", "should be dropped %d", 1) // Trace is nil: no-op
+	r.Step(trace.EdgeL2FillShared, 1, "cl0", 4, 0) // nothing attached: no-op
+	r.Coverage = trace.NewCoverage()
 	r.Trace = trace.NewSink(4)
-	r.TraceEvent(2, "home0", "line %#x", 0x40)
-	es := r.Trace.Records()
-	if len(es) != 1 || es[0].Site != "home0" || !strings.Contains(es[0].Event, "0x40") {
-		t.Fatalf("entries = %+v", es)
+	r.Step(trace.EdgeHomeReadRelDealloc, 9, "home2", 4, -1)
+	if n := r.Coverage.Count(trace.EdgeHomeReadRelDealloc); n != 1 {
+		t.Fatalf("edge marked %d times, want 1", n)
 	}
-	if es[0].String() == "" {
-		t.Fatal("empty render")
+	want := trace.Record{Cycle: 9, Site: "home2", Event: "msi.readrel_dealloc",
+		Line: uint64(addr.Line(4).Base()), Cluster: -1}
+	if es := r.Trace.Records(); len(es) != 1 || es[0] != want {
+		t.Fatalf("records = %+v, want [%+v]", es, want)
 	}
 }

@@ -1,5 +1,5 @@
 // Package trace is the simulator's structured observability layer: one
-// shared Record type for protocol events, a bounded Sink ring that
+// shared Record type for protocol steps, a bounded Sink ring that
 // retains them (a run's one trace ring, stats.Run.Trace, is a Sink) and
 // exports them as Chrome trace-event JSON or plain text, and a
 // protocol-transition Coverage tracker (coverage.go) that turns "did we
@@ -19,32 +19,33 @@ import (
 	"strings"
 )
 
-// Record is one protocol event. Site names the emitting component
-// ("home3", "cl0", "net"); Event is the human-readable detail, whose
-// first word doubles as the event name in Chrome exports. ID and Phase
-// are set only on transaction-lifecycle records: Phase 'b' opens an
-// async span when the L2 issues a request, 'e' closes it when the grant
-// installs, and both carry the transaction ID so a viewer pairs them.
+// Record is one protocol step. Event names it: a catalog edge name
+// (EdgeID.String) for a step, the request kind for a transaction span
+// endpoint. Site names the emitting component ("home3", "cl0", "net"),
+// Line is the base address of the line the step touched, and Cluster the
+// cluster involved (-1 for none). ID and Phase are set only on span
+// endpoints: Phase 'b' opens an async span when the L2 issues a request,
+// 'e' closes it when the grant installs, and both carry the transaction ID
+// so a viewer pairs them. Every field is a number or a constant string, so
+// recording a step formats nothing; only the exporters do.
 type Record struct {
-	Cycle uint64 `json:"cycle"`
-	Site  string `json:"site"`
-	Event string `json:"event"`
-	ID    uint64 `json:"id,omitempty"`
-	Phase byte   `json:"ph,omitempty"`
+	Cycle   uint64 `json:"cycle"`
+	Site    string `json:"site"`
+	Event   string `json:"event"`
+	Line    uint64 `json:"line"`
+	ID      uint64 `json:"id,omitempty"`
+	Cluster int32  `json:"cluster"`
+	Phase   byte   `json:"ph,omitempty"`
 }
 
-// Name returns the record's short event name: the first word of Event.
-func (r Record) Name() string {
-	if i := strings.IndexByte(r.Event, ' '); i >= 0 {
-		return r.Event[:i]
-	}
-	return r.Event
-}
-
-// String renders the record with the sim-time column always present,
-// however many words the event detail has.
+// String renders the record as one aligned line of text; a span endpoint
+// adds its transaction ID and phase.
 func (r Record) String() string {
-	return fmt.Sprintf("%10d %-8s %s", r.Cycle, r.Site, r.Event)
+	s := fmt.Sprintf("%10d %-8s %s line=%#x cl=%d", r.Cycle, r.Site, r.Event, r.Line, r.Cluster)
+	if r.Phase != 0 {
+		s += fmt.Sprintf(" txn=%#x %c", r.ID, r.Phase)
+	}
+	return s
 }
 
 // Sink is a bounded ring of Records fed by every traced component of one
@@ -167,8 +168,9 @@ type chromeEvent struct {
 // WriteChromeJSON writes the retained records in Chrome's trace-event
 // JSON format (about://tracing and Perfetto both load it). One timeline
 // thread per emitting site; timestamps are simulation cycles interpreted
-// as microseconds. Instant records become thread-scoped instant events;
-// lifecycle records (Phase 'b'/'e') become async begin/end pairs keyed by
+// as microseconds. Step records become thread-scoped instant events named
+// by their edge, with the line and cluster as args; span endpoints (Phase
+// 'b'/'e') become async begin/end pairs named "txn" and keyed by
 // transaction ID, so each outstanding L2 transaction renders as a span
 // from issue to install.
 func (s *Sink) WriteChromeJSON(w io.Writer) error {
@@ -201,12 +203,12 @@ func (s *Sink) WriteChromeJSON(w io.Writer) error {
 	}
 	for _, r := range records {
 		ev := chromeEvent{
-			Name: r.Name(),
+			Name: r.Event,
 			Cat:  "protocol",
 			TS:   r.Cycle,
 			PID:  0,
 			TID:  seen[r.Site],
-			Args: map[string]any{"detail": r.Event},
+			Args: map[string]any{"line": fmt.Sprintf("%#x", r.Line), "cluster": r.Cluster},
 		}
 		switch r.Phase {
 		case 'b', 'e':
@@ -214,6 +216,7 @@ func (s *Sink) WriteChromeJSON(w io.Writer) error {
 			ev.Cat = "txn"
 			ev.Name = "txn"
 			ev.ID = fmt.Sprintf("%#x", r.ID)
+			ev.Args["kind"] = r.Event
 		default:
 			ev.Phase = "i"
 			ev.Scope = "t"

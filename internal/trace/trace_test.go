@@ -7,31 +7,25 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRecordStringKeepsSimTimeColumn(t *testing.T) {
-	r := Record{Cycle: 42, Site: "home3", Event: "GrantS line=0x100"}
-	s := r.String()
-	if !strings.HasPrefix(s, "        42 ") {
-		t.Fatalf("sim-time column missing or misaligned: %q", s)
+	r := Record{Cycle: 42, Site: "home3", Event: "msi.read_miss_alloc_s", Line: 0x100, Cluster: 2}
+	if s, want := r.String(), "        42 home3    msi.read_miss_alloc_s line=0x100 cl=2"; s != want {
+		t.Fatalf("String = %q, want %q", s, want)
 	}
-	if !strings.Contains(s, "home3") || !strings.Contains(s, "GrantS line=0x100") {
-		t.Fatalf("record fields missing: %q", s)
-	}
-	// Alignment must hold regardless of how many words the event has (the
-	// bug the shared renderer fixed: multi-word events lost the column).
-	long := Record{Cycle: 7, Site: "cl0", Event: "ReadReq line=0x40 mshr=3 retry=1"}
-	if !strings.HasPrefix(long.String(), "         7 ") {
-		t.Fatalf("multi-word event lost the sim-time column: %q", long.String())
+	span := Record{Cycle: 7, Site: "cl0", Event: "RdReq", Line: 0x40, Cluster: 0, ID: 0xabc, Phase: 'b'}
+	if s, want := span.String(), "         7 cl0      RdReq line=0x40 cl=0 txn=0xabc b"; s != want {
+		t.Fatalf("span String = %q, want %q", s, want)
 	}
 }
 
-func TestRecordName(t *testing.T) {
-	if n := (Record{Event: "GrantS line=0x100"}).Name(); n != "GrantS" {
-		t.Fatalf("Name = %q", n)
-	}
-	if n := (Record{Event: "Barrier"}).Name(); n != "Barrier" {
-		t.Fatalf("Name = %q", n)
+// TestRecordFitsOneCacheLine: the default ring holds 2^20 records, so a
+// record stays within 64 bytes.
+func TestRecordFitsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n > 64 {
+		t.Fatalf("sizeof(Record) = %d bytes, want at most 64", n)
 	}
 }
 
@@ -148,9 +142,9 @@ type chromeTrace struct {
 
 func TestWriteChromeJSON(t *testing.T) {
 	s := NewSink(0)
-	s.Add(Record{Cycle: 5, Site: "cl0", Event: "ReadReq line=0x40", ID: 0xabc, Phase: 'b'})
-	s.Add(Record{Cycle: 9, Site: "home1", Event: "GrantS line=0x40"})
-	s.Add(Record{Cycle: 12, Site: "cl0", Event: "settle line=0x40", ID: 0xabc, Phase: 'e'})
+	s.Add(Record{Cycle: 5, Site: "cl0", Event: "RdReq", Line: 0x40, ID: 0xabc, Phase: 'b'})
+	s.Add(Record{Cycle: 9, Site: "home1", Event: "msi.read_miss_alloc_s", Line: 0x40, Cluster: 0})
+	s.Add(Record{Cycle: 12, Site: "cl0", Event: "RdReq", Line: 0x40, ID: 0xabc, Phase: 'e'})
 
 	var b bytes.Buffer
 	if err := s.WriteChromeJSON(&b); err != nil {
@@ -175,7 +169,7 @@ func TestWriteChromeJSON(t *testing.T) {
 			threads = append(threads, ev.Args["name"].(string))
 		case "b":
 			begins++
-			if ev.ID != "0xabc" || ev.Cat != "txn" {
+			if ev.ID != "0xabc" || ev.Cat != "txn" || ev.Name != "txn" || ev.Args["kind"] != "RdReq" {
 				t.Fatalf("begin event wrong: %+v", ev)
 			}
 		case "e":
@@ -185,7 +179,8 @@ func TestWriteChromeJSON(t *testing.T) {
 			}
 		case "i":
 			instants++
-			if ev.Scope != "t" || ev.Name != "GrantS" || ev.TS != 9 {
+			if ev.Scope != "t" || ev.Name != "msi.read_miss_alloc_s" || ev.TS != 9 ||
+				ev.Args["line"] != "0x40" || ev.Args["cluster"] != 0.0 {
 				t.Fatalf("instant event wrong: %+v", ev)
 			}
 		default:

@@ -102,7 +102,7 @@ func (r *selfCheckReport) diagnose(ctx context.Context, rc RunConfig, depth uint
 		if err != nil {
 			return snapshot.Digests{}, err
 		}
-		if err := p.m.SimulateCtx(ctx, probe.MaxCycles, probe.Limits); err != nil && !errors.Is(err, ErrBudgetExhausted) {
+		if err := p.m.SimulateCtx(ctx, 0, probe.Limits); err != nil && !errors.Is(err, ErrBudgetExhausted) {
 			return snapshot.Digests{}, err
 		}
 		d := p.m.Digests()
