@@ -102,7 +102,7 @@ func run() int {
 		check(fmt.Errorf("-resume needs -checkpoint"))
 	}
 	if *checkpoint != "" {
-		ck, err := cohesion.OpenSweepCheckpoint(*checkpoint, p, *resume)
+		ck, err := cohesion.OpenSweepCheckpoint(*checkpoint, *resume)
 		check(err)
 		if n := ck.Cells(); n > 0 {
 			fmt.Fprintf(os.Stderr, "cohesion-experiments: resuming with %d completed cells from %s\n", n, ck.Path())
@@ -304,8 +304,8 @@ func showScaling(p cohesion.ExpParams) {
 	if len(p.Kernels) > 0 {
 		kernel = p.Kernels[0]
 	}
-	rows, err := cohesion.ScalingStudy(kernel, nil, p.Seed, p.Verify, p.Parallel)
-	check(err)
+	rows, err := cohesion.ScalingStudy(p, kernel, nil)
+	note(err)
 	if *csvOut {
 		fmt.Print(cohesion.ScalingCSV(rows))
 		return
@@ -313,6 +313,10 @@ func showScaling(p cohesion.ExpParams) {
 	fmt.Printf("== Scaling study (%s, weak scaling): coherence cost vs machine size ==\n", kernel)
 	t := &stats.Table{Header: []string{"cores", "config", "cycles", "messages", "msgs/core", "probes"}}
 	for _, r := range rows {
+		if r.Failed != "" {
+			t.Add(fmt.Sprint(r.Cores), r.Config, r.Failed, "-", "-", "-")
+			continue
+		}
 		t.Add(fmt.Sprint(r.Cores), r.Config, fmt.Sprint(r.Cycles), fmt.Sprint(r.Messages),
 			fmt.Sprintf("%.1f", r.MessagesPerCore), fmt.Sprint(r.ProbesSent))
 	}

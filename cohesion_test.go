@@ -232,9 +232,13 @@ func TestAreaEstimates(t *testing.T) {
 }
 
 func TestHeadlineSummary(t *testing.T) {
-	s, err := HeadlineSummary(tiny("heat", "kmeans", "cg"))
+	p := tiny("heat", "kmeans", "cg")
+	s, err := HeadlineSummary(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := summaryFromFigures(t, p); *s != want {
+		t.Fatalf("HeadlineSummary = %+v, want %+v as derived from the Fig8 and Fig9c rows", *s, want)
 	}
 	if s.MessageReduction <= 1.0 {
 		t.Fatalf("message reduction %.2f, want > 1 (paper: ~2x)", s.MessageReduction)
@@ -242,6 +246,50 @@ func TestHeadlineSummary(t *testing.T) {
 	if s.DirectoryReduction <= 1.5 {
 		t.Fatalf("directory reduction %.2f, want > 1.5 (paper: ~2.1x)", s.DirectoryReduction)
 	}
+}
+
+// summaryFromFigures derives the headline ratios from full Fig8 and
+// Fig9c tables, looking rows up by label: the reference HeadlineSummary's
+// three-configuration sweep must reproduce bit for bit.
+func summaryFromFigures(t *testing.T, p ExpParams) Summary {
+	t.Helper()
+	fig8, err := Fig8(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := map[string]uint64{}
+	for _, row := range fig8 {
+		totals[row.Kernel+"/"+row.Config] = row.Total
+	}
+	msgRatio, n := 1.0, 0
+	for _, k := range p.Kernels {
+		hw, coh := totals[k+"/HWccIdeal"], totals[k+"/Cohesion"]
+		if hw > 0 && coh > 0 {
+			msgRatio *= float64(hw) / float64(coh)
+			n++
+		}
+	}
+	var s Summary
+	if n > 0 {
+		s.MessageReduction = pow(msgRatio, 1/float64(n))
+	}
+	occ, err := Fig9c(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hwSum, cohSum float64
+	for _, row := range occ {
+		switch row.Config {
+		case "HWcc":
+			hwSum += row.MeanTotal
+		case "Cohesion":
+			cohSum += row.MeanTotal
+		}
+	}
+	if cohSum > 0 {
+		s.DirectoryReduction = hwSum / cohSum
+	}
+	return s
 }
 
 func TestBreakdownTableRendering(t *testing.T) {
@@ -273,10 +321,19 @@ func TestCSVRenderers(t *testing.T) {
 	if !strings.Contains(rt, "mri,SWcc,7,0.9000") {
 		t.Fatalf("RuntimeCSV:\n%s", rt)
 	}
+	sc := ScalingCSV([]ScalingPoint{
+		{Kernel: "heat", Config: "SWcc", Clusters: 2, Cores: 16, Cycles: 9, Messages: 32, MessagesPerCore: 2, ProbesSent: 1},
+		{Kernel: "heat", Config: "HWcc", Clusters: 2, Cores: 16, Failed: `failed(heat/HWcc@2: budget, "max-events")`},
+	})
+	if !strings.HasSuffix(strings.SplitN(sc, "\n", 2)[0], ",probes,failed") ||
+		!strings.Contains(sc, "heat,SWcc,2,16,9,32,2.00,1,\n") ||
+		!strings.Contains(sc, `heat,HWcc,2,16,0,0,0.00,0,"failed(heat/HWcc@2: budget, ""max-events"")"`) {
+		t.Fatalf("ScalingCSV:\n%s", sc)
+	}
 }
 
 func TestScalingStudyShape(t *testing.T) {
-	rows, err := ScalingStudy("heat", []int{2, 8}, 7, false, 0)
+	rows, err := ScalingStudy(ExpParams{Seed: 7}, "heat", []int{2, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,15 @@ import (
 
 // compatDir holds files earlier builds of the simulator wrote: two run
 // checkpoints of the same run (heat/Cohesion on ScaledConfig(2), scale 1,
-// seed 42, Verify, stopped at 3,000 events), the KindSweep file of
-// compatFig3Params' Fig3 (10 cells), and the jobs/ records of one done
-// and one failed heat/cohesion job. It also holds a cohesion-fuzz
-// checkpoint and repro file, which internal/stress and CI load. They pin
-// the on-disk formats: a change that stops one of them loading changes a
-// format, and must say so. run.ckpt records digests over sorted lists,
-// an older digest scheme, so it must be refused and rerun;
-// run-orderfree.ckpt records the current scheme and must resume.
+// seed 42, Verify, stopped at 3,000 events), two KindSweep files of
+// compatFig3Params' Fig3 (10 cells each: sweep.ckpt under an older
+// build's cell keys, sweep-spec.ckpt keyed by RunSpec), and the jobs/
+// records of one done and one failed heat/cohesion job. It also holds a
+// cohesion-fuzz checkpoint and repro file, which internal/stress and CI
+// load. They pin the on-disk formats: a change that stops one of them
+// loading changes a format, and must say so. run.ckpt records digests
+// over sorted lists, an older digest scheme, so it must be refused and
+// rerun; run-orderfree.ckpt records the current scheme and must resume.
 const compatDir = "testdata/compat"
 
 // goldenHeatCohesion is the golden heat/Cohesion fingerprint, the end of
@@ -94,43 +95,51 @@ func TestCompatFixturesStillLoad(t *testing.T) {
 		}
 	})
 
-	t.Run("sweep", func(t *testing.T) {
-		dir := t.TempDir()
-		p := compatFig3Params()
-		fresh, err := OpenSweepCheckpoint(filepath.Join(dir, "fresh.ckpt"), p, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Checkpoint = fresh
-		freshRows, err := Fig3(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "sweep.ckpt")
-		copyFixture(t, "sweep.ckpt", path)
-		ck, err := OpenSweepCheckpoint(path, p, true)
-		if err != nil {
-			t.Fatalf("OpenSweepCheckpoint: %v", err)
-		}
-		p.Checkpoint = ck
-		cached, err := Fig3(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ck.Reused() != 10 {
-			t.Fatalf("%d of 10 cells served from the checkpoint", ck.Reused())
-		}
-		if got, want := FlushEfficiencyCSV(cached), FlushEfficiencyCSV(freshRows); got != want {
-			t.Fatalf("cached table differs from a fresh run:\n%s\nwant:\n%s", got, want)
-		}
-		if !reflect.DeepEqual(ck.state.Cells, fresh.state.Cells) {
-			t.Fatal("cells loaded from the fixture differ from the cells a fresh run records")
-		}
-		// Another kind's file is refused by kind, not decoded as a run.
-		if _, _, err := ResumeRun(ctx, path, ResumeOptions{}); !errors.Is(err, snapshot.ErrKind) {
-			t.Fatalf("ResumeRun on a sweep checkpoint = %v, want ErrKind", err)
-		}
-	})
+	// sweep.ckpt keys its cells by configuration label and machine
+	// digest, as builds before RunSpec keys did: it must load and serve
+	// nothing. sweep-spec.ckpt keys them by RunSpec and must serve all 10.
+	for _, fx := range []struct {
+		name   string
+		served int
+	}{{"sweep", 0}, {"sweep-spec", 10}} {
+		t.Run(fx.name, func(t *testing.T) {
+			dir := t.TempDir()
+			p := compatFig3Params()
+			fresh, err := OpenSweepCheckpoint(filepath.Join(dir, "fresh.ckpt"), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Checkpoint = fresh
+			freshRows, err := Fig3(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "sweep.ckpt")
+			copyFixture(t, fx.name+".ckpt", path)
+			ck, err := OpenSweepCheckpoint(path, true)
+			if err != nil {
+				t.Fatalf("OpenSweepCheckpoint: %v", err)
+			}
+			p.Checkpoint = ck
+			cached, err := Fig3(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Reused() != fx.served {
+				t.Fatalf("%d of 10 cells served from the checkpoint, want %d", ck.Reused(), fx.served)
+			}
+			if got, want := FlushEfficiencyCSV(cached), FlushEfficiencyCSV(freshRows); got != want {
+				t.Fatalf("table differs from a fresh run:\n%s\nwant:\n%s", got, want)
+			}
+			if fx.served > 0 && !reflect.DeepEqual(ck.state.Cells, fresh.state.Cells) {
+				t.Fatal("cells loaded from the fixture differ from the cells a fresh run records")
+			}
+			// Another kind's file is refused by kind, not decoded as a run.
+			if _, _, err := ResumeRun(ctx, path, ResumeOptions{}); !errors.Is(err, snapshot.ErrKind) {
+				t.Fatalf("ResumeRun on a sweep checkpoint = %v, want ErrKind", err)
+			}
+		})
+	}
 
 	t.Run("jobs", func(t *testing.T) {
 		state := t.TempDir()

@@ -43,8 +43,8 @@ type ExpParams struct {
 	// Checkpoint, when non-nil, records every completed cell to disk and
 	// serves already-recorded cells from the cache, so an interrupted or
 	// degraded sweep resumes only its failed/unfinished cells (see
-	// OpenSweepCheckpoint). LatencyTable ignores it: the metrics
-	// histograms it reports are not persisted.
+	// OpenSweepCheckpoint). LatencyTable's cells bypass it: the metrics
+	// histograms they report are not persisted.
 	Checkpoint *SweepCheckpoint
 }
 
@@ -118,8 +118,10 @@ func (p ExpParams) ctx() context.Context {
 	return context.Background()
 }
 
-func (p ExpParams) run(kernel string, cfg MachineConfig) (*Result, error) {
-	return RunCtx(p.ctx(), RunConfig{
+// runConfig is the run one sweep cell simulates: kernel on cfg at p's
+// scale, seed, workers, verification and limits.
+func (p ExpParams) runConfig(kernel string, cfg MachineConfig) RunConfig {
+	return RunConfig{
 		Machine: cfg,
 		Kernel:  kernel,
 		Scale:   p.Scale,
@@ -127,14 +129,25 @@ func (p ExpParams) run(kernel string, cfg MachineConfig) (*Result, error) {
 		Workers: p.Workers,
 		Verify:  p.Verify,
 		Limits:  p.Limits,
-	})
+	}
 }
 
-// runJob names one simulation of a figure's sweep.
+// runJob is one cell of a sweep: the full run it simulates, and the
+// configuration label its row and its error messages show.
 type runJob struct {
-	kernel string
-	name   string // configuration label, used in error messages
-	cfg    MachineConfig
+	name string
+	rc   RunConfig
+}
+
+func (j runJob) wrap(err error) error {
+	return fmt.Errorf("%s/%s: %w", j.rc.Kernel, j.name, err)
+}
+
+// cellResult is one sweep cell's outcome: its Result, or nil and the
+// failed(<reason>) tag that stands in for its numbers.
+type cellResult struct {
+	res    *Result
+	failed string
 }
 
 // CellFailure is one failed simulation of a sweep: which cell, and why.
@@ -174,27 +187,6 @@ func (e *SweepError) Unwrap() []error {
 	return errs
 }
 
-// orNil converts a typed-nil *SweepError into a genuinely nil error.
-func (e *SweepError) orNil() error {
-	if e == nil {
-		return nil
-	}
-	return e
-}
-
-// cell returns the failure for a job index (nil when that cell passed).
-func (e *SweepError) cell(i int) error {
-	if e == nil {
-		return nil
-	}
-	for _, c := range e.Cells {
-		if c.Index == i {
-			return c.Err
-		}
-	}
-	return nil
-}
-
 // failureTag renders a cell failure as the compact failed(<reason>)
 // marker used in table and CSV cells: the first line of the error,
 // truncated. The kernel/config wrapping prefix is dropped when the error
@@ -214,63 +206,101 @@ func failureTag(err error) string {
 	return "failed(" + reason + ")"
 }
 
-// runForTest, when non-nil, replaces p.run for one sweep — the test seam
-// that injects cell failures (including panics) without a real
-// simulation. Nil in production.
-var runForTest func(job runJob, p ExpParams) (*Result, error)
+// runForTest, when non-nil, replaces RunCtx for every sweep cell — the
+// test seam that injects cell failures (including panics) without a
+// real simulation. Nil in production.
+var runForTest func(job runJob) (*Result, error)
 
-// runAll executes a figure's independent simulations across p.Parallel
-// host goroutines, returning results slotted by job index. The job list
-// fully determines each simulation (configuration, kernel, seed), so the
-// result slice — and everything derived from it — is identical at any
-// parallelism. Failures degrade gracefully: a failed (or panicked) cell
-// leaves a nil Result in its slot and an entry in the returned
-// SweepError, while every other cell runs to completion — one bad
-// configuration no longer discards an hour-long sweep.
-func (p ExpParams) runAll(jobs []runJob) ([]*Result, *SweepError) {
+// runAll is the one place the harness fans out simulations: it runs a
+// sweep's independent cells across p.Parallel host goroutines and
+// returns their outcomes slotted by job index. Each job fully determines
+// its simulation, so the outcomes — and everything derived from them —
+// are identical at any parallelism. Failures degrade gracefully: a
+// failed (or panicked) cell gets a failed(<reason>) tag and an entry in
+// the returned *SweepError, while every other cell runs to completion.
+// With p.Checkpoint set, a cell whose RunSpec is already recorded is
+// served from it, and every completed cell is recorded; metrics cells
+// bypass the checkpoint, which holds no histograms.
+func (p ExpParams) runAll(jobs []runJob) ([]cellResult, error) {
 	ctx := p.ctx()
 	results, errs := pool.MapCatch(len(jobs), p.Parallel, func(i int) (*Result, error) {
-		if ck := p.Checkpoint; ck != nil {
+		job := jobs[i]
+		ck := p.Checkpoint
+		if job.rc.Metrics {
+			ck = nil
+		}
+		if ck != nil {
 			// A cached cell costs nothing to serve, even mid-cancellation:
 			// a re-interrupted resume still fills every cell it can.
-			if res, ok := ck.lookup(jobs[i]); ok {
+			if res, ok := ck.lookup(job.rc); ok {
 				return res, nil
 			}
 		}
-		if err := ctx.Err(); err != nil {
+		if ctx.Err() != nil {
 			// Canceled mid-sweep: fail remaining cells fast instead of
 			// building and aborting a machine per cell.
-			return nil, fmt.Errorf("%s/%s: %w", jobs[i].kernel, jobs[i].name, simerr.ErrCanceled)
+			return nil, job.wrap(simerr.ErrCanceled)
 		}
 		var res *Result
 		var err error
 		if runForTest != nil {
-			res, err = runForTest(jobs[i], p)
-		} else if res, err = p.run(jobs[i].kernel, jobs[i].cfg); err != nil {
-			err = fmt.Errorf("%s/%s: %w", jobs[i].kernel, jobs[i].name, err)
+			res, err = runForTest(job)
+		} else {
+			res, err = RunCtx(ctx, job.rc)
+		}
+		if err == nil && ck != nil {
+			err = ck.record(job.rc, res)
 		}
 		if err != nil {
-			return nil, err
-		}
-		if ck := p.Checkpoint; ck != nil {
-			if cerr := ck.record(jobs[i], res); cerr != nil {
-				return nil, fmt.Errorf("%s/%s: %w", jobs[i].kernel, jobs[i].name, cerr)
-			}
+			return nil, job.wrap(err)
 		}
 		return res, nil
 	})
+	cells := make([]cellResult, len(jobs))
 	var sw *SweepError
 	for i, err := range errs {
 		if err == nil {
+			cells[i].res = results[i]
 			continue
 		}
+		// A budget-ended cell's partial Result does not enter tables.
+		cells[i].failed = failureTag(err)
 		if sw == nil {
 			sw = &SweepError{Total: len(jobs)}
 		}
-		results[i] = nil // partial Results from budget-ended cells don't enter tables
-		sw.Cells = append(sw.Cells, CellFailure{Index: i, Kernel: jobs[i].kernel, Config: jobs[i].name, Err: err})
+		sw.Cells = append(sw.Cells, CellFailure{Index: i, Kernel: jobs[i].rc.Kernel, Config: jobs[i].name, Err: err})
 	}
-	return results, sw
+	if sw == nil {
+		return cells, nil
+	}
+	return cells, sw
+}
+
+// namedConfig is one configuration column of a figure: its label and
+// machine.
+type namedConfig struct {
+	name string
+	cfg  MachineConfig
+}
+
+// grid runs every kernel of p under every configuration through runAll
+// and returns the outcomes as cells[kernel index][config index]. metrics
+// attaches the metrics registry to every run.
+func (p ExpParams) grid(configs []namedConfig, metrics bool) ([][]cellResult, error) {
+	var jobs []runJob
+	for _, k := range p.Kernels {
+		for _, c := range configs {
+			rc := p.runConfig(k, c.cfg)
+			rc.Metrics = metrics
+			jobs = append(jobs, runJob{name: c.name, rc: rc})
+		}
+	}
+	cells, err := p.runAll(jobs)
+	rows := make([][]cellResult, len(p.Kernels))
+	for ki := range rows {
+		rows[ki] = cells[ki*len(configs) : (ki+1)*len(configs)]
+	}
+	return rows, err
 }
 
 // MessageBreakdown is one stacked bar of Figures 2 and 8: a kernel's
@@ -285,28 +315,17 @@ type MessageBreakdown struct {
 	Failed   string  // failed(<reason>) when this cell's run failed; "" otherwise
 }
 
-func breakdownRows(p ExpParams, configs []struct {
-	name string
-	cfg  MachineConfig
-}) ([]MessageBreakdown, error) {
-	var jobs []runJob
-	for _, k := range p.Kernels {
-		for _, c := range configs {
-			jobs = append(jobs, runJob{kernel: k, name: c.name, cfg: c.cfg})
-		}
-	}
-	results, sw := p.runAll(jobs)
+func breakdownRows(p ExpParams, configs []namedConfig) ([]MessageBreakdown, error) {
+	cells, err := p.grid(configs, false)
 	var out []MessageBreakdown
 	for ki, k := range p.Kernels {
 		var swccTotal uint64
 		for ci, c := range configs {
-			idx := ki*len(configs) + ci
-			row := MessageBreakdown{Kernel: k, Config: c.name}
-			if res := results[idx]; res != nil {
+			cell := cells[ki][ci]
+			row := MessageBreakdown{Kernel: k, Config: c.name, Failed: cell.failed}
+			if res := cell.res; res != nil {
 				row.Counts = res.Stats.Messages
 				row.Total = res.TotalMessages()
-			} else {
-				row.Failed = failureTag(sw.cell(idx))
 			}
 			if ci == 0 {
 				swccTotal = row.Total
@@ -317,17 +336,14 @@ func breakdownRows(p ExpParams, configs []struct {
 			out = append(out, row)
 		}
 	}
-	return out, sw.orNil()
+	return out, err
 }
 
 // Fig2 reproduces Figure 2: L2-to-L3 message counts for SWcc and
 // optimistic (infinite-directory) HWcc, normalized to SWcc.
 func Fig2(p ExpParams) ([]MessageBreakdown, error) {
 	p = p.withDefaults()
-	return breakdownRows(p, []struct {
-		name string
-		cfg  MachineConfig
-	}{
+	return breakdownRows(p, []namedConfig{
 		{"SWcc", p.swccCfg()},
 		{"HWcc", p.hwccIdealCfg()},
 	})
@@ -337,10 +353,7 @@ func Fig2(p ExpParams) ([]MessageBreakdown, error) {
 // HWcc, and realistic (sparse-directory) HWcc, normalized to SWcc.
 func Fig8(p ExpParams) ([]MessageBreakdown, error) {
 	p = p.withDefaults()
-	return breakdownRows(p, []struct {
-		name string
-		cfg  MachineConfig
-	}{
+	return breakdownRows(p, []namedConfig{
 		{"SWcc", p.swccCfg()},
 		{"Cohesion", p.cohesionRealCfg()},
 		{"HWccIdeal", p.hwccIdealCfg()},
@@ -364,30 +377,26 @@ type FlushEfficiency struct {
 func Fig3(p ExpParams) ([]FlushEfficiency, error) {
 	p = p.withDefaults()
 	l2kbs := []int{2, 4, 8, 16, 32}
-	var jobs []runJob
-	for _, k := range p.Kernels {
-		for _, kb := range l2kbs {
-			cfg := p.swccCfg()
-			cfg.L2Size = kb << 10
-			jobs = append(jobs, runJob{kernel: k, name: fmt.Sprintf("L2=%dK", kb), cfg: cfg})
-		}
+	var configs []namedConfig
+	for _, kb := range l2kbs {
+		cfg := p.swccCfg()
+		cfg.L2Size = kb << 10
+		configs = append(configs, namedConfig{fmt.Sprintf("L2=%dK", kb), cfg})
 	}
-	results, sw := p.runAll(jobs)
+	cells, err := p.grid(configs, false)
 	var out []FlushEfficiency
 	for ki, k := range p.Kernels {
 		for kbi, kb := range l2kbs {
-			idx := ki*len(l2kbs) + kbi
-			row := FlushEfficiency{Kernel: k, L2KB: kb}
-			if res := results[idx]; res != nil {
+			cell := cells[ki][kbi]
+			row := FlushEfficiency{Kernel: k, L2KB: kb, Failed: cell.failed}
+			if res := cell.res; res != nil {
 				row.UsefulInv = res.Stats.UsefulInvFraction()
 				row.UsefulWB = res.Stats.UsefulWBFraction()
-			} else {
-				row.Failed = failureTag(sw.cell(idx))
 			}
 			out = append(out, row)
 		}
 	}
-	return out, sw.orNil()
+	return out, err
 }
 
 // DirSweepPoint is one point of Figures 9a/9b: run time with a
@@ -407,46 +416,34 @@ func Fig9Sweep(p ExpParams, mode Mode) ([]DirSweepPoint, error) {
 	if mode != HWcc && mode != Cohesion {
 		return nil, fmt.Errorf("cohesion: Fig9 sweeps HWcc or Cohesion, not %v", mode)
 	}
-	stride := 1 + len(p.DirSizes) // infinite baseline + each directory size
-	var jobs []runJob
-	for _, k := range p.Kernels {
-		base := p.hwccIdealCfg()
-		if mode == Cohesion {
-			base = p.cohesionIdealCfg()
-		}
-		jobs = append(jobs, runJob{kernel: k, name: "infinite", cfg: base})
-		for _, entries := range p.DirSizes {
-			cfg := base.WithDirectory(DirSparse, entries, 0) // fully associative
-			jobs = append(jobs, runJob{kernel: k, name: fmt.Sprint(entries), cfg: cfg})
-		}
+	base := p.hwccIdealCfg()
+	if mode == Cohesion {
+		base = p.cohesionIdealCfg()
 	}
-	results, sw := p.runAll(jobs)
+	configs := []namedConfig{{"infinite", base}} // the baseline, then each directory size
+	for _, entries := range p.DirSizes {
+		cfg := base.WithDirectory(DirSparse, entries, 0) // fully associative
+		configs = append(configs, namedConfig{fmt.Sprint(entries), cfg})
+	}
+	cells, err := p.grid(configs, false)
 	var out []DirSweepPoint
 	for ki, k := range p.Kernels {
-		ref := results[ki*stride]
-		refRow := DirSweepPoint{Kernel: k, EntriesPerBank: 0, Slowdown: 1}
-		if ref != nil {
-			refRow.Cycles = ref.Cycles()
-		} else {
-			refRow.Failed = failureTag(sw.cell(ki * stride))
-			refRow.Slowdown = 0
-		}
-		out = append(out, refRow)
-		for di, entries := range p.DirSizes {
-			idx := ki*stride + 1 + di
-			row := DirSweepPoint{Kernel: k, EntriesPerBank: entries}
-			if res := results[idx]; res != nil {
+		ref := cells[ki][0].res
+		for ci, cell := range cells[ki] {
+			row := DirSweepPoint{Kernel: k, Failed: cell.failed}
+			if ci > 0 {
+				row.EntriesPerBank = p.DirSizes[ci-1]
+			}
+			if res := cell.res; res != nil {
 				row.Cycles = res.Cycles()
 				if ref != nil {
 					row.Slowdown = float64(res.Cycles()) / float64(ref.Cycles())
 				}
-			} else {
-				row.Failed = failureTag(sw.cell(idx))
 			}
 			out = append(out, row)
 		}
 	}
-	return out, sw.orNil()
+	return out, err
 }
 
 // OccupancyRow is one bar group of Figure 9c: time-averaged and maximum
@@ -464,39 +461,28 @@ type OccupancyRow struct {
 // directories.
 func Fig9c(p ExpParams) ([]OccupancyRow, error) {
 	p = p.withDefaults()
-	configs := []struct {
-		name string
-		cfg  MachineConfig
-	}{
+	configs := []namedConfig{
 		{"Cohesion", p.cohesionIdealCfg()},
 		{"HWcc", p.hwccIdealCfg()},
 	}
-	var jobs []runJob
-	for _, k := range p.Kernels {
-		for _, c := range configs {
-			jobs = append(jobs, runJob{kernel: k, name: c.name, cfg: c.cfg})
-		}
-	}
-	results, sw := p.runAll(jobs)
+	cells, err := p.grid(configs, false)
 	var out []OccupancyRow
 	for ki, k := range p.Kernels {
 		for ci, c := range configs {
-			idx := ki*len(configs) + ci
-			row := OccupancyRow{Kernel: k, Config: c.name}
-			if res := results[idx]; res != nil {
+			cell := cells[ki][ci]
+			row := OccupancyRow{Kernel: k, Config: c.name, Failed: cell.failed}
+			if res := cell.res; res != nil {
 				o := &res.Stats.Occupancy
 				row.MeanCode = o.MeanClass(addr.ClassCode)
 				row.MeanHeap = o.MeanClass(addr.ClassHeapGlobal)
 				row.MeanStack = o.MeanClass(addr.ClassStack)
 				row.MeanTotal = o.MeanTotal()
 				row.MaxTotal = o.MaxTotal()
-			} else {
-				row.Failed = failureTag(sw.cell(idx))
 			}
 			out = append(out, row)
 		}
 	}
-	return out, sw.orNil()
+	return out, err
 }
 
 // RuntimeRow is one bar of Figure 10: run time under one configuration,
@@ -513,10 +499,7 @@ type RuntimeRow struct {
 // sparse), and HWcc (Dir4B), normalized to the first.
 func Fig10(p ExpParams) ([]RuntimeRow, error) {
 	p = p.withDefaults()
-	configs := []struct {
-		name string
-		cfg  MachineConfig
-	}{
+	configs := []namedConfig{
 		{"Cohesion", p.cohesionRealCfg()},
 		{"Cohesion(Dir4B)", p.cohesionDir4BCfg()},
 		{"SWcc", p.swccCfg()},
@@ -524,34 +507,26 @@ func Fig10(p ExpParams) ([]RuntimeRow, error) {
 		{"HWccReal", p.hwccRealCfg()},
 		{"HWcc(Dir4B)", p.hwccDir4BCfg()},
 	}
-	var jobs []runJob
-	for _, k := range p.Kernels {
-		for _, c := range configs {
-			jobs = append(jobs, runJob{kernel: k, name: c.name, cfg: c.cfg})
-		}
-	}
-	results, sw := p.runAll(jobs)
+	cells, err := p.grid(configs, false)
 	var out []RuntimeRow
 	for ki, k := range p.Kernels {
 		var base uint64
-		if ref := results[ki*len(configs)]; ref != nil {
+		if ref := cells[ki][0].res; ref != nil {
 			base = ref.Cycles()
 		}
 		for ci, c := range configs {
-			idx := ki*len(configs) + ci
-			row := RuntimeRow{Kernel: k, Config: c.name}
-			if res := results[idx]; res != nil {
+			cell := cells[ki][ci]
+			row := RuntimeRow{Kernel: k, Config: c.name, Failed: cell.failed}
+			if res := cell.res; res != nil {
 				row.Cycles = res.Cycles()
 				if base > 0 {
 					row.Normalized = float64(res.Cycles()) / float64(base)
 				}
-			} else {
-				row.Failed = failureTag(sw.cell(idx))
 			}
 			out = append(out, row)
 		}
 	}
-	return out, sw.orNil()
+	return out, err
 }
 
 // MsgLatencyRow is one row of the message-latency table: the
@@ -567,77 +542,47 @@ type MsgLatencyRow struct {
 
 // LatencyTable runs each kernel under SWcc, realistic HWcc, and Cohesion
 // with the metrics registry attached and reports per-class L2 transaction
-// latency (one row per non-empty message class). It does not participate
-// in sweep checkpointing (p.Checkpoint is ignored): the histograms it
-// reports are live metrics state, which checkpoints do not persist.
+// latency (one row per non-empty message class). Its cells always run:
+// the histograms they report are live metrics state, which a sweep
+// checkpoint does not hold.
 func LatencyTable(p ExpParams) ([]MsgLatencyRow, error) {
 	p = p.withDefaults()
-	configs := []struct {
-		name string
-		cfg  MachineConfig
-	}{
+	configs := []namedConfig{
 		{"SWcc", p.swccCfg()},
 		{"HWccReal", p.hwccRealCfg()},
 		{"Cohesion", p.cohesionRealCfg()},
 	}
-	var jobs []runJob
-	for _, k := range p.Kernels {
-		for _, c := range configs {
-			jobs = append(jobs, runJob{kernel: k, name: c.name, cfg: c.cfg})
-		}
-	}
-	ctx := p.ctx()
-	results, errs := pool.MapCatch(len(jobs), p.Parallel, func(i int) (*Result, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", jobs[i].kernel, jobs[i].name, simerr.ErrCanceled)
-		}
-		res, err := RunCtx(ctx, RunConfig{
-			Machine: jobs[i].cfg,
-			Kernel:  jobs[i].kernel,
-			Scale:   p.Scale,
-			Seed:    p.Seed,
-			Workers: p.Workers,
-			Verify:  p.Verify,
-			Metrics: true,
-			Limits:  p.Limits,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", jobs[i].kernel, jobs[i].name, err)
-		}
-		return res, nil
-	})
-	var sw *SweepError
+	cells, err := p.grid(configs, true)
 	var out []MsgLatencyRow
-	for ji, job := range jobs {
-		if errs[ji] != nil {
-			if sw == nil {
-				sw = &SweepError{Total: len(jobs)}
-			}
-			sw.Cells = append(sw.Cells, CellFailure{Index: ji, Kernel: job.kernel, Config: job.name, Err: errs[ji]})
-			out = append(out, MsgLatencyRow{Kernel: job.kernel, Config: job.name, Failed: failureTag(errs[ji])})
-			continue
-		}
-		m := results[ji].Stats.Metrics
-		for _, k := range msg.Kinds() {
-			h := &m.MsgLatency[k]
-			if h.Count == 0 {
+	for ki, k := range p.Kernels {
+		for ci, c := range configs {
+			cell := cells[ki][ci]
+			if cell.res == nil {
+				out = append(out, MsgLatencyRow{Kernel: k, Config: c.name, Failed: cell.failed})
 				continue
 			}
-			s := h.Summarize()
-			out = append(out, MsgLatencyRow{
-				Kernel: job.kernel,
-				Config: job.name,
-				Class:  k.String(),
-				Count:  s.Count,
-				Mean:   s.Mean,
-				P50:    s.P50,
-				P90:    s.P90,
-				P99:    s.P99,
-				Max:    s.Max,
-			})
+			m := cell.res.Stats.Metrics
+			for _, kind := range msg.Kinds() {
+				h := &m.MsgLatency[kind]
+				if h.Count == 0 {
+					continue
+				}
+				s := h.Summarize()
+				out = append(out, MsgLatencyRow{
+					Kernel: k,
+					Config: c.name,
+					Class:  kind.String(),
+					Count:  s.Count,
+					Mean:   s.Mean,
+					P50:    s.P50,
+					P90:    s.P90,
+					P99:    s.P99,
+					Max:    s.Max,
+				})
+			}
 		}
 	}
-	return out, sw.orNil()
+	return out, err
 }
 
 // AreaEstimates reproduces the §4.4 directory-area accounting for the
@@ -656,47 +601,37 @@ type Summary struct {
 	DirectoryReduction float64
 }
 
-// HeadlineSummary computes the two headline ratios over all kernels.
+// HeadlineSummary computes the two headline ratios over all kernels. It
+// simulates only the three configurations they read: Fig 8's Cohesion and
+// optimistic-HWcc runs, and Fig 9c's unbounded-directory Cohesion run
+// (Fig 9c's HWcc run is Fig 8's optimistic one).
 func HeadlineSummary(p ExpParams) (*Summary, error) {
 	p = p.withDefaults()
-	fig8, err := Fig8(p)
+	cells, err := p.grid([]namedConfig{
+		{"Cohesion", p.cohesionRealCfg()},
+		{"HWccIdeal", p.hwccIdealCfg()},
+		{"CohesionIdeal", p.cohesionIdealCfg()},
+	}, false)
 	if err != nil {
 		return nil, err
 	}
 	msgRatio, n := 1.0, 0
-	byKernel := map[string]map[string]uint64{}
-	for _, row := range fig8 {
-		if byKernel[row.Kernel] == nil {
-			byKernel[row.Kernel] = map[string]uint64{}
-		}
-		byKernel[row.Kernel][row.Config] = row.Total
-	}
-	for _, k := range p.Kernels {
-		hw, coh := byKernel[k]["HWccIdeal"], byKernel[k]["Cohesion"]
-		if hw > 0 && coh > 0 {
-			msgRatio *= float64(hw) / float64(coh)
-			n++
-		}
-	}
-	s := &Summary{}
-	if n > 0 {
-		s.MessageReduction = pow(msgRatio, 1/float64(n))
-	}
-	occ, err := Fig9c(p)
-	if err != nil {
-		return nil, err
-	}
 	// Aggregate utilization ratio (sum over kernels); per-kernel ratios can
 	// be unbounded for kernels whose Cohesion port leaves the directory
 	// empty, so the aggregate is the robust analogue of the paper's 2.1x.
 	var hwSum, cohSum float64
-	for _, row := range occ {
-		switch row.Config {
-		case "HWcc":
-			hwSum += row.MeanTotal
-		case "Cohesion":
-			cohSum += row.MeanTotal
+	for _, c := range cells {
+		coh, hw, cohIdeal := c[0].res, c[1].res, c[2].res
+		if hwm, cm := hw.TotalMessages(), coh.TotalMessages(); hwm > 0 && cm > 0 {
+			msgRatio *= float64(hwm) / float64(cm)
+			n++
 		}
+		hwSum += hw.Stats.Occupancy.MeanTotal()
+		cohSum += cohIdeal.Stats.Occupancy.MeanTotal()
+	}
+	s := &Summary{}
+	if n > 0 {
+		s.MessageReduction = pow(msgRatio, 1/float64(n))
 	}
 	if cohSum > 0 {
 		s.DirectoryReduction = hwSum / cohSum

@@ -78,8 +78,8 @@ func TestPanickedCellLeavesSweepBitIdentical(t *testing.T) {
 	defer func() { runForTest = nil }()
 	p := ExpParams{Kernels: []string{"heat", "fft", "sobel"}, Parallel: 1}
 
-	runForTest = func(job runJob, _ ExpParams) (*Result, error) {
-		return fakeCellResult(job.kernel, job.name), nil
+	runForTest = func(job runJob) (*Result, error) {
+		return fakeCellResult(job.rc.Kernel, job.name), nil
 	}
 	clean, err := Fig8(p)
 	if err != nil {
@@ -87,11 +87,11 @@ func TestPanickedCellLeavesSweepBitIdentical(t *testing.T) {
 	}
 
 	// Same sweep, parallel, with one cell panicking mid-simulation.
-	runForTest = func(job runJob, _ ExpParams) (*Result, error) {
-		if job.kernel == "fft" && job.name == "HWccReal" {
+	runForTest = func(job runJob) (*Result, error) {
+		if job.rc.Kernel == "fft" && job.name == "HWccReal" {
 			panic("injected cell panic")
 		}
-		return fakeCellResult(job.kernel, job.name), nil
+		return fakeCellResult(job.rc.Kernel, job.name), nil
 	}
 	p.Parallel = 8
 	degraded, err := Fig8(p)
@@ -149,18 +149,16 @@ func TestPanickedCellLeavesSweepBitIdentical(t *testing.T) {
 // multi-line Error() names every failure.
 func TestSweepErrorMixedSentinels(t *testing.T) {
 	defer func() { runForTest = nil }()
-	runForTest = func(job runJob, _ ExpParams) (*Result, error) {
+	runForTest = func(job runJob) (*Result, error) {
 		switch {
-		case job.kernel == "heat" && job.name == "SWcc":
-			return nil, fmt.Errorf("%s/%s: %w", job.kernel, job.name,
-				simerr.New(ErrCanceled, 10, "machine", 0, "synthetic cancellation"))
-		case job.kernel == "fft" && job.name == "HWccIdeal":
-			return nil, fmt.Errorf("%s/%s: %w", job.kernel, job.name,
-				simerr.New(ErrBudgetExhausted, 20, "machine", 0, "synthetic budget stop"))
-		case job.kernel == "sobel" && job.name == "HWccReal":
+		case job.rc.Kernel == "heat" && job.name == "SWcc":
+			return nil, simerr.New(ErrCanceled, 10, "machine", 0, "synthetic cancellation")
+		case job.rc.Kernel == "fft" && job.name == "HWccIdeal":
+			return nil, simerr.New(ErrBudgetExhausted, 20, "machine", 0, "synthetic budget stop")
+		case job.rc.Kernel == "sobel" && job.name == "HWccReal":
 			panic("mixed-sentinel boom")
 		}
-		return fakeCellResult(job.kernel, job.name), nil
+		return fakeCellResult(job.rc.Kernel, job.name), nil
 	}
 
 	p := ExpParams{Kernels: []string{"heat", "fft", "sobel"}, Parallel: 4}
@@ -319,5 +317,56 @@ func TestSentinelMatrix(t *testing.T) {
 	}
 	if got := stress.SentinelOf(errs[1]); got != "panic" {
 		t.Fatalf("SentinelOf(contained panic) = %q, want panic", got)
+	}
+}
+
+// TestScalingStudyDegradesLikeFigures: the scaling study runs through the
+// same runner as the figures, so a canceled context fails every point
+// fast, and a panicked point is contained and leaves every other point
+// equal to a clean run.
+func TestScalingStudyDegradesLikeFigures(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := ScalingStudy(ExpParams{Ctx: ctx, Parallel: 2}, "heat", []int{2, 4})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled scaling study error = %v, want ErrCanceled", err)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("%d points, want 6", len(rows))
+	}
+	for _, r := range rows {
+		if !strings.HasPrefix(r.Failed, "failed(") || r.Cycles != 0 {
+			t.Fatalf("point %s@%d not marked failed under cancellation: %+v", r.Config, r.Clusters, r)
+		}
+	}
+
+	defer func() { runForTest = nil }()
+	runForTest = func(job runJob) (*Result, error) {
+		return fakeCellResult(job.rc.Kernel, job.name), nil
+	}
+	clean, err := ScalingStudy(ExpParams{Parallel: 1}, "heat", []int{2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runForTest = func(job runJob) (*Result, error) {
+		if job.name == "HWcc@4" {
+			panic("injected point panic")
+		}
+		return fakeCellResult(job.rc.Kernel, job.name), nil
+	}
+	degraded, err := ScalingStudy(ExpParams{Parallel: 4}, "heat", []int{2, 4})
+	if !errors.Is(err, ErrRunPanicked) {
+		t.Fatalf("scaling study error = %v, want ErrRunPanicked", err)
+	}
+	for i := range clean {
+		if degraded[i].Config == "HWcc" && degraded[i].Clusters == 4 {
+			if !strings.HasPrefix(degraded[i].Failed, "failed(") {
+				t.Fatalf("panicked point not marked failed: %+v", degraded[i])
+			}
+			continue
+		}
+		if !reflect.DeepEqual(clean[i], degraded[i]) {
+			t.Fatalf("point %d perturbed by the panicked one:\nclean    %+v\ndegraded %+v", i, clean[i], degraded[i])
+		}
 	}
 }

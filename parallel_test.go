@@ -28,8 +28,12 @@ func TestParallelFanoutDeterminism(t *testing.T) {
 		{"Fig3", func(p ExpParams) (any, error) { return Fig3(p) }},
 		{"Fig8", func(p ExpParams) (any, error) { return Fig8(p) }},
 		{"Fig9a", func(p ExpParams) (any, error) { return Fig9Sweep(p, HWcc) }},
+		{"Fig9b", func(p ExpParams) (any, error) { return Fig9Sweep(p, Cohesion) }},
 		{"Fig9c", func(p ExpParams) (any, error) { return Fig9c(p) }},
 		{"Fig10", func(p ExpParams) (any, error) { return Fig10(p) }},
+		{"HeadlineSummary", func(p ExpParams) (any, error) { return HeadlineSummary(p) }},
+		{"LatencyTable", func(p ExpParams) (any, error) { return LatencyTable(p) }},
+		{"ScalingStudy", func(p ExpParams) (any, error) { return ScalingStudy(p, "heat", []int{1, 2}) }},
 	}
 	for _, f := range figures {
 		f := f

@@ -3,8 +3,6 @@ package cohesion
 import (
 	"fmt"
 	"strings"
-
-	"cohesion/internal/pool"
 )
 
 // ScalingPoint is one measurement of the scaling study: a kernel run at a
@@ -22,6 +20,7 @@ type ScalingPoint struct {
 	// does not.
 	MessagesPerCore float64
 	ProbesSent      uint64
+	Failed          string // failed(<reason>) when this point's run failed
 }
 
 // ScalingStudy runs one kernel across machine sizes under SWcc, optimistic
@@ -29,74 +28,49 @@ type ScalingPoint struct {
 // hardware coherence's network and directory costs grow with core count,
 // and a hybrid model recovers software coherence's scalability for the
 // data that permits it. The kernel's data set scales with the machine so
-// per-core work stays roughly constant (weak scaling).
-//
-// The points run concurrently on parallel worker goroutines (0 = one per
-// CPU, 1 = serial); results are slotted by point index, so the returned
-// rows are identical at any worker count.
-func ScalingStudy(kernel string, clusterCounts []int, seed int64, verify bool, parallel int) ([]ScalingPoint, error) {
+// per-core work stays roughly constant (weak scaling): each point sets
+// its own clusters, scale and workers, and takes the seed, verification,
+// limits, parallelism, context and checkpoint from p. Like every figure,
+// it degrades gracefully: a failed point renders as failed(<reason>).
+func ScalingStudy(p ExpParams, kernel string, clusterCounts []int) ([]ScalingPoint, error) {
 	if len(clusterCounts) == 0 {
 		clusterCounts = []int{2, 4, 8, 16}
 	}
-	type job struct {
-		name     string
-		clusters int
-		cfg      MachineConfig
-	}
-	var jobs []job
+	var jobs []runJob
+	var points []ScalingPoint
 	for _, clusters := range clusterCounts {
-		base := ExpParams{Clusters: clusters}.expMachine()
-		for _, pt := range []struct {
-			name string
-			cfg  MachineConfig
-		}{
-			{"SWcc", base.WithMode(SWcc)},
-			{"HWcc", base.WithMode(HWcc).WithDirectory(DirInfinite, 0, 0)},
-			{"Cohesion", base.WithMode(Cohesion)},
+		pc := p
+		pc.Clusters, pc.Scale, pc.Workers = clusters, clusters, 2*clusters
+		for _, c := range []namedConfig{
+			{"SWcc", pc.swccCfg()},
+			{"HWcc", pc.hwccIdealCfg()},
+			{"Cohesion", pc.cohesionRealCfg()},
 		} {
-			jobs = append(jobs, job{name: pt.name, clusters: clusters, cfg: pt.cfg})
+			jobs = append(jobs, runJob{name: fmt.Sprintf("%s@%d", c.name, clusters), rc: pc.runConfig(kernel, c.cfg)})
+			points = append(points, ScalingPoint{Kernel: kernel, Config: c.name, Clusters: clusters, Cores: c.cfg.Cores()})
 		}
 	}
-	points, errs := pool.MapCatch(len(jobs), parallel, func(i int) (ScalingPoint, error) {
-		j := jobs[i]
-		res, err := Run(RunConfig{
-			Machine: j.cfg,
-			Kernel:  kernel,
-			Scale:   j.clusters, // weak scaling: data grows with machine
-			Seed:    seed,
-			Workers: 2 * j.clusters,
-			Verify:  verify,
-		})
-		if err != nil {
-			return ScalingPoint{}, fmt.Errorf("scaling %s/%s@%d: %w", kernel, j.name, j.clusters, err)
-		}
-		cores := j.cfg.Cores()
-		return ScalingPoint{
-			Kernel:          kernel,
-			Config:          j.name,
-			Clusters:        j.clusters,
-			Cores:           cores,
-			Cycles:          res.Cycles(),
-			Messages:        res.TotalMessages(),
-			MessagesPerCore: float64(res.TotalMessages()) / float64(cores),
-			ProbesSent:      res.Stats.ProbesSent,
-		}, nil
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	cells, err := p.runAll(jobs)
+	for i, cell := range cells {
+		pt := &points[i]
+		pt.Failed = cell.failed
+		if res := cell.res; res != nil {
+			pt.Cycles = res.Cycles()
+			pt.Messages = res.TotalMessages()
+			pt.MessagesPerCore = float64(res.TotalMessages()) / float64(pt.Cores)
+			pt.ProbesSent = res.Stats.ProbesSent
 		}
 	}
-	return points, nil
+	return points, err
 }
 
 // ScalingCSV renders scaling-study points.
 func ScalingCSV(rows []ScalingPoint) string {
 	var b strings.Builder
-	b.WriteString("kernel,config,clusters,cores,cycles,messages,messages_per_core,probes\n")
+	b.WriteString("kernel,config,clusters,cores,cycles,messages,messages_per_core,probes,failed\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%.2f,%d\n",
-			r.Kernel, r.Config, r.Clusters, r.Cores, r.Cycles, r.Messages, r.MessagesPerCore, r.ProbesSent)
+		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%.2f,%d,%s\n",
+			r.Kernel, r.Config, r.Clusters, r.Cores, r.Cycles, r.Messages, r.MessagesPerCore, r.ProbesSent, csvFailure(r.Failed))
 	}
 	return b.String()
 }

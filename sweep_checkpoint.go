@@ -15,8 +15,8 @@ import (
 // sweepCell is one completed sweep cell's persisted measurements: the
 // run's counters and memory fingerprint, enough to reconstruct the cell's
 // table row bit-for-bit without re-running the simulation. (Metrics
-// histograms are not persisted, which is why LatencyTable does not
-// participate in sweep checkpointing.)
+// histograms are not persisted, which is why runAll neither serves nor
+// records LatencyTable's cells.)
 type sweepCell struct {
 	Stats          stats.Counters `json:"stats"`
 	MemFingerprint uint64         `json:"mem_fingerprint"`
@@ -24,13 +24,7 @@ type sweepCell struct {
 
 // sweepState is the payload of a KindSweep snapshot file.
 type sweepState struct {
-	// SpecHash fingerprints the sweep parameters that determine cell
-	// results (clusters, workers, scale, seed, kernel list, directory
-	// sizes, verify, deterministic limits). A checkpoint written under a
-	// different spec is rejected on resume instead of silently mixing
-	// incompatible results.
-	SpecHash string               `json:"spec_hash"`
-	Cells    map[string]sweepCell `json:"cells"`
+	Cells map[string]sweepCell `json:"cells"`
 }
 
 // SweepCheckpoint caches completed sweep-cell results on disk so an
@@ -39,9 +33,10 @@ type sweepState struct {
 // completes is recorded (atomic temp-file+rename write per cell), and
 // every cell already recorded is served from the cache — its table row is
 // bit-identical to the original run's, since the run's counters and
-// memory fingerprint are persisted. Cells keyed by kernel, configuration
-// label, and a machine-configuration digest are shared across figures
-// that run the identical simulation.
+// memory fingerprint are persisted. A cell is keyed by the RunSpec that
+// determines its result, so every figure that runs the identical
+// simulation shares it, and a sweep with other parameters is never
+// served another's cells.
 type SweepCheckpoint struct {
 	path string
 
@@ -51,73 +46,39 @@ type SweepCheckpoint struct {
 	reused int
 }
 
-// sweepSpecHash digests the ExpParams fields that determine cell results.
-// Ctx, Parallel, and Checkpoint are per-process execution choices, not
-// sweep identity.
-func sweepSpecHash(p ExpParams) string {
-	p = p.withDefaults()
-	spec := struct {
-		Clusters int       `json:"clusters"`
-		Workers  int       `json:"workers"`
-		Scale    int       `json:"scale"`
-		Seed     int64     `json:"seed"`
-		Kernels  []string  `json:"kernels"`
-		DirSizes []int     `json:"dir_sizes"`
-		Verify   bool      `json:"verify"`
-		Limits   RunLimits `json:"limits"`
-	}{p.Clusters, p.Workers, p.Scale, p.Seed, p.Kernels, p.DirSizes, p.Verify, p.Limits}
-	b, err := json.Marshal(spec)
-	if err != nil {
-		return "unhashable"
-	}
+// cellKey names one sweep cell: its kernel and an FNV digest of its
+// RunSpec, the identity a run checkpoint records. Limits are not part of
+// it: a budget decides whether a run completes, never what a completed
+// run measures.
+func cellKey(rc RunConfig) string {
+	b, _ := json.Marshal(specOf(rc)) // ints, bools and strings only: cannot fail
 	h := fnv.New64a()
 	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%s/%016x", rc.Kernel, h.Sum64())
 }
 
-// cellKey names one sweep cell: kernel, configuration label, and a digest
-// of the full machine configuration (labels alone can collide across
-// figures that tweak the machine, e.g. Fig3's L2 sweep).
-func cellKey(job runJob) string {
-	b, err := json.Marshal(job.cfg)
-	if err != nil {
-		return job.kernel + "/" + job.name + "/unhashable"
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%s/%s/%016x", job.kernel, job.name, h.Sum64())
-}
-
-// OpenSweepCheckpoint opens (or creates) the sweep checkpoint at path for
-// the given parameters. With resume false any existing file is ignored
-// and overwritten by the first recorded cell. With resume true the latest
-// valid snapshot is loaded (recovering from a torn last write); a missing
-// file is a fresh start, but a checkpoint written under different sweep
-// parameters is an error — its cells would not match this sweep.
-func OpenSweepCheckpoint(path string, p ExpParams, resume bool) (*SweepCheckpoint, error) {
-	c := &SweepCheckpoint{
-		path:  path,
-		state: sweepState{SpecHash: sweepSpecHash(p), Cells: map[string]sweepCell{}},
-	}
+// OpenSweepCheckpoint opens (or creates) the sweep checkpoint at path.
+// With resume false any existing file is ignored and overwritten by the
+// first recorded cell. With resume true the latest valid snapshot is
+// loaded (recovering from a torn last write); a missing file is a fresh
+// start. Cells recorded under another RunSpec, or under an older build's
+// keys, load but are never served.
+func OpenSweepCheckpoint(path string, resume bool) (*SweepCheckpoint, error) {
+	c := &SweepCheckpoint{path: path, state: sweepState{Cells: map[string]sweepCell{}}}
 	if !resume {
 		return c, nil
 	}
 	var st sweepState
-	env, src, err := snapshot.LoadRecover(path, snapshot.KindSweep, &st)
+	env, _, err := snapshot.LoadRecover(path, snapshot.KindSweep, &st)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return c, nil // nothing to resume: fresh start
 		}
 		return nil, fmt.Errorf("cohesion: sweep checkpoint: %w", err)
 	}
-	if st.SpecHash != c.state.SpecHash {
-		return nil, fmt.Errorf("cohesion: sweep checkpoint %s was written by a different sweep (spec %s, this sweep %s); delete it or rerun without resume",
-			src, st.SpecHash, c.state.SpecHash)
+	if st.Cells != nil {
+		c.state = st
 	}
-	if st.Cells == nil {
-		st.Cells = map[string]sweepCell{}
-	}
-	c.state = st
 	c.seq = env.Seq
 	return c, nil
 }
@@ -140,28 +101,28 @@ func (c *SweepCheckpoint) Reused() int {
 }
 
 // lookup serves a cell from the cache, reconstructing its Result.
-func (c *SweepCheckpoint) lookup(job runJob) (*Result, bool) {
+func (c *SweepCheckpoint) lookup(rc RunConfig) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cell, ok := c.state.Cells[cellKey(job)]
+	cell, ok := c.state.Cells[cellKey(rc)]
 	if !ok {
 		return nil, false
 	}
 	c.reused++
 	return &Result{
-		Kernel:         job.kernel,
-		Mode:           job.cfg.Mode,
-		Config:         job.cfg,
+		Kernel:         rc.Kernel,
+		Mode:           rc.Machine.Mode,
+		Config:         rc.Machine,
 		Stats:          stats.Run{Counters: cell.Stats},
 		MemFingerprint: cell.MemFingerprint,
 	}, true
 }
 
 // record persists a completed cell, rewriting the checkpoint atomically.
-func (c *SweepCheckpoint) record(job runJob, res *Result) error {
+func (c *SweepCheckpoint) record(rc RunConfig, res *Result) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.state.Cells[cellKey(job)] = sweepCell{Stats: res.Stats.Counters, MemFingerprint: res.MemFingerprint}
+	c.state.Cells[cellKey(rc)] = sweepCell{Stats: res.Stats.Counters, MemFingerprint: res.MemFingerprint}
 	c.seq++
 	if err := snapshot.WriteAtomic(c.path, snapshot.KindSweep, c.seq, c.state); err != nil {
 		return fmt.Errorf("cohesion: sweep checkpoint: %w", err)

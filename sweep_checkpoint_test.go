@@ -1,11 +1,13 @@
 package cohesion
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"strings"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -23,8 +25,8 @@ func TestSweepCheckpointResumesOnlyFailedCells(t *testing.T) {
 	p := ExpParams{Kernels: []string{"heat", "fft", "sobel"}, Parallel: 4}
 
 	// Reference: a clean sweep with no checkpoint at all.
-	runForTest = func(job runJob, _ ExpParams) (*Result, error) {
-		return fakeCellResult(job.kernel, job.name), nil
+	runForTest = func(job runJob) (*Result, error) {
+		return fakeCellResult(job.rc.Kernel, job.name), nil
 	}
 	clean, err := Fig8(p)
 	if err != nil {
@@ -33,14 +35,14 @@ func TestSweepCheckpointResumesOnlyFailedCells(t *testing.T) {
 
 	// Pass 1: same sweep, checkpointed, with one cell failing on budget.
 	var firstCalls atomic.Int64
-	runForTest = func(job runJob, _ ExpParams) (*Result, error) {
+	runForTest = func(job runJob) (*Result, error) {
 		firstCalls.Add(1)
-		if job.kernel == "fft" && job.name == "Cohesion" {
-			return nil, fmt.Errorf("%s/%s: %w", job.kernel, job.name, simerr.ErrBudgetExhausted)
+		if job.rc.Kernel == "fft" && job.name == "Cohesion" {
+			return nil, simerr.ErrBudgetExhausted
 		}
-		return fakeCellResult(job.kernel, job.name), nil
+		return fakeCellResult(job.rc.Kernel, job.name), nil
 	}
-	ck, err := OpenSweepCheckpoint(path, p, false)
+	ck, err := OpenSweepCheckpoint(path, false)
 	if err != nil {
 		t.Fatalf("OpenSweepCheckpoint: %v", err)
 	}
@@ -56,12 +58,12 @@ func TestSweepCheckpointResumesOnlyFailedCells(t *testing.T) {
 	// Pass 2: resume. Only the failed cell may reach the runner.
 	var resumeCalls atomic.Int64
 	var resumedCell string
-	runForTest = func(job runJob, _ ExpParams) (*Result, error) {
+	runForTest = func(job runJob) (*Result, error) {
 		resumeCalls.Add(1)
-		resumedCell = job.kernel + "/" + job.name
-		return fakeCellResult(job.kernel, job.name), nil
+		resumedCell = job.rc.Kernel + "/" + job.name
+		return fakeCellResult(job.rc.Kernel, job.name), nil
 	}
-	ck2, err := OpenSweepCheckpoint(path, p, true)
+	ck2, err := OpenSweepCheckpoint(path, true)
 	if err != nil {
 		t.Fatalf("OpenSweepCheckpoint(resume): %v", err)
 	}
@@ -90,34 +92,141 @@ func TestSweepCheckpointResumesOnlyFailedCells(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointRejectsForeignSpec: resuming against a checkpoint
-// written by a sweep with different parameters must fail loudly instead
-// of silently serving cells from an incompatible run.
-func TestSweepCheckpointRejectsForeignSpec(t *testing.T) {
+// TestSweepCheckpointServesOnlyMatchingSpecs: a sweep with other
+// parameters over the same file is served none of its cells — every
+// cell key carries the whole RunSpec — and its table matches its own
+// fresh run.
+func TestSweepCheckpointServesOnlyMatchingSpecs(t *testing.T) {
 	defer func() { runForTest = nil }()
-	runForTest = func(job runJob, _ ExpParams) (*Result, error) {
-		return fakeCellResult(job.kernel, job.name), nil
+	runForTest = func(job runJob) (*Result, error) {
+		return fakeCellResult(job.rc.Kernel, fmt.Sprint(job.name, job.rc.Seed)), nil
 	}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	p := ExpParams{Kernels: []string{"heat"}, Seed: 1, Parallel: 2}
-	ck, err := OpenSweepCheckpoint(path, p, false)
+	ck, err := OpenSweepCheckpoint(path, false)
 	if err != nil {
 		t.Fatalf("OpenSweepCheckpoint: %v", err)
 	}
 	p.Checkpoint = ck
-	if _, err := Fig2(p); err != nil {
+	first, err := Fig2(p)
+	if err != nil {
 		t.Fatalf("seed sweep failed: %v", err)
 	}
 
 	other := ExpParams{Kernels: []string{"heat"}, Seed: 2, Parallel: 2}
-	if _, err := OpenSweepCheckpoint(path, other, true); err == nil ||
-		!strings.Contains(err.Error(), "different sweep") {
-		t.Fatalf("foreign-spec resume error = %v, want spec-mismatch rejection", err)
+	want, err := Fig2(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(first, want) {
+		t.Fatal("the two seeds' tables are equal, so serving the wrong cells would not show")
+	}
+	if other.Checkpoint, err = OpenSweepCheckpoint(path, true); err != nil {
+		t.Fatalf("OpenSweepCheckpoint(resume): %v", err)
+	}
+	got, err := Fig2(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := other.Checkpoint.Reused(); n != 0 {
+		t.Fatalf("a sweep with another seed was served %d cells", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("table over a foreign checkpoint differs from a fresh run:\ngot  %+v\nwant %+v", got, want)
 	}
 
 	// A missing file is a fresh start, not an error.
-	fresh, err := OpenSweepCheckpoint(filepath.Join(t.TempDir(), "none.ckpt"), p, true)
+	fresh, err := OpenSweepCheckpoint(filepath.Join(t.TempDir(), "none.ckpt"), true)
 	if err != nil || fresh.Cells() != 0 {
 		t.Fatalf("missing-file resume = (%v cells, %v), want empty fresh start", fresh.Cells(), err)
+	}
+}
+
+// TestSweepCheckpointSharesCellsAcrossFigures: a cell is keyed by its
+// RunSpec, not its label, so Fig9c's HWcc column is served from Fig8's
+// HWccIdeal cells, and a summary after Fig8 and Fig9c simulates nothing.
+func TestSweepCheckpointSharesCellsAcrossFigures(t *testing.T) {
+	defer func() { runForTest = nil }()
+	var mu sync.Mutex
+	var ran []string
+	runForTest = func(job runJob) (*Result, error) {
+		mu.Lock()
+		ran = append(ran, job.rc.Kernel+"/"+job.name)
+		mu.Unlock()
+		return fakeCellResult(job.rc.Kernel, job.name), nil
+	}
+	calls := func() []string {
+		defer func() { ran = nil }()
+		sort.Strings(ran)
+		return ran
+	}
+	p := ExpParams{Kernels: []string{"heat", "kmeans"}, Parallel: 2}
+	ck, err := OpenSweepCheckpoint(filepath.Join(t.TempDir(), "sweep.ckpt"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Checkpoint = ck
+	if _, err := Fig8(p); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(calls()); n != 8 {
+		t.Fatalf("Fig8 ran %d cells, want 8", n)
+	}
+	if _, err := Fig9c(p); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := calls(), []string{"heat/Cohesion", "kmeans/Cohesion"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Fig9c ran %v, want only its unbounded Cohesion cells %v", got, want)
+	}
+	if ck.Reused() != 2 || ck.Cells() != 10 {
+		t.Fatalf("after Fig9c: %d served, %d held; want 2 and 10", ck.Reused(), ck.Cells())
+	}
+	if _, err := HeadlineSummary(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls(); len(got) != 0 {
+		t.Fatalf("HeadlineSummary ran %v after Fig8 and Fig9c filled the checkpoint", got)
+	}
+	if ck.Reused() != 8 || ck.Cells() != 10 {
+		t.Fatalf("after the summary: %d served, %d held; want 8 and 10", ck.Reused(), ck.Cells())
+	}
+}
+
+// TestLatencyTableBypassesCheckpoint: LatencyTable's cells have the same
+// RunSpecs as Fig8's, but a checkpoint holds no histograms, so over a
+// checkpoint holding Fig8's cells it still runs every cell, records
+// none, and reports what it reports without one.
+func TestLatencyTableBypassesCheckpoint(t *testing.T) {
+	defer func() { runForTest = nil }()
+	p := ExpParams{Clusters: 2, Scale: 1, Kernels: []string{"heat"}, Parallel: 2}
+	want, err := LatencyTable(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := OpenSweepCheckpoint(filepath.Join(t.TempDir(), "sweep.ckpt"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Checkpoint = ck
+	if _, err := Fig8(p); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	runForTest = func(job runJob) (*Result, error) {
+		calls.Add(1)
+		return RunCtx(context.Background(), job.rc)
+	}
+	got, err := LatencyTable(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("LatencyTable ran %d of its 3 cells", n)
+	}
+	if ck.Reused() != 0 || ck.Cells() != 4 {
+		t.Fatalf("LatencyTable was served %d cells and left %d in the checkpoint; want 0 and Fig8's 4", ck.Reused(), ck.Cells())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("LatencyTable over a checkpoint differs from one without:\ngot  %+v\nwant %+v", got, want)
 	}
 }
