@@ -96,8 +96,9 @@ func TestCompatFixturesStillLoad(t *testing.T) {
 	})
 
 	// sweep.ckpt keys its cells by configuration label and machine
-	// digest, as builds before RunSpec keys did: it must load and serve
-	// nothing. sweep-spec.ckpt keys them by RunSpec and must serve all 10.
+	// digest, as builds before RunSpec keys did: it must load with no
+	// cells, serve nothing, and hold only the 10 cells Fig3 records.
+	// sweep-spec.ckpt keys them by RunSpec and must serve all 10.
 	for _, fx := range []struct {
 		name   string
 		served int
@@ -120,6 +121,9 @@ func TestCompatFixturesStillLoad(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenSweepCheckpoint: %v", err)
 			}
+			if ck.Cells() != fx.served {
+				t.Fatalf("checkpoint loaded %d cells, want %d", ck.Cells(), fx.served)
+			}
 			p.Checkpoint = ck
 			cached, err := Fig3(p)
 			if err != nil {
@@ -127,6 +131,9 @@ func TestCompatFixturesStillLoad(t *testing.T) {
 			}
 			if ck.Reused() != fx.served {
 				t.Fatalf("%d of 10 cells served from the checkpoint, want %d", ck.Reused(), fx.served)
+			}
+			if ck.Cells() != 10 {
+				t.Fatalf("checkpoint holds %d cells after Fig3, want 10", ck.Cells())
 			}
 			if got, want := FlushEfficiencyCSV(cached), FlushEfficiencyCSV(freshRows); got != want {
 				t.Fatalf("table differs from a fresh run:\n%s\nwant:\n%s", got, want)

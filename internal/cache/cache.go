@@ -4,7 +4,8 @@
 // Only the L2 holds values: its entries (Entry, in a Cache) carry a line
 // of data words. The L1I, L1D and L3 arrays (Tags) hold tag entries (Tag)
 // only, because an L1 hit reads the L2's copy and the L3's values live in
-// the backing store. One generic array serves both payloads.
+// the backing store. One generic array serves both payloads. An L3 bank
+// holds its Tags in parts allocated on first use (LazyTags).
 //
 // Entries carry the metadata the Cohesion protocols need beyond a plain
 // cache: per-word valid and dirty bit vectors (the paper's non-inclusive
@@ -76,7 +77,7 @@ type Array[D any] struct {
 // Cache is the L2's array, the only one that holds data.
 type Cache = Array[[addr.WordsPerLine]uint32]
 
-// Tags is a tag-only array: the L1I, the L1D and an L3 bank.
+// Tags is a tag-only array: the L1I, the L1D and each part of an L3 bank.
 type Tags = Array[struct{}]
 
 // New builds an L2 of sizeBytes capacity and the given associativity.
@@ -234,6 +235,86 @@ func (c *Array[D]) ForEach(fn func(*Slot[D])) {
 			fn(&c.ents[wi<<6+bits.TrailingZeros64(word)])
 		}
 	}
+}
+
+// partSets is how many sets one part of a LazyTags array holds.
+const partSets = 8
+
+// LazyTags is a tag-only array held as independent Tags parts of partSets
+// sets each, a part allocated on its first Allocate, so an array pays only
+// for the sets its lines reach. It serves the L3 banks, which are large,
+// sparsely reached, and looked up once per home access; the L1 and L2
+// arrays stay flat because their lookups are the hot path. A set count
+// that is not a multiple of partSets keeps a single part.
+//
+// Replacement is the flat array's: LRU compares lastUse only within a
+// set, each set lives in exactly one part, and that part's tick only
+// grows.
+type LazyTags struct {
+	parts     []*Tags
+	partBytes int // one part's capacity
+	ways      int
+	nsets     int
+	mask      uint64 // nsets-1 when nsets is a power of two, else 0
+}
+
+// NewLazyTags builds a part-wise tag array of the geometry NewTags takes.
+// It allocates no part.
+func NewLazyTags(sizeBytes, assoc int) *LazyTags {
+	lines := sizeBytes / addr.LineBytes
+	if lines < 1 || assoc < 1 || lines%assoc != 0 {
+		panic(fmt.Sprintf("cache: bad geometry %d bytes %d-way", sizeBytes, assoc))
+	}
+	t := &LazyTags{ways: assoc, nsets: lines / assoc}
+	nparts, per := t.nsets/partSets, partSets
+	if t.nsets%partSets != 0 {
+		nparts, per = 1, t.nsets
+	}
+	if t.nsets&(t.nsets-1) == 0 {
+		t.mask = uint64(t.nsets - 1)
+	}
+	t.parts = make([]*Tags, nparts)
+	t.partBytes = per * assoc * addr.LineBytes
+	return t
+}
+
+// part returns the slot of the part holding line's set. Within a part, a
+// line's set is line mod partSets (or the single part's own index), which
+// is its set mod partSets because partSets divides the set count.
+func (t *LazyTags) part(line addr.Line) **Tags {
+	if len(t.parts) == 1 {
+		return &t.parts[0]
+	}
+	si := uint64(line) & t.mask
+	if t.mask == 0 {
+		si = uint64(line) % uint64(t.nsets)
+	}
+	return &t.parts[si/partSets]
+}
+
+// Lookup is Array.Lookup; a line in a part never allocated misses.
+func (t *LazyTags) Lookup(line addr.Line) *Tag {
+	if p := *t.part(line); p != nil {
+		return p.Lookup(line)
+	}
+	return nil
+}
+
+// Peek is Array.Peek; a line in a part never allocated misses.
+func (t *LazyTags) Peek(line addr.Line) *Tag {
+	if p := *t.part(line); p != nil {
+		return p.Peek(line)
+	}
+	return nil
+}
+
+// Allocate is Array.Allocate, allocating line's part first if needed.
+func (t *LazyTags) Allocate(line addr.Line) (entry *Tag, victim Tag, evicted bool) {
+	pp := t.part(line)
+	if *pp == nil {
+		*pp = NewTags(t.partBytes, t.ways)
+	}
+	return (*pp).Allocate(line)
 }
 
 // WordBit returns the dirty/valid mask bit for the word containing a.

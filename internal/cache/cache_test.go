@@ -392,3 +392,117 @@ func TestQuickCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// tagFields is a tag entry without its LRU stamp, which a LazyTags part
+// and a flat array count on different ticks.
+func tagFields(e Tag) Tag {
+	e.lastUse = 0
+	return e
+}
+
+// Property: a LazyTags and a flat Tags of the same geometry, driven by one
+// random stream of allocate/lookup/peek/pin operations, agree with the LRU
+// reference model and with each other: the same hits, the same victims,
+// the same masks. The geometries cover a masked and a modulo set index
+// over several parts, and a set count that is not a multiple of 8.
+func TestQuickLazyTagsMatchFlat(t *testing.T) {
+	for _, g := range []struct{ size, assoc int }{
+		{4 << 10, 2}, // 64 sets: 8 parts
+		{1536, 2},    // 24 sets: 3 parts, the modulo set index
+		{768, 2},     // 12 sets: one part
+	} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			lazy, flat := NewLazyTags(g.size, g.assoc), NewTags(g.size, g.assoc)
+			m := newLRUModel(flat.Sets(), flat.Ways())
+			// same reports whether both arrays hold line as the model does.
+			same := func(le, fe *Tag, line addr.Line) bool {
+				v, in := m.data[line]
+				if (le != nil) != in || (fe != nil) != in {
+					return false
+				}
+				return le == nil || (tagFields(*le) == tagFields(*fe) && stampOf(le) == int(v))
+			}
+			for op := 0; op < 2000; op++ {
+				line := addr.Line(rng.Intn(256))
+				switch rng.Intn(3) {
+				case 0: // allocate or touch
+					le, fe := lazy.Lookup(line), flat.Lookup(line)
+					if !same(le, fe, line) {
+						return false
+					}
+					if le != nil {
+						m.touch(line)
+						continue
+					}
+					want, wantEvict, ok := m.victim(line)
+					if !ok {
+						continue // fully pinned: the controller would stall
+					}
+					le, lv, lev := lazy.Allocate(line)
+					fe, fv, fev := flat.Allocate(line)
+					if lev != wantEvict || fev != wantEvict {
+						return false
+					}
+					if lev {
+						if tagFields(lv) != tagFields(fv) || lv.Line != want || stampOf(&lv) != int(m.data[want]) {
+							return false
+						}
+						m.remove(want)
+					}
+					v := uint8(rng.Intn(256))
+					stamp(le, v)
+					stamp(fe, v)
+					le.ValidMask, fe.ValidMask = ^v, ^v
+					m.insert(line, v)
+				case 1: // observe without refreshing
+					if !same(lazy.Peek(line), flat.Peek(line), line) {
+						return false
+					}
+				case 2: // pin or unpin a resident line
+					if le := lazy.Peek(line); le != nil {
+						le.Pinned = !le.Pinned
+						flat.Peek(line).Pinned = le.Pinned
+						m.pinned[line] = le.Pinned
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("%d bytes %d-way: %v", g.size, g.assoc, err)
+		}
+	}
+}
+
+// TestLazyTagsAllocatesOnFirstUse: building an L3 bank's array allocates
+// no part, a line's first Allocate allocates its part alone, and Lookup
+// and Peek of a line whose part was never allocated miss without
+// allocating.
+func TestLazyTagsAllocatesOnFirstUse(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { sink = NewLazyTags(128<<10, 8) }); n > 2 {
+		t.Errorf("building a Table-3 L3 bank's array made %.0f allocations, want at most 2", n)
+	}
+	l3 := NewLazyTags(128<<10, 8) // 512 sets: 64 parts of 8
+	l3.Allocate(0)
+	held := 0
+	for _, p := range l3.parts {
+		if p != nil {
+			held++
+		}
+	}
+	if held != 1 {
+		t.Fatalf("one line allocated %d parts, want 1", held)
+	}
+	// Line 8 maps to set 8, in the second part.
+	if n := testing.AllocsPerRun(100, func() {
+		if l3.Lookup(8) != nil || l3.Peek(8) != nil {
+			t.Fatal("hit in a part never allocated")
+		}
+	}); n != 0 {
+		t.Errorf("a miss in a part never allocated made %.0f allocations, want 0", n)
+	}
+	if l3.parts[1] != nil {
+		t.Fatal("a miss allocated its part")
+	}
+}

@@ -94,7 +94,8 @@ type Op struct {
 
 // Core is one in-order core. Programs interact with it only through Do,
 // from inside the program coroutine; everything else belongs to the
-// machine side.
+// machine side. Until StartCore gives it a program, a core is only its ID
+// and cluster: every other field is zero.
 type Core struct {
 	ID      int // global core id
 	cluster *Cluster
@@ -103,7 +104,8 @@ type Core struct {
 
 	// Coroutine handles for the program (iter.Pull over its parks). next
 	// resumes the program with the value left in resp and returns once it
-	// parks (false once it has returned); stop unwinds a parked program.
+	// parks (false once it has returned), and is nil until the core
+	// starts; stop unwinds a parked program.
 	next     func() (struct{}, bool)
 	stop     func()
 	yield    func(struct{}) bool
@@ -128,7 +130,6 @@ type Core struct {
 	codeBase addr.Addr
 	codeLen  int // code footprint in bytes, at least one word
 
-	started bool
 	done    bool
 	pending Op
 
@@ -139,7 +140,7 @@ type Core struct {
 
 	// Pre-bound continuation funcs for the per-operation issue ladder
 	// (fetch -> ifetch -> execute -> access -> complete). Binding them
-	// once at construction keeps the hot path from allocating a fresh
+	// once when the core starts keeps the hot path from allocating a fresh
 	// closure per operation; they are scheduled millions of times per
 	// simulation. Each reads the in-flight operation from c.pending (a
 	// core has exactly one operation in flight), so no per-op state needs
@@ -147,7 +148,6 @@ type Core struct {
 	fetchFn        func() // cl.fetchNext(c)
 	stepFn         func() // cl.step(c)
 	completeZeroFn func() // cl.complete(c, 0)
-	executeFn      func() // cl.execute(c)
 	ifetchL2Fn     func() // cl.ifetchL2(c)
 	ifetchFillFn   func() // cl.ifetchFill(c)
 	l2LoadFn       func() // cl.l2Load(c)
@@ -264,10 +264,11 @@ type Cluster struct {
 	q    *event.Queue
 	run  *stats.Run
 
-	l2     *cache.Cache
-	toHome HomeSend
-	Cores  []*Core
-	orc    *oracle.Oracle // nil unless the online coherence oracle is enabled
+	l2      *cache.Cache
+	toHome  HomeSend
+	Cores   []*Core
+	started []*Core        // the cores StartCore gave a program, in start order
+	orc     *oracle.Oracle // nil unless the online coherence oracle is enabled
 
 	l2busy event.Cycle
 
@@ -326,6 +327,7 @@ const (
 )
 
 // New builds a cluster. toHome and onCoreDone are installed by the machine.
+// Its cores are only their IDs until StartCore gives one a program.
 func New(id int, cfg config.Machine, q *event.Queue, run *stats.Run) *Cluster {
 	cl := &Cluster{
 		ID:   id,
@@ -335,32 +337,12 @@ func New(id int, cfg config.Machine, q *event.Queue, run *stats.Run) *Cluster {
 		run:  run,
 		l2:   cache.New(cfg.L2Size, cfg.L2Assoc),
 	}
-	for i := 0; i < cfg.CoresPerCluster; i++ {
-		c := &Core{
-			ID:      id*cfg.CoresPerCluster + i,
-			cluster: cl,
-			l1i:     cache.NewTags(cfg.L1ISize, cfg.L1IAssoc),
-			l1d:     cache.NewTags(cfg.L1DSize, cfg.L1DAssoc),
-			codeLen: addr.WordBytes,
-		}
-		c.fetchFn = func() { cl.fetchNext(c) }
-		c.stepFn = func() { cl.step(c) }
-		c.completeZeroFn = func() { cl.complete(c, 0) }
-		c.executeFn = func() { cl.execute(c) }
-		c.ifetchL2Fn = func() { cl.ifetchL2(c) }
-		c.ifetchFillFn = func() { cl.ifetchFill(c) }
-		c.l2LoadFn = func() { cl.l2Load(c) }
-		c.l2StoreFn = func() { cl.l2Store(c) }
-		c.flushFn = func() { cl.flush(c) }
-		c.invFn = func() { cl.inv(c) }
-		c.uncachedRespFn = func(resp msg.Resp) { cl.uncachedResp(c, resp) }
-		c.flushRespFn = func(msg.Resp) {
-			if m := cl.run.Metrics; m != nil {
-				m.MsgLatency[msg.SWFlush].Observe(uint64(cl.q.Now() - c.opBorn))
-			}
-			cl.complete(c, 0)
-		}
-		cl.Cores = append(cl.Cores, c)
+	cores := make([]Core, cfg.CoresPerCluster)
+	cl.Cores = make([]*Core, len(cores))
+	for i := range cores {
+		cores[i].ID = id*cfg.CoresPerCluster + i
+		cores[i].cluster = cl
+		cl.Cores[i] = &cores[i]
 	}
 	return cl
 }
@@ -378,10 +360,8 @@ func (cl *Cluster) Shutdown() {
 		return
 	}
 	cl.stopped = true
-	for _, c := range cl.Cores {
-		if c.stop != nil {
-			c.stop()
-		}
+	for _, c := range cl.started {
+		c.stop()
 	}
 }
 
@@ -419,13 +399,35 @@ func (cl *Cluster) OldestTxn(now event.Cycle) (age event.Cycle, line addr.Line, 
 
 // StartCore launches a program on core index i. The program runs on a
 // runtime coroutine; the first operation is fetched when the core's first
-// issue event fires.
+// issue event fires. Only here does a core get its L1 arrays, its
+// continuation funcs and an op queue that never grows, so an idle core
+// costs nothing.
 func (cl *Cluster) StartCore(i int, program func(c *Core)) {
 	c := cl.Cores[i]
-	if c.started {
+	if c.next != nil {
 		panic(simerr.Invariant(uint64(cl.q.Now()), cl.site(), 0, "core %d started twice", c.ID))
 	}
-	c.started = true
+	c.l1i = cache.NewTags(cl.cfg.L1ISize, cl.cfg.L1IAssoc)
+	c.l1d = cache.NewTags(cl.cfg.L1DSize, cl.cfg.L1DAssoc)
+	c.opq = make([]Op, 0, asyncBatchCap+1)
+	c.codeLen = addr.WordBytes
+	c.fetchFn = func() { cl.fetchNext(c) }
+	c.stepFn = func() { cl.step(c) }
+	c.completeZeroFn = func() { cl.complete(c, 0) }
+	c.ifetchL2Fn = func() { cl.ifetchL2(c) }
+	c.ifetchFillFn = func() { cl.ifetchFill(c) }
+	c.l2LoadFn = func() { cl.l2Load(c) }
+	c.l2StoreFn = func() { cl.l2Store(c) }
+	c.flushFn = func() { cl.flush(c) }
+	c.invFn = func() { cl.inv(c) }
+	c.uncachedRespFn = func(resp msg.Resp) { cl.uncachedResp(c, resp) }
+	c.flushRespFn = func(msg.Resp) {
+		if m := cl.run.Metrics; m != nil {
+			m.MsgLatency[msg.SWFlush].Observe(uint64(cl.q.Now() - c.opBorn))
+		}
+		cl.complete(c, 0)
+	}
+	cl.started = append(cl.started, c)
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		defer func() {
@@ -1044,8 +1046,10 @@ func (cl *Cluster) surrender(e cache.Entry) {
 	}
 }
 
+// invalidateL1 drops line from the L1s of every started core; an idle
+// core has none.
 func (cl *Cluster) invalidateL1(line addr.Line) {
-	for _, c := range cl.Cores {
+	for _, c := range cl.started {
 		c.l1d.Invalidate(line)
 		c.l1i.Invalidate(line)
 	}
@@ -1159,7 +1163,7 @@ func (cl *Cluster) StuckReport(now event.Cycle) []string {
 			cl.ID, t.kind, uint64(line.Base()), now-t.bornAt, t.id, len(t.retries), t.timeouts, t.nacks))
 	}
 	for _, c := range cl.Cores {
-		if c.started && !c.done && c.pending.Kind != OpDone {
+		if c.next != nil && !c.done && c.pending.Kind != OpDone {
 			out = append(out, fmt.Sprintf("cl%d: core %d blocked on %v addr=%#x",
 				cl.ID, c.ID, c.pending.Kind, uint64(c.pending.Addr)))
 		}

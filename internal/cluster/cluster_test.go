@@ -602,3 +602,54 @@ func TestClusterMSHRLimitStallsNotDeadlocks(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterIdleCoresHoldNothing: a core that never starts holds no L1
+// arrays, continuation funcs or op queue, and an L2 eviction still drops
+// the line from the L1I and L1D of every started core.
+func TestClusterIdleCoresHoldNothing(t *testing.T) {
+	f := newFixture(t, config.HWcc)
+	f.home.respond = grantAll(f.mem, func(msg.Req) msg.Grant { return msg.GrantShared })
+	codeLine, dataLine := addr.LineOf(addr.CodeBase), addr.LineOf(dataAddr)
+	started := []int{0, 2}
+	for _, i := range started {
+		f.execOn(i, func(c *Core) { c.Do(Op{Kind: OpLoad, Addr: dataAddr}) })
+	}
+	for f.q.Step() {
+	}
+	for _, i := range started {
+		if c := f.cl.Cores[i]; c.l1i.Peek(codeLine) == nil || c.l1d.Peek(dataLine) == nil {
+			t.Fatalf("core %d's L1s do not hold the code and data lines", i)
+		}
+	}
+	// A third core, fetching from another code line, loads 16 lines into
+	// each of the two lines' L2 sets and evicts both.
+	setStride := addr.Addr(64 << 10 / 16)
+	f.cl.StartCore(4, func(c *Core) {
+		c.SetCode(addr.CodeBase+2*addr.LineBytes, 64)
+		for i := addr.Addr(1); i <= 16; i++ {
+			c.Do(Op{Kind: OpLoad, Addr: addr.CodeBase + i*setStride})
+			c.Do(Op{Kind: OpLoad, Addr: dataAddr + i*setStride})
+		}
+	})
+	for f.q.Step() {
+	}
+	if f.done != 3 {
+		t.Fatalf("%d of 3 programs finished", f.done)
+	}
+	if f.cl.L2().Peek(codeLine) != nil || f.cl.L2().Peek(dataLine) != nil {
+		t.Fatal("the code and data lines survived in the L2")
+	}
+	for _, i := range started {
+		if c := f.cl.Cores[i]; c.l1i.Peek(codeLine) != nil || c.l1d.Peek(dataLine) != nil {
+			t.Errorf("core %d's L1s still hold a line the L2 evicted", i)
+		}
+	}
+	for _, c := range f.cl.Cores {
+		if c.next != nil {
+			continue
+		}
+		if c.l1i != nil || c.l1d != nil || c.fetchFn != nil || c.opq != nil {
+			t.Errorf("core %d never started but holds L1s, continuations or an op queue", c.ID)
+		}
+	}
+}

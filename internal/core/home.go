@@ -54,7 +54,7 @@ type Home struct {
 	store *dram.Store
 	mem   *dram.Controller
 	dir   directory.Directory // nil in SWcc mode
-	l3    *cache.Tags         // this bank's tag array (values live in store)
+	l3    *cache.LazyTags     // this bank's tag array (values live in store)
 
 	coarse *region.CoarseTable // nil unless Cohesion with coarse table
 	fine   *region.FineTable   // nil unless Cohesion
@@ -363,7 +363,7 @@ func NewHome(bank int, cfg config.Machine, q *event.Queue, run *stats.Run,
 		store:  store,
 		mem:    mem,
 		dir:    dir,
-		l3:     cache.NewTags(cfg.L3BankSize(), cfg.L3Assoc),
+		l3:     cache.NewLazyTags(cfg.L3BankSize(), cfg.L3Assoc),
 		coarse: coarse,
 		fine:   fine,
 		probe:  probe,

@@ -64,6 +64,9 @@ type Result struct {
 	Events      uint64 // executed events (set on every path, failures included)
 	Fingerprint uint64
 	Checks      uint64 // oracle invariant evaluations
+	// Resumes counts core coroutine resumes (stats.Run.Resumes): host
+	// work, not a determinism witness.
+	Resumes uint64
 }
 
 // RunOpts attaches observability consumers and lifecycle controls to a
@@ -157,6 +160,7 @@ func RunProgramOpts(p Program, opts RunOpts) (res Result) {
 		res.Cycles = uint64(m.Q.Now())
 	}
 	res.Events = m.Q.Fired()
+	res.Resumes = m.Run.Resumes
 	res.Err = err
 	if o := m.Oracle(); o != nil {
 		res.Checks = o.Checks
@@ -166,37 +170,41 @@ func RunProgramOpts(p Program, opts RunOpts) (res Result) {
 
 var atomicOps = []msg.AtomicOp{msg.AtomicAdd, msg.AtomicOr, msg.AtomicXchg}
 
-// execOp performs one schedule step on a core. The corrupt op runs
-// host-side — the machine is paused between Do calls — and models a
-// protocol corrupting memory behind the oracle's back.
+// execOp performs one schedule step on a core. No op reads its result,
+// so each is queued with DoAsync: the program parks once per batch
+// instead of once per op, and the machine issues the ops with the same
+// timing. The corrupt op runs host-side and models a protocol corrupting
+// memory behind the oracle's back; it Syncs first, so the write lands
+// when the op before it completes, as it would after a Do.
 func execOp(m *machine.Machine, c *cluster.Core, cfg Config, banks int, op Op) {
 	a := cfg.LineAddr(op.Line) + addr.Addr(op.Word*addr.WordBytes)
 	switch op.Kind {
 	case OpLoad:
-		c.Do(cluster.Op{Kind: cluster.OpLoad, Addr: a})
+		c.DoAsync(cluster.Op{Kind: cluster.OpLoad, Addr: a})
 	case OpStore:
-		c.Do(cluster.Op{Kind: cluster.OpStore, Addr: a, Value: op.Value})
+		c.DoAsync(cluster.Op{Kind: cluster.OpStore, Addr: a, Value: op.Value})
 	case OpAtomic:
-		c.Do(cluster.Op{Kind: cluster.OpAtomic, Addr: a, AOp: atomicOps[op.Value%3], Value: op.Value})
+		c.DoAsync(cluster.Op{Kind: cluster.OpAtomic, Addr: a, AOp: atomicOps[op.Value%3], Value: op.Value})
 	case OpUncLoad:
-		c.Do(cluster.Op{Kind: cluster.OpUncLoad, Addr: a})
+		c.DoAsync(cluster.Op{Kind: cluster.OpUncLoad, Addr: a})
 	case OpUncStore:
-		c.Do(cluster.Op{Kind: cluster.OpUncStore, Addr: a, Value: op.Value})
+		c.DoAsync(cluster.Op{Kind: cluster.OpUncStore, Addr: a, Value: op.Value})
 	case OpFlush:
-		c.Do(cluster.Op{Kind: cluster.OpFlush, Addr: a})
+		c.DoAsync(cluster.Op{Kind: cluster.OpFlush, Addr: a})
 	case OpInv:
-		c.Do(cluster.Op{Kind: cluster.OpInv, Addr: a})
+		c.DoAsync(cluster.Op{Kind: cluster.OpInv, Addr: a})
 	case OpToSW, OpToHW:
 		wa := region.TblWordAddr(a, banks)
 		bit := uint32(1) << region.TblBitIndex(a)
 		if op.Kind == OpToSW {
-			c.Do(cluster.Op{Kind: cluster.OpAtomic, Addr: wa, AOp: msg.AtomicOr, Value: bit})
+			c.DoAsync(cluster.Op{Kind: cluster.OpAtomic, Addr: wa, AOp: msg.AtomicOr, Value: bit})
 		} else {
-			c.Do(cluster.Op{Kind: cluster.OpAtomic, Addr: wa, AOp: msg.AtomicAnd, Value: ^bit})
+			c.DoAsync(cluster.Op{Kind: cluster.OpAtomic, Addr: wa, AOp: msg.AtomicAnd, Value: ^bit})
 		}
 	case OpWork:
-		c.Do(cluster.Op{Kind: cluster.OpWork, Cycles: int64(op.Value)})
+		c.DoAsync(cluster.Op{Kind: cluster.OpWork, Cycles: int64(op.Value)})
 	case OpCorrupt:
+		c.Sync()
 		m.Store.WriteWord(a, op.Value)
 	}
 }

@@ -62,6 +62,20 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestPoolRoundTotals pins one round of the bench fuzz pool. Events,
+// cycles and oracle checks are the determinism witnesses, the same totals
+// as when each op parked its core. Resumes pin the batching:
+// a program parks once per batch of ops, so each of its 8 cores resumes
+// twice (at its start and once its first 65 ops have drained), where
+// parking at every op resumed 38,880 times.
+func TestPoolRoundTotals(t *testing.T) {
+	got := runPoolRound(t)
+	want := Result{Events: 167_595, Cycles: 1_549_353, Checks: 56_695, Resumes: 960}
+	if got != want {
+		t.Fatalf("pool round totals %+v, want %+v", got, want)
+	}
+}
+
 func TestFuzzSmoke(t *testing.T) {
 	modes := []string{"cohesion", "hwcc", "swcc"}
 	for i := 0; i < 24; i++ {
@@ -96,6 +110,12 @@ func TestCorruptionDetectedAndReproRoundTrip(t *testing.T) {
 	cat := CategoryOf(res.Err)
 	if cat != "protocol-invariant/corrupt uncached load" {
 		t.Fatalf("category = %q, want protocol-invariant/corrupt uncached load", cat)
+	}
+	// The corrupting write lands when the op before it completes, so the
+	// uncached load behind it fails at the same event and cycle as when
+	// every op parked its core.
+	if res.Events != 1_727 || res.Cycles != 2_345 {
+		t.Fatalf("corruption caught at event %d, cycle %d; want event 1727, cycle 2345", res.Events, res.Cycles)
 	}
 	r, _, _ := Capture(p)
 	if r.Category != cat {
@@ -226,8 +246,9 @@ var machineSink any
 
 // TestBuildMachineCostsWhatItHolds holds the construction of a default
 // fuzz machine to its footprint, in every mode: a few allocations per
-// cache, directory bank and event queue, not one per set, and no wheel
-// slot headers sized by the horizon.
+// cache, directory bank and event queue, not one per set, no wheel slot
+// headers sized by the horizon, no L1s or continuation funcs on a core
+// before it starts, and no L3 set before a line reaches it.
 func TestBuildMachineCostsWhatItHolds(t *testing.T) {
 	const runs = 5
 	for _, mode := range []string{"hwcc", "swcc", "cohesion"} {
@@ -249,8 +270,8 @@ func TestBuildMachineCostsWhatItHolds(t *testing.T) {
 		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 		allocs := (after.Mallocs - before.Mallocs) / runs
 		t.Logf("%s: BuildMachine allocated %d bytes in %d allocations", mode, bytes, allocs)
-		if bytes >= 256<<10 || allocs >= 500 {
-			t.Errorf("%s: BuildMachine allocated %d bytes in %d allocations, want under 256 KiB and 500", mode, bytes, allocs)
+		if bytes >= 64<<10 || allocs >= 100 {
+			t.Errorf("%s: BuildMachine allocated %d bytes in %d allocations, want under 64 KiB and 100", mode, bytes, allocs)
 		}
 	}
 }

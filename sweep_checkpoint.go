@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"strings"
 	"sync"
 
 	"cohesion/internal/snapshot"
@@ -61,8 +62,10 @@ func cellKey(rc RunConfig) string {
 // With resume false any existing file is ignored and overwritten by the
 // first recorded cell. With resume true the latest valid snapshot is
 // loaded (recovering from a torn last write); a missing file is a fresh
-// start. Cells recorded under another RunSpec, or under an older build's
-// keys, load but are never served.
+// start. Cells recorded under another RunSpec load but are never served.
+// Cells under an older build's keys, which no cellKey can produce, are
+// dropped at load, so Cells counts only cells a sweep could be served
+// from, and the next write leaves the others out of the file.
 func OpenSweepCheckpoint(path string, resume bool) (*SweepCheckpoint, error) {
 	c := &SweepCheckpoint{path: path, state: sweepState{Cells: map[string]sweepCell{}}}
 	if !resume {
@@ -76,11 +79,28 @@ func OpenSweepCheckpoint(path string, resume bool) (*SweepCheckpoint, error) {
 		}
 		return nil, fmt.Errorf("cohesion: sweep checkpoint: %w", err)
 	}
-	if st.Cells != nil {
-		c.state = st
+	for key, cell := range st.Cells {
+		if isCellKey(key) {
+			c.state.Cells[key] = cell
+		}
 	}
 	c.seq = env.Seq
 	return c, nil
+}
+
+// isCellKey reports whether key has cellKey's form, <kernel>/<16 hex
+// digits>.
+func isCellKey(key string) bool {
+	kernel, digest, ok := strings.Cut(key, "/")
+	if !ok || kernel == "" || len(digest) != 16 {
+		return false
+	}
+	for _, r := range digest {
+		if !('0' <= r && r <= '9' || 'a' <= r && r <= 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Path is the snapshot file backing this checkpoint.
