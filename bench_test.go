@@ -194,6 +194,35 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
+// simRound is one round of the bench sim workload (bench/workloads.go):
+// these kernels and scales under each memory model on ScaledConfig(8).
+var simRound = []struct {
+	kernel string
+	scale  int
+}{{"cg", 12}, {"heat", 10}, {"stencil", 5}, {"dmm", 5}}
+
+// BenchmarkPrepare sets up one round of the bench sim workload — Prepare
+// of its 12 cells, seed 42, each machine's coroutines ended before it
+// runs — and reports its bytes and allocations per round: the way to size
+// a set-up or footprint change without the bench/ harness.
+//
+//	go test -run XXX -bench Prepare -count 5 .
+func BenchmarkPrepare(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, c := range simRound {
+			for _, mode := range []Mode{SWcc, HWcc, Cohesion} {
+				pr, err := Prepare(RunConfig{Machine: ScaledConfig(8).WithMode(mode),
+					Kernel: c.kernel, Scale: c.scale, Seed: 42, Verify: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				pr.p.m.Shutdown()
+			}
+		}
+	}
+}
+
 // --- ablation benches for the design choices DESIGN.md calls out ---
 
 // BenchmarkAblationReadRelease compares HWcc with and without read

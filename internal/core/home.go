@@ -62,7 +62,8 @@ type Home struct {
 	probe ProbeFunc
 
 	// faults, when non-nil, injects directory-allocation NACKs (the drop/
-	// duplicate/delay decisions live at the machine and network layers).
+	// duplicate/delay decisions live at the machine and network layers)
+	// and keeps the serviced-ID sets that absorb duplicates.
 	faults *fault.Plan
 
 	// orc, when non-nil, is the online coherence oracle; the home reports
@@ -99,6 +100,10 @@ type Home struct {
 	// linetab.Set rather than a map so rotation swaps and clears the two
 	// sets in place — the old scheme re-made a 64K-entry map every rotation,
 	// the single remaining allocation source on long HWcc runs.
+	//
+	// Only the fault plan duplicates a request or arms the retransmission
+	// timeouts, so a bank without one neither keeps nor consults the sets:
+	// at their cap they hold about 2.3 MB, and no lookup could match.
 	serviced     linetab.Set
 	prevServiced linetab.Set
 }
@@ -377,15 +382,20 @@ func (h *Home) SetOracle(o *oracle.Oracle) { h.orc = o }
 // site names this bank in diagnostics and traces.
 func (h *Home) site() string { return h.name }
 
-// alreadyServiced reports whether a transaction ID has been granted.
+// alreadyServiced reports whether a transaction ID has been granted; it
+// is always false on a machine without a fault plan.
 func (h *Home) alreadyServiced(id uint64) bool {
-	return h.serviced.Has(id) || h.prevServiced.Has(id)
+	return h.faults != nil && (h.serviced.Has(id) || h.prevServiced.Has(id))
 }
 
-// markServiced records a granted transaction ID, rotating generations to
-// keep the set bounded. Rotation swaps the two sets and clears the stale
-// one in place, so it allocates nothing once both have reached size.
+// markServiced records a granted transaction ID under a fault plan,
+// rotating generations to keep the set bounded. Rotation swaps the two
+// sets and clears the stale one in place, so it allocates nothing once
+// both have reached size.
 func (h *Home) markServiced(id uint64) {
+	if h.faults == nil {
+		return
+	}
 	if h.serviced.Len() >= servicedGenSize {
 		h.serviced, h.prevServiced = h.prevServiced, h.serviced
 		h.serviced.Clear()

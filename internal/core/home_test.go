@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"cohesion/internal/addr"
@@ -8,6 +9,8 @@ import (
 	"cohesion/internal/directory"
 	"cohesion/internal/dram"
 	"cohesion/internal/event"
+	"cohesion/internal/fault"
+	"cohesion/internal/linetab"
 	"cohesion/internal/msg"
 	"cohesion/internal/region"
 	"cohesion/internal/stats"
@@ -724,5 +727,45 @@ func TestHomeTableIdempotentWriteNoTransition(t *testing.T) {
 	}
 	if h.run.TransitionsToSW+h.run.TransitionsToHW != 0 {
 		t.Fatal("idempotent table write caused a transition")
+	}
+}
+
+// Only a fault plan duplicates or retransmits a granted request, so a bank
+// without one neither keeps nor consults its serviced-ID sets; with one, a
+// redelivered ID is dropped unanswered.
+func TestHomeServicedSetsOnlyUnderFaults(t *testing.T) {
+	for _, faults := range []bool{false, true} {
+		h := newHarness(t, config.HWcc, config.DirSparse, 64, 4, 2)
+		if faults {
+			h.home.faults = fault.NewPlan(config.FaultPlan{Enabled: true}, h.run)
+		}
+		for i := 0; i < 8; i++ {
+			req := rd(i%2, testLine+addr.Line(i))
+			req.ID = uint64(i + 1)
+			box := h.send(req)
+			h.runAll()
+			if !box.done || box.resp.Grant != msg.GrantShared {
+				t.Fatalf("faults=%v: request %d: resp = %+v", faults, i, box.resp)
+			}
+		}
+		dup := rd(0, testLine)
+		dup.ID = 1
+		box := h.send(dup)
+		h.runAll()
+		if !faults {
+			if !box.done || h.run.DupsDropped != 0 {
+				t.Fatal("a fault-free bank dropped a request as a duplicate")
+			}
+			if !reflect.DeepEqual(h.home.serviced, linetab.Set{}) || !reflect.DeepEqual(h.home.prevServiced, linetab.Set{}) {
+				t.Fatal("a fault-free bank allocated its serviced-ID sets")
+			}
+			continue
+		}
+		if box.done || h.run.DupsDropped != 1 {
+			t.Fatalf("redelivered ID: answered %v, %d dropped, want unanswered and 1", box.done, h.run.DupsDropped)
+		}
+		if n := h.home.serviced.Len(); n != 8 {
+			t.Fatalf("serviced-ID set holds %d IDs, want 8", n)
+		}
 	}
 }

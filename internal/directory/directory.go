@@ -17,6 +17,12 @@
 // One directory bank is collocated with each L3 bank; requests for a line
 // are serialized through its home bank, so the storage layer here is
 // purely sequential state.
+//
+// A run uses few of a sparse bank's entries (the paper's Figs 9a–c are
+// about how few), so sparse storage allocates them 16 slots at a time,
+// on the first Allocate into each chunk; lookups, room checks and victim
+// choice go through an occupancy bitmap and never touch a chunk no entry
+// has used.
 package directory
 
 import (
@@ -101,15 +107,17 @@ func (s State) String() string {
 // owning cluster and Sharers contains only the owner. For limited
 // directories Broadcast means the precise sharer set was lost to pointer
 // overflow and invalidations must go to every cluster.
+//
+// The fields are ordered widest first so an Entry packs into 48 bytes.
 type Entry struct {
-	Line      addr.Line
+	Line    addr.Line
+	Sharers Sharers
+	Owner   int
+	lastUse uint64
+
 	State     State
-	Sharers   Sharers
-	Owner     int
 	Broadcast bool
 	Pinned    bool // a directory transaction is in flight on this line
-
-	lastUse uint64
 }
 
 // Directory is the storage interface shared by all three organizations.
@@ -231,8 +239,20 @@ func (d *infinite) ForEach(fn func(*Entry)) {
 
 // --- Sparse set-associative (full-map or limited) ---
 
+// Sparse entries come in chunks of chunkSize consecutive slots.
+const (
+	chunkShift = 4
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
+)
+
 type sparse struct {
-	ents    []Entry // slot set*ways+way
+	// chunks holds slot set*ways+way at chunks[slot>>chunkShift]
+	// [slot&chunkMask]; a chunk is nil until an entry is allocated in it
+	// and is never freed, so *Entry pointers stay stable. A directory
+	// whose entry count is not a multiple of chunkSize rounds up to whole
+	// chunks; the trailing slots belong to no set.
+	chunks  []*[chunkSize]Entry
 	nsets   int
 	ways    int
 	mask    uint64 // nsets-1 when nsets is a power of two, else 0
@@ -241,11 +261,12 @@ type sparse struct {
 	limited bool
 	byClass [addr.NumClasses]uint64
 
-	// occ has one bit per slot, set while the slot is allocated. ForEach
-	// scans it instead of streaming the whole entry array — the Table 3
-	// sparse geometry is 16K entries per bank in 128 sets × 128 ways of
-	// 56-byte entries (917,504 bytes), most of it empty at end of run
-	// when the invariant sweep walks it.
+	// occ has one bit per slot, set while the slot is allocated. Every
+	// operation finds entries and free ways through it, so a chunk no
+	// entry ever used is never read or allocated. The Table 3 sparse
+	// geometry is 16K entries per bank in 128 sets × 128 ways of 48-byte
+	// entries, 786,432 bytes if all were allocated, and a run uses few
+	// of them.
 	occ []uint64
 }
 
@@ -263,7 +284,7 @@ func NewSparse(entries, assoc int, limited bool) Directory {
 	}
 	nsets := entries / assoc
 	d := &sparse{
-		ents:    make([]Entry, entries),
+		chunks:  make([]*[chunkSize]Entry, (entries+chunkMask)>>chunkShift),
 		nsets:   nsets,
 		ways:    assoc,
 		limited: limited,
@@ -275,43 +296,57 @@ func NewSparse(entries, assoc int, limited bool) Directory {
 	return d
 }
 
-// set returns the ways of set si.
-func (d *sparse) set(si uint64) []Entry {
-	base := si * uint64(d.ways)
-	end := base + uint64(d.ways)
-	return d.ents[base:end:end]
+// entry returns slot i, whose chunk must be allocated.
+func (d *sparse) entry(i uint64) *Entry { return &d.chunks[i>>chunkShift][i&chunkMask] }
+
+// slots returns the slot range [lo, hi) of line's set. The set index is
+// a mask when the set count is a power of two (every real geometry),
+// falling back to modulo for odd test-constructed ones.
+func (d *sparse) slots(line addr.Line) (lo, hi uint64) {
+	si := uint64(line) & d.mask
+	if d.mask == 0 && d.nsets > 1 {
+		si = uint64(line) % uint64(d.nsets)
+	}
+	lo = si * uint64(d.ways)
+	return lo, lo + uint64(d.ways)
 }
 
-// setIdx indexes by mask when the set count is a power of two (every real
-// geometry), falling back to modulo for odd test-constructed ones.
-func (d *sparse) setIdx(line addr.Line) uint64 {
-	if d.mask != 0 || d.nsets == 1 {
-		return uint64(line) & d.mask
+// inSet masks w, the occupancy word covering slots base to base+63, to
+// the slots of the set [lo, hi).
+func inSet(w, base, lo, hi uint64) uint64 {
+	if base < lo {
+		w &^= 1<<(lo-base) - 1
 	}
-	return uint64(line) % uint64(d.nsets)
+	if hi-base < 64 {
+		w &= 1<<(hi-base) - 1
+	}
+	return w
 }
 
 // findSlot returns the slot holding line, or -1. It scans the occupancy
-// bitmap of line's set rather than the entry array: the Table 3 sets are
-// 128 ways (7 KiB of entries) and mostly empty, so a miss costs two word
-// loads instead of a 7 KiB stream. This is the directory's hottest lookup
-// path (one per L3-side request plus the end-of-run inclusivity sweep).
+// bitmap of line's set rather than the entries: the Table 3 sets are 128
+// ways and mostly empty, so a miss costs two word loads and touches no
+// chunk. This is the directory's hottest lookup path (one per L3-side
+// request plus the end-of-run inclusivity sweep).
 func (d *sparse) findSlot(line addr.Line) int {
-	lo := d.setIdx(line) * uint64(d.ways)
-	hi := lo + uint64(d.ways)
+	lo, hi := d.slots(line)
 	for base := lo &^ 63; base < hi; base += 64 {
-		word := d.occ[base>>6]
-		if base < lo {
-			word &^= 1<<(lo-base) - 1
-		}
-		if hi-base < 64 {
-			word &= 1<<(hi-base) - 1
-		}
-		for ; word != 0; word &= word - 1 {
-			i := base + uint64(bits.TrailingZeros64(word))
-			if d.ents[i].Line == line {
+		for w := inSet(d.occ[base>>6], base, lo, hi); w != 0; w &= w - 1 {
+			i := base + uint64(bits.TrailingZeros64(w))
+			if d.entry(i).Line == line {
 				return int(i)
 			}
+		}
+	}
+	return -1
+}
+
+// freeSlot returns the lowest free slot of the set [lo, hi), or -1 when
+// the set is full.
+func (d *sparse) freeSlot(lo, hi uint64) int {
+	for base := lo &^ 63; base < hi; base += 64 {
+		if w := inSet(^d.occ[base>>6], base, lo, hi); w != 0 {
+			return int(base) + bits.TrailingZeros64(w)
 		}
 	}
 	return -1
@@ -321,7 +356,7 @@ func (d *sparse) Limited() bool { return d.limited }
 
 func (d *sparse) Lookup(line addr.Line) *Entry {
 	if i := d.findSlot(line); i >= 0 {
-		e := &d.ents[i]
+		e := d.entry(uint64(i))
 		d.tick++
 		e.lastUse = d.tick
 		return e
@@ -329,24 +364,18 @@ func (d *sparse) Lookup(line addr.Line) *Entry {
 	return nil
 }
 
-func (d *sparse) HasRoom(line addr.Line) bool {
-	set := d.set(d.setIdx(line))
-	for i := range set {
-		if set[i].lastUse == 0 {
-			return true
-		}
-	}
-	return false
-}
+func (d *sparse) HasRoom(line addr.Line) bool { return d.freeSlot(d.slots(line)) >= 0 }
 
+// Victim picks the least recently used unpinned entry of a full set. A
+// full set's chunks are all allocated.
 func (d *sparse) Victim(line addr.Line) *Entry {
-	set := d.set(d.setIdx(line))
+	lo, hi := d.slots(line)
+	if d.freeSlot(lo, hi) >= 0 {
+		return nil // room available
+	}
 	var victim *Entry
-	for i := range set {
-		e := &set[i]
-		if e.lastUse == 0 {
-			return nil // room available
-		}
+	for i := lo; i < hi; i++ {
+		e := d.entry(i)
 		if e.Pinned {
 			continue
 		}
@@ -357,35 +386,34 @@ func (d *sparse) Victim(line addr.Line) *Entry {
 	return victim
 }
 
+// Allocate takes the lowest free way of line's set, allocating its chunk
+// on first use.
 func (d *sparse) Allocate(line addr.Line) *Entry {
-	si := d.setIdx(line)
-	set := d.set(si)
-	slotW := -1
-	for i := range set {
-		e := &set[i]
-		if e.lastUse != 0 && e.Line == line {
-			panic(simerr.Invariant(0, "directory", uint64(line.Base()), "Allocate of resident line"))
-		}
-		if e.lastUse == 0 && slotW < 0 {
-			slotW = i
-		}
+	if d.findSlot(line) >= 0 {
+		panic(simerr.Invariant(0, "directory", uint64(line.Base()), "Allocate of resident line"))
 	}
-	if slotW < 0 {
+	i := d.freeSlot(d.slots(line))
+	if i < 0 {
 		panic(simerr.Invariant(0, "directory", uint64(line.Base()), "Allocate with no room in set"))
 	}
+	c := d.chunks[i>>chunkShift]
+	if c == nil {
+		c = new([chunkSize]Entry)
+		d.chunks[i>>chunkShift] = c
+	}
 	d.tick++
-	set[slotW] = Entry{Line: line, lastUse: d.tick}
+	e := &c[i&chunkMask]
+	*e = Entry{Line: line, lastUse: d.tick}
 	d.count++
 	d.byClass[addr.Classify(line.Base())]++
-	i := si*uint64(d.ways) + uint64(slotW)
 	d.occ[i>>6] |= 1 << (i & 63)
-	return &set[slotW]
+	return e
 }
 
 func (d *sparse) Remove(line addr.Line) {
 	if i := d.findSlot(line); i >= 0 {
 		d.byClass[addr.Classify(line.Base())]--
-		d.ents[i] = Entry{}
+		*d.entry(uint64(i)) = Entry{}
 		d.count--
 		d.occ[i>>6] &^= 1 << (i & 63)
 	}
@@ -398,7 +426,7 @@ func (d *sparse) CountByClass() [addr.NumClasses]uint64 { return d.byClass }
 func (d *sparse) ForEach(fn func(*Entry)) {
 	for wi, word := range d.occ {
 		for ; word != 0; word &= word - 1 {
-			fn(&d.ents[wi<<6+bits.TrailingZeros64(word)])
+			fn(d.entry(uint64(wi<<6 + bits.TrailingZeros64(word))))
 		}
 	}
 }

@@ -2,9 +2,11 @@ package directory
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cohesion/internal/addr"
 )
@@ -94,13 +96,12 @@ func TestInfiniteStorage(t *testing.T) { testStorageCommon(t, NewInfinite()) }
 func TestSparseStorage(t *testing.T)   { testStorageCommon(t, NewSparse(64, 4, false)) }
 func TestLimitedStorage(t *testing.T)  { testStorageCommon(t, NewSparse(64, 4, true)) }
 
-// sink keeps the directories TestNewSparseAllocatesPerBankNotPerSet
-// builds on the heap.
+// sink keeps the directories the construction tests build on the heap.
 var sink Directory
 
 // TestNewSparseAllocatesPerBankNotPerSet locks in that a sparse directory
-// holds its entries in one array indexed set*ways+way: building one costs
-// the same few allocations for every geometry.
+// is built from one chunk index and one occupancy bitmap: building one
+// costs the same few allocations for every geometry.
 func TestNewSparseAllocatesPerBankNotPerSet(t *testing.T) {
 	for _, g := range []struct {
 		name           string
@@ -113,6 +114,85 @@ func TestNewSparseAllocatesPerBankNotPerSet(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { sink = NewSparse(g.entries, g.assoc, false) }); n > 4 {
 			t.Errorf("%s: NewSparse(%d, %d) made %.0f allocations, want at most 4", g.name, g.entries, g.assoc, n)
 		}
+	}
+}
+
+// TestEntryFits48Bytes locks in the field order that packs an Entry into
+// 48 bytes, and so a 16-entry chunk into 768.
+func TestEntryFits48Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n > 48 {
+		t.Fatalf("Entry is %d bytes, want at most 48", n)
+	}
+}
+
+// TestNewSparseHoldsNoEntries: a Table 3 bank's directory is built
+// without any of its 16K entries (786,432 bytes); only the chunk index
+// and the occupancy bitmap are allocated up front.
+func TestNewSparseHoldsNoEntries(t *testing.T) {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sink = NewSparse(16<<10, 128, false)
+	}
+	runtime.ReadMemStats(&after)
+	b := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("NewSparse(16K, 128) allocated %d bytes", b)
+	if b >= 64<<10 {
+		t.Fatalf("NewSparse(16K, 128) allocated %d bytes, want under 64 KiB", b)
+	}
+}
+
+// chunksHeld counts the allocated chunks of a sparse directory.
+func chunksHeld(d Directory) int {
+	n := 0
+	for _, c := range d.(*sparse).chunks {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSparseChunksAllocatedOnFirstUse: Lookup, HasRoom and Victim in a set
+// no entry ever used allocate nothing and leave its chunks unallocated;
+// each Allocate into a fresh chunk allocates that chunk alone, and a chunk
+// outlives its entries so entry pointers stay stable.
+func TestSparseChunksAllocatedOnFirstUse(t *testing.T) {
+	const ways, sets = 128, 128
+	d := NewSparse(ways*sets, ways, false)
+	line := addr.Line(5) // set 5: slots 640-767, chunks 40-47
+	if n := testing.AllocsPerRun(10, func() {
+		if d.Lookup(line) != nil || !d.HasRoom(line) || d.Victim(line) != nil {
+			t.Fatal("a never-used set is not empty")
+		}
+	}); n != 0 {
+		t.Fatalf("probing a never-used set made %.0f allocations, want 0", n)
+	}
+	if n := chunksHeld(d); n != 0 {
+		t.Fatalf("probing a never-used set allocated %d chunks", n)
+	}
+	first := d.Allocate(line)
+	if n := chunksHeld(d); n != 1 {
+		t.Fatalf("first Allocate left %d chunks, want 1", n)
+	}
+	for w := 1; w < ways; w++ {
+		d.Allocate(line + addr.Line(w*sets))
+	}
+	if n := chunksHeld(d); n != ways/chunkSize {
+		t.Fatalf("a full set holds %d chunks, want %d", n, ways/chunkSize)
+	}
+	if d.Lookup(line) != first {
+		t.Fatal("filling the set moved its first entry")
+	}
+	if v := d.Victim(line + ways*sets); v == nil || v.Line != line+sets {
+		t.Fatalf("victim of the full set = %v, want line %d", v, line+sets)
+	}
+	for w := 0; w < ways; w++ {
+		d.Remove(line + addr.Line(w*sets))
+	}
+	if d.Count() != 0 || chunksHeld(d) != ways/chunkSize {
+		t.Fatalf("after removing every entry: count %d, %d chunks held, want 0 and %d", d.Count(), chunksHeld(d), ways/chunkSize)
 	}
 }
 
@@ -299,21 +379,26 @@ func (m *lruModel) victim(line addr.Line) (v addr.Line, full, ok bool) {
 }
 
 // Property: sparse storage agrees with an LRU reference model when the
-// controller respects Victim discipline, on a power-of-two and a
-// non-power-of-two set count: Lookup and Allocate make a line most
-// recent, Victim is nil while the set has room and otherwise names the
-// least recent unpinned line, and HasRoom and Count agree throughout.
+// controller respects Victim discipline, on power-of-two and
+// non-power-of-two set counts and on sets that span several chunks or
+// exactly one: Lookup and Allocate make a line most recent, Victim is nil
+// while the set has room and otherwise names the least recent unpinned
+// line, and HasRoom and Count agree throughout.
 func TestQuickSparseModel(t *testing.T) {
-	for _, g := range []struct{ entries, assoc int }{
-		{16, 4}, // 4 sets
-		{12, 4}, // 3 sets: the modulo set index
+	for _, g := range []struct{ entries, assoc, lines, ops int }{
+		{16, 4, 64, 1000},   // 4 sets
+		{12, 4, 64, 1000},   // 3 sets: the modulo set index
+		{64, 16, 256, 1000}, // 4 sets of one chunk each
+		// 2 sets of 8 chunks each: a quarter of the ops allocate, so
+		// filling 256 entries takes a few thousand.
+		{256, 128, 768, 4000},
 	} {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			d := NewSparse(g.entries, g.assoc, false)
 			m := &lruModel{sets: make([][]addr.Line, g.entries/g.assoc), pinned: map[addr.Line]bool{}, ways: g.assoc}
-			for i := 0; i < 1000; i++ {
-				line := addr.Line(rng.Intn(64))
+			for i := 0; i < g.ops; i++ {
+				line := addr.Line(rng.Intn(g.lines))
 				switch rng.Intn(4) {
 				case 0: // allocate on a miss, evicting the predicted victim
 					hit := d.Lookup(line) != nil

@@ -1,7 +1,8 @@
 // Package linetab provides the open-addressed hash tables the protocol
 // hot paths use in place of builtin maps: an addr.Line-keyed table
 // (L2 transaction tracking, the infinite directory) and a uint64 set
-// (serviced-request dedup at the home banks).
+// (serviced-request dedup at the home banks, which only a machine with a
+// fault plan keeps: without one no request is ever delivered twice).
 //
 // The builtin map is general: it hashes with a per-process random seed,
 // iterates in randomized order, and grows through buckets with overflow
@@ -181,7 +182,8 @@ func log2(n int) int {
 // Set is an open-addressed set of uint64 keys with the same probing and
 // determinism properties as Table. The zero value is ready for use.
 // Clear retains capacity, so an epoch-rotated set (the home banks'
-// serviced-ID window) reaches a steady state with no allocation.
+// serviced-ID window under fault injection) reaches a steady state with
+// no allocation.
 type Set struct {
 	keys  []uint64
 	state []uint8

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -81,11 +82,21 @@ func (m *Metrics) finished(v JobView) {
 
 // WriteProm renders the whole registry in Prometheus text exposition
 // format. The queue gauges are passed in by the server so m.mu stays a
-// leaf lock (the server takes it under its own lock).
+// leaf lock (the server takes it under its own lock, in finished). The
+// text is formatted into a buffer under m.mu and written to w after
+// unlocking, so a stalled scraper holds up no job's completion.
 func (m *Metrics) WriteProm(w io.Writer, queueDepth, queueCap, inflight, workers int, uptime time.Duration) {
+	var b bytes.Buffer
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.render(&b, queueDepth, queueCap, inflight, workers, uptime)
+	m.mu.Unlock()
+	// A failed write means the scraper went away; there is no one left
+	// to tell.
+	_, _ = w.Write(b.Bytes())
+}
 
+// render formats the registry into w; the caller holds m.mu.
+func (m *Metrics) render(w io.Writer, queueDepth, queueCap, inflight, workers int, uptime time.Duration) {
 	fmt.Fprintf(w, "# TYPE cohesion_serve_queue_depth gauge\n")
 	fmt.Fprintf(w, "cohesion_serve_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "cohesion_serve_queue_capacity %d\n", queueCap)
