@@ -217,7 +217,7 @@ func BenchmarkPrepare(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pr.p.m.Shutdown()
+				pr.m.Shutdown()
 			}
 		}
 	}

@@ -89,7 +89,7 @@ func RunWithCheckpoints(ctx context.Context, rc RunConfig, ck CheckpointConfig) 
 		return nil, fmt.Errorf("cohesion: checkpointing requires a snapshot path")
 	}
 	rc.Limits.CheckpointEvery = ck.Every
-	p, err := prepareRun(rc)
+	p, err := Prepare(rc)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ func RunWithCheckpoints(ctx context.Context, rc RunConfig, ck CheckpointConfig) 
 	p.m.SetCheckpointFunc(func(events, _ uint64) error {
 		return writeRunSnapshot(ck.Path, events, spec, p.m.Digests())
 	})
-	return p.run(ctx)
+	return p.Run(ctx)
 }
 
 // writeRunSnapshot writes one run checkpoint under the current digest
@@ -199,7 +199,7 @@ func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *R
 	rc.Coverage = opt.Coverage
 	rc.Metrics = opt.Metrics
 
-	p, err := prepareRun(rc)
+	p, err := Prepare(rc)
 	if err != nil {
 		return nil, info, err
 	}
@@ -223,7 +223,7 @@ func ResumeRun(ctx context.Context, path string, opt ResumeOptions) (*Result, *R
 		}
 		return writeRunSnapshot(path, events, snap.Spec, p.m.Digests())
 	})
-	res, err := p.run(ctx)
+	res, err := p.Run(ctx)
 	if diverged != nil {
 		return nil, info, diverged
 	}

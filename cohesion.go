@@ -222,61 +222,29 @@ func Run(rc RunConfig) (*Result, error) {
 // deterministic budget (RunLimits.MaxEvents or MaxCycles), that partial
 // Result is bit-identical across runs with the same seed and budget.
 func RunCtx(ctx context.Context, rc RunConfig) (*Result, error) {
-	p, err := prepareRun(rc)
+	p, err := Prepare(rc)
 	if err != nil {
 		return nil, err
 	}
-	return p.run(ctx)
+	return p.Run(ctx)
 }
 
 // Prepared is an assembled machine with its kernel spawned, stopped just
 // before the first event — the construction half of Run split out so
 // harnesses (the benchmark's sim workload, bench/) can time and meter the
-// simulation separately from machine assembly and workload setup. A
+// simulation separately from machine assembly and workload setup, and so
+// the checkpoint layer can install its checkpoint callback in between. A
 // Prepared is single-use: Run consumes it.
 type Prepared struct {
-	p *preparedRun
-}
-
-// Prepare assembles the machine for rc, attaches observability, builds
-// the kernel, and spawns the workers, without firing any event.
-func Prepare(rc RunConfig) (*Prepared, error) {
-	p, err := prepareRun(rc)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{p: p}, nil
-}
-
-// Run simulates the prepared machine to its end. Cancellation and budget
-// semantics match RunCtx.
-func (p *Prepared) Run(ctx context.Context) (*Result, error) { return p.p.run(ctx) }
-
-// Simulate runs the event loop to quiescence (or a budget stop /
-// cancellation) without finalizing: no invariant sweep, no cache drain,
-// no verification, no fingerprint. It exists so harnesses can time the
-// O(events) simulation separately from the O(machine-state) epilogue —
-// Finalize completes the run. Use Run unless you are measuring.
-func (p *Prepared) Simulate(ctx context.Context) error { return p.p.simulate(ctx) }
-
-// Finalize checks protocol invariants, drains surviving dirty cache
-// state to memory, verifies the kernel output if the run asked for it,
-// and packages the Result. It must follow a successful Simulate.
-func (p *Prepared) Finalize() (*Result, error) { return p.p.finalize() }
-
-// preparedRun is an assembled machine with its kernel spawned, ready to
-// simulate. The checkpoint layer prepares runs separately from executing
-// them so a resume can install its checkpoint callback in between.
-type preparedRun struct {
 	rc   RunConfig
 	m    *machine.Machine
 	r    *rt.Runtime
 	inst *kernels.Instance
 }
 
-// prepareRun assembles the machine, attaches observability, builds the
-// kernel, and spawns the workers — everything up to the first event.
-func prepareRun(rc RunConfig) (*preparedRun, error) {
+// Prepare assembles the machine for rc, attaches observability, builds
+// the kernel, and spawns the workers, without firing any event.
+func Prepare(rc RunConfig) (*Prepared, error) {
 	if rc.Scale < 1 {
 		rc.Scale = 1
 	}
@@ -313,40 +281,42 @@ func prepareRun(rc RunConfig) (*preparedRun, error) {
 			started++
 		}
 	}
-	return &preparedRun{rc: rc, m: m, r: r, inst: inst}, nil
+	return &Prepared{rc: rc, m: m, r: r, inst: inst}, nil
 }
 
-// run simulates a prepared run to its end (quiescence, budget, or
-// cancellation) and packages the Result.
-func (p *preparedRun) run(ctx context.Context) (*Result, error) {
-	rc, m := p.rc, p.m
-	if err := m.SimulateCtx(ctx, 0, rc.Limits); err != nil {
-		wrapped := fmt.Errorf("cohesion: %s on %s: %w", rc.Kernel, rc.Machine.Label, err)
-		if errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted) {
-			// Graceful early end: the machine is already shut down; drain
-			// the surviving dirty cache state so the partial fingerprint
-			// covers everything the run computed up to the stop point.
-			m.DrainToMemory()
-			return p.result(), wrapped
-		}
-		return nil, wrapped
+// Run simulates the prepared machine to its end and finalizes it.
+// Cancellation and budget semantics match RunCtx.
+func (p *Prepared) Run(ctx context.Context) (*Result, error) {
+	err := p.Simulate(ctx)
+	if err == nil {
+		return p.Finalize()
 	}
-	return p.finalize()
+	if errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExhausted) {
+		// Graceful early end: the machine is already shut down; drain
+		// the surviving dirty cache state so the partial fingerprint
+		// covers everything the run computed up to the stop point.
+		p.m.DrainToMemory()
+		return p.result(), err
+	}
+	return nil, err
 }
 
-// simulate runs the event loop alone — the O(events) phase.
-func (p *preparedRun) simulate(ctx context.Context) error {
-	rc := p.rc
-	if err := p.m.SimulateCtx(ctx, 0, rc.Limits); err != nil {
-		return fmt.Errorf("cohesion: %s on %s: %w", rc.Kernel, rc.Machine.Label, err)
+// Simulate runs the event loop to quiescence (or a budget stop /
+// cancellation) without finalizing: no invariant sweep, no cache drain,
+// no verification, no fingerprint. It exists so harnesses can time the
+// O(events) simulation separately from the O(machine-state) epilogue —
+// Finalize completes the run. Use Run unless you are measuring.
+func (p *Prepared) Simulate(ctx context.Context) error {
+	if err := p.m.SimulateCtx(ctx, 0, p.rc.Limits); err != nil {
+		return fmt.Errorf("cohesion: %s on %s: %w", p.rc.Kernel, p.rc.Machine.Label, err)
 	}
 	return nil
 }
 
-// finalize completes a successfully simulated run: the invariant sweep,
-// the dirty-state drain, optional output verification, and the Result
-// with its memory fingerprint — the O(machine-state) epilogue.
-func (p *preparedRun) finalize() (*Result, error) {
+// Finalize checks protocol invariants, drains surviving dirty cache
+// state to memory, verifies the kernel output if the run asked for it,
+// and packages the Result. It must follow a successful Simulate.
+func (p *Prepared) Finalize() (*Result, error) {
 	rc, m := p.rc, p.m
 	if err := m.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("cohesion: %s: protocol invariant violated: %w", rc.Kernel, err)
@@ -360,7 +330,7 @@ func (p *preparedRun) finalize() (*Result, error) {
 	return p.result(), nil
 }
 
-func (p *preparedRun) result() *Result {
+func (p *Prepared) result() *Result {
 	return &Result{
 		Kernel:         p.rc.Kernel,
 		Mode:           p.rc.Machine.Mode,

@@ -37,7 +37,7 @@ func TestCohesionFinalizeFingerprintLockIn(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			store := p.p.m.Store
+			store := p.m.Store
 			const (
 				offset = 14695981039346656037
 				prime  = 1099511628211

@@ -31,11 +31,11 @@ func TestRunAllocsPerEventGate(t *testing.T) {
 			// one machine per invocation up front; construction is
 			// outside the measured closure.
 			const rounds = 5
-			preps := make([]*preparedRun, rounds+1)
+			preps := make([]*Prepared, rounds+1)
 			for i := range preps {
-				p, err := prepareRun(rc)
+				p, err := Prepare(rc)
 				if err != nil {
-					t.Fatalf("prepareRun: %v", err)
+					t.Fatalf("Prepare: %v", err)
 				}
 				preps[i] = p
 			}
@@ -44,7 +44,7 @@ func TestRunAllocsPerEventGate(t *testing.T) {
 			allocs := testing.AllocsPerRun(rounds, func() {
 				p := preps[next]
 				next++
-				if _, err := p.run(context.Background()); err != nil {
+				if _, err := p.Run(context.Background()); err != nil {
 					panic(err)
 				}
 				events = p.m.Run.Events

@@ -4,6 +4,11 @@
 // banked devices with open-row buffers (a row hit costs column access
 // only; a row miss pays precharge + activate).
 //
+// The store is one image of the 32-bit address space, held as 64-line
+// blocks in address order. The fine-grain region table is part of it
+// like any other memory, as in the paper (§3.4), where the home reads and
+// writes the table through the L3.
+//
 // The paper's simulator uses a cycle-accurate GDDR5 model; this model
 // keeps the two effects the evaluation depends on — channel queueing
 // under load and row-locality sensitivity — without modelling individual
@@ -14,58 +19,60 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
-	"slices"
 
 	"cohesion/internal/addr"
 	"cohesion/internal/event"
 	"cohesion/internal/stats"
 )
 
-// Table segment geometry: 8,192 blocks of 64 lines, 64 blocks a chunk.
+// Store geometry: 256 regions of 16 MiB span the 32-bit address space; a
+// region is 128 chunks of 64 blocks of 64 lines.
 const (
-	tblLines    = addr.TableBytes / addr.LineBytes
-	tblLine0    = addr.Line(addr.TableBase >> addr.LineShift)
-	blockLines  = 64
-	blockWords  = blockLines * addr.WordsPerLine
-	blockBytes  = blockWords * addr.WordBytes
-	tblBlocks   = tblLines / blockLines
-	chunkBlocks = 64
+	blockShift  = 11 // a block is 64 lines, 2 KiB
+	chunkShift  = 17 // a chunk is 64 blocks, 128 KiB
+	regionShift = 24 // a region is 128 chunks, 16 MiB
+
+	blockLines   = 1 << (blockShift - addr.LineShift)
+	blockWords   = blockLines * addr.WordsPerLine
+	blockBytes   = 1 << blockShift
+	chunkBlocks  = 1 << (chunkShift - blockShift)
+	regionChunks = 1 << (regionShift - chunkShift)
 )
 
 // Store holds the architectural contents of memory, one 32-bit word at a
-// time, organized by cache line. Lines never written read as zero.
+// time. Lines never written read as zero and are not part of the image.
 //
-// The fine-grain region table segment [addr.TableBase, +TableBytes) is
-// held as 64-line blocks instead of in the line map: Cohesion paints the
-// table over the whole incoherent heap at load time, which would swamp
-// the map (and the address-ordered fingerprint walk) with tens of
-// thousands of lines that, in all but a few blocks, repeat one word. A
-// block holds that word as its pattern and copies it out into real words
-// only when a write stores a different value. The block headers are
-// allocated in chunks of 64, on the first write into a chunk, so SWcc/HWcc
-// machines never pay for them and a preset pays only for the chunks it
-// paints. The two representations are observationally identical: Lines,
-// ReadLine, LinesTouched, and Fingerprint present the merged image in
-// address order, with a table line participating once any of its words
-// has been written (even with zero), exactly as a map entry would.
+// Memory is a three-level table of 64-line blocks: regions, then chunks,
+// then blocks, each level allocated on the first write into it. A block
+// holds one pattern word, zero unless FillTable painted the block, and
+// copies its 512 words out only when a write stores a value different
+// from the pattern. Cohesion paints the region table over the whole
+// incoherent heap at load time, 32,768 lines repeating one word, so the
+// preset costs 512 block headers instead of 1 MiB of words. Lines and
+// Fingerprint walk the blocks in address order; a line belongs to the
+// image from its first write, even of zero.
+//
+// Addresses must fit in 32 bits, as addr.Addr requires: the top level is
+// indexed by a >> 24, so a larger address panics with an index out of
+// range. Every address the store sees comes from the machine's own
+// segment layout, none from outside input.
 type Store struct {
-	lines map[addr.Line]*[addr.WordsPerLine]uint32
-	tbl   [tblBlocks / chunkBlocks]*[chunkBlocks]tblBlock // nil until written into
+	regions [1 << (32 - regionShift)]*[regionChunks]*[chunkBlocks]block
 }
 
-// tblBlock is one 64-line block of the table segment. While words is nil
-// every word of the block reads as pattern. written has one bit per line:
-// the line has been stored to and so belongs to the image. pattern is
-// nonzero only on a block FillTable painted, which is fully written, so
-// an unwritten line always reads as zero.
-type tblBlock struct {
+// block is 64 lines of memory. While words is nil every word of the
+// block reads as pattern. written has one bit per line: the line has been
+// stored to and so belongs to the image. pattern is nonzero only on a
+// block FillTable painted, which is fully written, so an unwritten line
+// always reads as zero.
+type block struct {
 	written uint64
 	pattern uint32
 	words   *[blockWords]uint32
 }
 
 // word returns word w of the block.
-func (b *tblBlock) word(w int) uint32 {
+func (b *block) word(w int) uint32 {
 	if b.words == nil {
 		return b.pattern
 	}
@@ -74,7 +81,7 @@ func (b *tblBlock) word(w int) uint32 {
 
 // write stores v into word w, copying the pattern out on the first write
 // of a different value.
-func (b *tblBlock) write(w int, v uint32) {
+func (b *block) write(w int, v uint32) {
 	b.written |= 1 << (w / addr.WordsPerLine)
 	if b.words == nil {
 		if v == b.pattern {
@@ -89,7 +96,7 @@ func (b *tblBlock) write(w int, v uint32) {
 }
 
 // line copies line j of the block.
-func (b *tblBlock) line(j int) (out [addr.WordsPerLine]uint32) {
+func (b *block) line(j int) (out [addr.WordsPerLine]uint32) {
 	for i := range out {
 		out[i] = b.word(j*addr.WordsPerLine + i)
 	}
@@ -97,48 +104,54 @@ func (b *tblBlock) line(j int) (out [addr.WordsPerLine]uint32) {
 }
 
 // NewStore returns an empty memory image.
-func NewStore() *Store {
-	return &Store{lines: make(map[addr.Line]*[addr.WordsPerLine]uint32)}
-}
+func NewStore() *Store { return &Store{} }
 
-// inTable reports whether a falls in the table segment.
-func inTable(a addr.Addr) bool {
-	return a >= addr.TableBase && a-addr.TableBase < addr.TableBytes
-}
+// unwritten stands for every block of an unallocated region or chunk: no
+// line written, every word zero. Only reads see it.
+var unwritten block
 
-// unwritten stands for every block of an unallocated chunk: no line
-// written, every word zero. Only reads see it.
-var unwritten tblBlock
-
-// block returns table block bi for reading.
-func (s *Store) block(bi int) *tblBlock {
-	if c := s.tbl[bi/chunkBlocks]; c != nil {
-		return &c[bi%chunkBlocks]
+// readBlock returns the block holding address a, for reading.
+func (s *Store) readBlock(a addr.Addr) *block {
+	if r := s.regions[a>>regionShift]; r != nil {
+		if c := r[a>>chunkShift%regionChunks]; c != nil {
+			return &c[a>>blockShift%chunkBlocks]
+		}
 	}
 	return &unwritten
 }
 
-// writeBlock returns table block bi, allocating its chunk on first use.
-func (s *Store) writeBlock(bi int) *tblBlock {
-	c := s.tbl[bi/chunkBlocks]
-	if c == nil {
-		c = new([chunkBlocks]tblBlock)
-		s.tbl[bi/chunkBlocks] = c
+// writeBlock returns the block holding address a, allocating its region
+// and chunk on first use.
+func (s *Store) writeBlock(a addr.Addr) *block {
+	r := s.regions[a>>regionShift]
+	if r == nil {
+		r = new([regionChunks]*[chunkBlocks]block)
+		s.regions[a>>regionShift] = r
 	}
-	return &c[bi%chunkBlocks]
+	c := r[a>>chunkShift%regionChunks]
+	if c == nil {
+		c = new([chunkBlocks]block)
+		r[a>>chunkShift%regionChunks] = c
+	}
+	return &c[a>>blockShift%chunkBlocks]
 }
 
-// blocks yields the blocks of every allocated chunk with their indices, in
-// address order.
-func (s *Store) blocks() iter.Seq2[int, *tblBlock] {
-	return func(yield func(int, *tblBlock) bool) {
-		for ci, c := range s.tbl {
-			if c == nil {
+// blocks yields the blocks of every allocated chunk with their indices
+// (address >> 11), in address order.
+func (s *Store) blocks() iter.Seq2[int, *block] {
+	return func(yield func(int, *block) bool) {
+		for ri, r := range &s.regions {
+			if r == nil {
 				continue
 			}
-			for j := range c {
-				if !yield(ci*chunkBlocks+j, &c[j]) {
-					return
+			for ci, c := range r {
+				if c == nil {
+					continue
+				}
+				for j := range c {
+					if !yield((ri*regionChunks+ci)*chunkBlocks+j, &c[j]) {
+						return
+					}
 				}
 			}
 		}
@@ -147,57 +160,30 @@ func (s *Store) blocks() iter.Seq2[int, *tblBlock] {
 
 // ReadWord returns the word containing address a.
 func (s *Store) ReadWord(a addr.Addr) uint32 {
-	if inTable(a) {
-		w := int(a-addr.TableBase) >> addr.WordShift
-		return s.block(w / blockWords).word(w % blockWords)
-	}
-	l := s.lines[addr.LineOf(a)]
-	if l == nil {
-		return 0
-	}
-	return l[addr.WordIndex(a)]
+	return s.readBlock(a).word(int(a>>addr.WordShift) % blockWords)
 }
 
 // WriteWord stores v into the word containing address a.
 func (s *Store) WriteWord(a addr.Addr, v uint32) {
-	if inTable(a) {
-		w := int(a-addr.TableBase) >> addr.WordShift
-		s.writeBlock(w/blockWords).write(w%blockWords, v)
-		return
-	}
-	line := addr.LineOf(a)
-	l := s.lines[line]
-	if l == nil {
-		l = new([addr.WordsPerLine]uint32)
-		s.lines[line] = l
-	}
-	l[addr.WordIndex(a)] = v
+	s.writeBlock(a).write(int(a>>addr.WordShift)%blockWords, v)
 }
 
-// FillTable stores v into every word of the table range r, which must
-// cover whole 64-line blocks (2 KiB-aligned base and size). Each block
-// becomes fully written and holds v as its pattern, dropping any words a
-// differing write had copied out.
+// FillTable stores v into every word of r, which must cover whole 64-line
+// blocks (2 KiB-aligned base and size). Each block becomes fully written
+// and holds v as its pattern, dropping any words a differing write had
+// copied out.
 func (s *Store) FillTable(r addr.Range, v uint32) {
-	off := r.Base - addr.TableBase
-	if !inTable(r.Base) || off%blockBytes != 0 || r.Size%blockBytes != 0 || off+addr.Addr(r.Size) > addr.TableBytes {
-		panic(fmt.Sprintf("dram: FillTable range %v is not whole table blocks", r))
+	if r.Base%blockBytes != 0 || r.Size%blockBytes != 0 {
+		panic(fmt.Sprintf("dram: FillTable range %v is not whole blocks", r))
 	}
-	for bi := int(off / blockBytes); bi < int((off+addr.Addr(r.Size))/blockBytes); bi++ {
-		*s.writeBlock(bi) = tblBlock{written: ^uint64(0), pattern: v}
+	for a := r.Base; a < r.End(); a += blockBytes {
+		*s.writeBlock(a) = block{written: ^uint64(0), pattern: v}
 	}
 }
 
 // ReadLine copies the full contents of a line.
 func (s *Store) ReadLine(line addr.Line) [addr.WordsPerLine]uint32 {
-	if base := line.Base(); inTable(base) {
-		li := int(line - tblLine0)
-		return s.block(li / blockLines).line(li % blockLines)
-	}
-	if l := s.lines[line]; l != nil {
-		return *l
-	}
-	return [addr.WordsPerLine]uint32{}
+	return s.readBlock(line.Base()).line(int(line % blockLines))
 }
 
 // MergeLine writes back the words of data selected by mask (bit i = word i),
@@ -208,54 +194,21 @@ func (s *Store) MergeLine(line addr.Line, mask uint8, data [addr.WordsPerLine]ui
 	if mask == 0 {
 		return
 	}
-	if base := line.Base(); inTable(base) {
-		li := int(line - tblLine0)
-		b := s.writeBlock(li / blockLines)
-		w0 := li % blockLines * addr.WordsPerLine
-		for w := 0; w < addr.WordsPerLine; w++ {
-			if mask&(1<<w) != 0 {
-				b.write(w0+w, data[w])
-			}
-		}
-		return
-	}
-	l := s.lines[line]
-	if l == nil {
-		l = new([addr.WordsPerLine]uint32)
-		s.lines[line] = l
-	}
+	b := s.writeBlock(line.Base())
+	w0 := int(line%blockLines) * addr.WordsPerLine
 	for w := 0; w < addr.WordsPerLine; w++ {
 		if mask&(1<<w) != 0 {
-			l[w] = data[w]
+			b.write(w0+w, data[w])
 		}
 	}
 }
 
-// tblLinesTouched counts written table lines.
-func (s *Store) tblLinesTouched() int {
-	n := 0
-	for _, b := range s.blocks() {
-		n += bits.OnesCount64(b.written)
-	}
-	return n
-}
-
-// LinesTouched reports how many distinct lines have ever been written.
-func (s *Store) LinesTouched() int { return len(s.lines) + s.tblLinesTouched() }
-
-// Lines returns every written line in address order (tests rebuild the
-// fingerprint from it line by line).
+// Lines returns every written line in address order.
 func (s *Store) Lines() []addr.Line {
-	lines := make([]addr.Line, 0, len(s.lines)+s.tblLinesTouched())
-	for line := range s.lines {
-		lines = append(lines, line)
-	}
-	slices.Sort(lines)
-	// The table segment is the top of the address space: every written
-	// table line sorts after every map line.
+	var lines []addr.Line
 	for bi, b := range s.blocks() {
 		for w := b.written; w != 0; w &= w - 1 {
-			lines = append(lines, tblLine0+addr.Line(bi*blockLines+bits.TrailingZeros64(w)))
+			lines = append(lines, addr.Line(bi*blockLines+bits.TrailingZeros64(w)))
 		}
 	}
 	return lines
@@ -279,8 +232,8 @@ var fnv64Prime4 = func() uint64 {
 // little-endian, with both the line number and each word widened to
 // eight bytes; the zero upper halves collapse into multiplies by
 // fnv64Prime4, which is bit-identical to the byte loop and roughly
-// halves the serial chain (the Cohesion table preset makes end-of-run
-// fingerprints mix ~32K table lines, so this is hot).
+// halves the serial chain (every finalize and checkpoint mixes every
+// written line outside painted blocks, so this is hot).
 func mixLine(h uint64, line addr.Line, words *[addr.WordsPerLine]uint32) uint64 {
 	v := uint64(line)
 	for i := 0; i < 4; i++ {
@@ -309,28 +262,18 @@ func mixLine(h uint64, line addr.Line, words *[addr.WordsPerLine]uint32) uint64 
 	return h
 }
 
-// Fingerprint digests the full memory image (FNV-1a over lines in address
-// order), independent of map iteration order: equal images yield equal
-// fingerprints. Determinism tests use it to compare whole runs cheaply.
+// Fingerprint digests the full memory image (FNV-1a over the written
+// lines in address order): equal images yield equal fingerprints.
+// Determinism tests use it to compare whole runs cheaply. A painted
+// block still holding its pattern (the Cohesion preset paints the table
+// in whole blocks) is folded in with one cached affine transform instead
+// of ~4600 dependent multiplies; every other block is mixed line by line
+// with the concrete running state, so the result is bit-identical either
+// way.
 func (s *Store) Fingerprint() uint64 {
-	lines := make([]addr.Line, 0, len(s.lines))
-	for line := range s.lines {
-		lines = append(lines, line)
-	}
-	slices.Sort(lines)
 	h := uint64(fnv64Offset)
-	for _, line := range lines {
-		h = mixLine(h, line, s.lines[line])
-	}
-	// Table lines sort after everything in the map (top of the address
-	// space), so they are mixed last, in ascending order. A fully written
-	// block still holding its pattern (the common case: the Cohesion
-	// preset paints the table in whole blocks) is folded in with one
-	// cached affine transform instead of ~4600 dependent multiplies;
-	// ragged or copied-out blocks take the per-line path with the concrete
-	// running state, so the result is bit-identical either way.
 	for bi, b := range s.blocks() {
-		if b.written == ^uint64(0) && b.words == nil {
+		if b.pattern != 0 && b.words == nil {
 			x := blockXformFor(bi, b.pattern)
 			h = h*x.mult + x.add[h&0xff]
 			continue
@@ -338,7 +281,7 @@ func (s *Store) Fingerprint() uint64 {
 		for w := b.written; w != 0; w &= w - 1 {
 			j := bits.TrailingZeros64(w)
 			line := b.line(j)
-			h = mixLine(h, tblLine0+addr.Line(bi*blockLines+j), &line)
+			h = mixLine(h, addr.Line(bi*blockLines+j), &line)
 		}
 	}
 	return h

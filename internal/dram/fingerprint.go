@@ -1,7 +1,7 @@
-// Fingerprint fast path for the fine-grain-table segment.
+// Fingerprint fast path for painted blocks.
 //
 // The Cohesion preset paints the region table across the whole incoherent
-// heap, so end-of-run fingerprints mix ~32K table lines, almost all of
+// heap, so end-of-run fingerprints cover ~32K table lines, almost all of
 // them in blocks still holding one painted pattern (see Store). Mixing
 // them byte by byte is a serial FNV-1a dependency chain — ~72 dependent
 // multiplies per line, about 2ms per fingerprint at Table 3 scale — and
@@ -25,7 +25,8 @@
 //
 // Block transforms depend only on the block index and the pattern — not
 // on the Store — so they are cached process-wide: every machine in a
-// bench or test process shares one build (~40µs per block).
+// bench or test process shares one build (~45µs and 2 KiB per block).
+// Only FillTable makes painted blocks, so only painted blocks build one.
 package dram
 
 import (
@@ -42,7 +43,7 @@ type blockXform struct {
 }
 
 type blockKey struct {
-	wi      int    // block index within the table segment
+	bi      int    // block index: the block's address >> 11
 	pattern uint32 // content of every word in the block
 }
 
@@ -60,7 +61,7 @@ func powPrime(n int) uint64 {
 	return r
 }
 
-// mixTail folds the per-block-constant byte suffix of one table line into
+// mixTail folds the per-block-constant byte suffix of one line into
 // h: line-number bytes 1-3, the zero upper half of the widened line
 // number, then the eight words of a block's pattern. This is mixLine
 // minus the leading low line-number byte (71 prime multiplies).
@@ -84,25 +85,25 @@ func mixTail(h uint64, b1, b2, b3 byte, pattern uint32) uint64 {
 	return h
 }
 
-// blockXformFor returns the (cached) transform for block wi filled with
+// blockXformFor returns the (cached) transform for block bi filled with
 // pattern.
-func blockXformFor(wi int, pattern uint32) *blockXform {
-	k := blockKey{wi, pattern}
+func blockXformFor(bi int, pattern uint32) *blockXform {
+	k := blockKey{bi, pattern}
 	xformMu.Lock()
 	defer xformMu.Unlock()
 	if x := xformCache[k]; x != nil {
 		return x
 	}
-	x := buildBlockXform(wi, pattern)
+	x := buildBlockXform(bi, pattern)
 	xformCache[k] = x
 	return x
 }
 
-func buildBlockXform(wi int, pattern uint32) *blockXform {
+func buildBlockXform(bi int, pattern uint32) *blockXform {
 	// A 64-aligned 64-line run never crosses a 256-line boundary, so the
 	// upper line-number bytes are constant across the block; only the low
 	// byte varies (and without carry).
-	ln := uint64(tblLine0) + uint64(wi*blockLines)
+	ln := uint64(bi * blockLines)
 	b1, b2, b3 := byte(ln>>8), byte(ln>>16), byte(ln>>24)
 
 	// Lane table for the shared tail: tail(h) = h*tailMult + tailAdd[lo].

@@ -740,9 +740,6 @@ func (o *Oracle) CheckDomains(isSW func(addr.Line) bool) error {
 	return bad
 }
 
-// TrackedLines reports how many lines the oracle has shadowed (tests).
-func (o *Oracle) TrackedLines() int { return len(o.lines) }
-
 func sortLines(lines []addr.Line) {
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 }

@@ -98,7 +98,7 @@ func (r *selfCheckReport) diagnose(ctx context.Context, rc RunConfig, depth uint
 	replay := func(i int, at uint64) (snapshot.Digests, error) {
 		probe := rc
 		probe.Limits = RunLimits{MaxEvents: at}
-		p, err := prepareRun(probe)
+		p, err := Prepare(probe)
 		if err != nil {
 			return snapshot.Digests{}, err
 		}
