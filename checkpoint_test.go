@@ -26,16 +26,32 @@ func ckptConfig(mode Mode) MachineConfig {
 // eight kernels (modes rotated), a run interrupted at three interior
 // event counts and resumed from its snapshot produces a bit-identical
 // memory fingerprint, Stats, and edge-coverage set to the run executed
-// straight through.
+// straight through. Every kernel also runs in HWcc and Cohesion on a
+// 16-entry, 2-way sparse directory (the dir16x2 cells), where entries are
+// replaced under pressure; each of its HWcc cells must evict, so the
+// case cannot stop exercising evictions unnoticed.
 func TestResumeBitIdenticalAllKernels(t *testing.T) {
+	type cell struct {
+		name    string
+		kernel  string
+		machine MachineConfig
+	}
+	var cells []cell
 	modes := []Mode{Cohesion, HWcc, SWcc}
 	for i, kernel := range KernelNames() {
-		kernel, mode := kernel, modes[i%len(modes)]
-		t.Run(fmt.Sprintf("%s_%v", kernel, mode), func(t *testing.T) {
+		mode := modes[i%len(modes)]
+		cells = append(cells, cell{fmt.Sprintf("%s_%v", kernel, mode), kernel, ckptConfig(mode)})
+		for _, mode := range []Mode{HWcc, Cohesion} {
+			cells = append(cells, cell{fmt.Sprintf("%s_%v_dir16x2", kernel, mode), kernel,
+				ScaledConfig(2).WithMode(mode).WithDirectory(DirSparse, 16, 2)})
+		}
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			rc := RunConfig{
-				Machine: ckptConfig(mode),
-				Kernel:  kernel,
+				Machine: c.machine,
+				Kernel:  c.kernel,
 				Scale:   1,
 				Seed:    42,
 				Verify:  true,
@@ -50,6 +66,9 @@ func TestResumeBitIdenticalAllKernels(t *testing.T) {
 			}
 			if report.resumed != len(report.depths) || len(report.depths) < 3 {
 				t.Fatalf("resumed %d of depths %v, want at least 3 clean resumes", report.resumed, report.depths)
+			}
+			if c.machine.Mode == HWcc && c.machine.Directory == DirSparse && report.dirEvictions == 0 {
+				t.Fatal("no directory entry was evicted on the 16-entry directory")
 			}
 		})
 	}

@@ -8,9 +8,9 @@ import (
 // TestCohesionFinalizeFingerprintLockIn pins the finalize fingerprint's
 // optimized implementation to its byte-level definition on a real
 // Cohesion run — the case where the fast paths all engage: preset table
-// blocks still holding their painted pattern are digested through cached
-// per-block affine transforms, and blocks the run copied out are mixed
-// line by line. The reference below is a deliberately naive
+// blocks still holding their painted pattern fold each line's words in
+// one step of the pattern's lane table, and blocks the run copied out
+// are mixed line by line. The reference below is a deliberately naive
 // reimplementation of the documented digest (FNV-1a over lines in
 // address order, line number then words, little-endian, each widened to
 // eight bytes) driven through the Store's public image accessors, so any

@@ -48,7 +48,8 @@ const (
 // copies its 512 words out only when a write stores a value different
 // from the pattern. Cohesion paints the region table over the whole
 // incoherent heap at load time, 32,768 lines repeating one word, so the
-// preset costs 512 block headers instead of 1 MiB of words. Lines and
+// preset costs 512 block headers instead of 1 MiB of words, and
+// Fingerprint folds each such line in a few multiplies. Lines and
 // Fingerprint walk the blocks in address order; a line belongs to the
 // image from its first write, even of zero.
 //
@@ -103,21 +104,24 @@ func (b *block) line(j int) (out [addr.WordsPerLine]uint32) {
 	return out
 }
 
+// uniform reports whether every line of the block is written and every
+// word still holds the pattern, as after FillTable. Fingerprint folds
+// such a block through its pattern's lane table.
+func (b *block) uniform() bool { return b.written == ^uint64(0) && b.words == nil }
+
 // NewStore returns an empty memory image.
 func NewStore() *Store { return &Store{} }
 
-// unwritten stands for every block of an unallocated region or chunk: no
-// line written, every word zero. Only reads see it.
-var unwritten block
-
-// readBlock returns the block holding address a, for reading.
-func (s *Store) readBlock(a addr.Addr) *block {
+// readBlock returns a copy of the block holding address a, for reading:
+// the zero block (no line written, every word zero) where its region or
+// chunk is unallocated.
+func (s *Store) readBlock(a addr.Addr) block {
 	if r := s.regions[a>>regionShift]; r != nil {
 		if c := r[a>>chunkShift%regionChunks]; c != nil {
-			return &c[a>>blockShift%chunkBlocks]
+			return c[a>>blockShift%chunkBlocks]
 		}
 	}
-	return &unwritten
+	return block{}
 }
 
 // writeBlock returns the block holding address a, allocating its region
@@ -160,7 +164,8 @@ func (s *Store) blocks() iter.Seq2[int, *block] {
 
 // ReadWord returns the word containing address a.
 func (s *Store) ReadWord(a addr.Addr) uint32 {
-	return s.readBlock(a).word(int(a>>addr.WordShift) % blockWords)
+	b := s.readBlock(a)
+	return b.word(int(a>>addr.WordShift) % blockWords)
 }
 
 // WriteWord stores v into the word containing address a.
@@ -183,7 +188,8 @@ func (s *Store) FillTable(r addr.Range, v uint32) {
 
 // ReadLine copies the full contents of a line.
 func (s *Store) ReadLine(line addr.Line) [addr.WordsPerLine]uint32 {
-	return s.readBlock(line.Base()).line(int(line % blockLines))
+	b := s.readBlock(line.Base())
+	return b.line(int(line % blockLines))
 }
 
 // MergeLine writes back the words of data selected by mask (bit i = word i),
@@ -220,12 +226,14 @@ const (
 	fnv64Offset = 14695981039346656037
 )
 
-// fnv64Prime4 is fnv64Prime^4 mod 2^64: mixing a zero byte is
-// h = (h^0)*p = h*p, so a run of four zero bytes is one multiply.
-var fnv64Prime4 = func() uint64 {
-	p := uint64(fnv64Prime)
-	return p * p * p * p
-}()
+// Powers of fnv64Prime mod 2^64. Mixing a zero byte is h = (h^0)*p =
+// h*p, so a run of four zero bytes is one multiply by fnv64Prime4, and a
+// line's eight widened words are 64 byte steps.
+const (
+	fnv64Prime4  = fnv64Prime * fnv64Prime * fnv64Prime * fnv64Prime % (1 << 64)
+	fnv64Prime16 = fnv64Prime4 * fnv64Prime4 * fnv64Prime4 * fnv64Prime4 % (1 << 64)
+	fnv64Prime64 = fnv64Prime16 * fnv64Prime16 * fnv64Prime16 * fnv64Prime16 % (1 << 64)
+)
 
 // mixLine folds one line (its number, then its eight words) into the
 // running FNV-1a state. The digest is defined byte by byte,
@@ -233,8 +241,13 @@ var fnv64Prime4 = func() uint64 {
 // eight bytes; the zero upper halves collapse into multiplies by
 // fnv64Prime4, which is bit-identical to the byte loop and roughly
 // halves the serial chain (every finalize and checkpoint mixes every
-// written line outside painted blocks, so this is hot).
+// written line outside uniform blocks, so this is hot).
 func mixLine(h uint64, line addr.Line, words *[addr.WordsPerLine]uint32) uint64 {
+	return mixWords(mixNumber(h, line), words)
+}
+
+// mixNumber folds a line number into h.
+func mixNumber(h uint64, line addr.Line) uint64 {
 	v := uint64(line)
 	for i := 0; i < 4; i++ {
 		h ^= v & 0xff
@@ -242,16 +255,20 @@ func mixLine(h uint64, line addr.Line, words *[addr.WordsPerLine]uint32) uint64 
 		v >>= 8
 	}
 	if v == 0 { // always, in a 32-bit address space
-		h *= fnv64Prime4
-	} else {
-		for i := 0; i < 4; i++ {
-			h ^= v & 0xff
-			h *= fnv64Prime
-			v >>= 8
-		}
+		return h * fnv64Prime4
 	}
+	for i := 0; i < 4; i++ {
+		h ^= v & 0xff
+		h *= fnv64Prime
+		v >>= 8
+	}
+	return h
+}
+
+// mixWords folds a line's eight words into h.
+func mixWords(h uint64, words *[addr.WordsPerLine]uint32) uint64 {
 	for _, w := range words {
-		v = uint64(w)
+		v := uint64(w)
 		for i := 0; i < 4; i++ {
 			h ^= v & 0xff
 			h *= fnv64Prime
@@ -262,20 +279,66 @@ func mixLine(h uint64, line addr.Line, words *[addr.WordsPerLine]uint32) uint64 
 	return h
 }
 
+// patternLane folds the eight words of a line that all hold pattern in
+// one step: mixWords(h, pattern) = h*fnv64Prime64 + add[h&0xff].
+//
+// The identity holds because FNV-1a is affine per low-byte lane. A byte
+// step is h' = (h^b)*p, and since b < 256 the xor only disturbs the low
+// byte: h^b = h + d, where d = (lo^b) - lo depends on h's low byte lo
+// alone. The low byte evolves on its own (lo' = (lo^b)*p mod 256), so a
+// fixed byte sequence of length n maps h to h*p^n + C[lo] for a table C
+// that depends only on the sequence, here the pattern. Evaluating the
+// byte loop at the representative h = lo gives C[lo] = mixWords(lo) -
+// lo*p^64.
+//
+// The table is 2 KiB, takes 256 word folds to build, and depends on the
+// pattern alone, so Fingerprint builds it for the call and keeps nothing
+// between calls.
+type patternLane struct {
+	pattern uint32
+	add     [256]uint64
+}
+
+// build makes l the lane table of pattern.
+func (l *patternLane) build(pattern uint32) {
+	var words [addr.WordsPerLine]uint32
+	for i := range words {
+		words[i] = pattern
+	}
+	l.pattern = pattern
+	for lo := range l.add {
+		l.add[lo] = mixWords(uint64(lo), &words) - uint64(lo)*fnv64Prime64
+	}
+}
+
 // Fingerprint digests the full memory image (FNV-1a over the written
 // lines in address order): equal images yield equal fingerprints.
-// Determinism tests use it to compare whole runs cheaply. A painted
-// block still holding its pattern (the Cohesion preset paints the table
-// in whole blocks) is folded in with one cached affine transform instead
-// of ~4600 dependent multiplies; every other block is mixed line by line
-// with the concrete running state, so the result is bit-identical either
-// way.
+// Determinism tests use it to compare whole runs cheaply. A uniform
+// block (the Cohesion preset paints the table in whole blocks) folds
+// each line's number byte by byte and its eight words in one patternLane
+// step, six multiplies a line instead of 45. Each distinct pattern's
+// table is built once per call; the first two sit in the frame, which
+// covers the simulator's images (zero-filled heap blocks and the preset's
+// ^0). Every other block is mixed line by line with the concrete running
+// state, so the result is bit-identical either way.
 func (s *Store) Fingerprint() uint64 {
+	lanes := make([]patternLane, 0, 2)
 	h := uint64(fnv64Offset)
 	for bi, b := range s.blocks() {
-		if b.pattern != 0 && b.words == nil {
-			x := blockXformFor(bi, b.pattern)
-			h = h*x.mult + x.add[h&0xff]
+		if b.uniform() {
+			i := 0
+			for i < len(lanes) && lanes[i].pattern != b.pattern {
+				i++
+			}
+			if i == len(lanes) {
+				lanes = append(lanes, patternLane{})
+				lanes[i].build(b.pattern)
+			}
+			add := &lanes[i].add
+			for l := addr.Line(bi * blockLines); l < addr.Line((bi+1)*blockLines); l++ {
+				h = mixNumber(h, l)
+				h = h*fnv64Prime64 + add[h&0xff]
+			}
 			continue
 		}
 		for w := b.written; w != 0; w &= w - 1 {

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -33,38 +34,49 @@ func fillBlock(s *Store, bi int, pattern uint32) {
 	}
 }
 
-// TestBlockXformMatchesByteLoop checks the affine identity the fast path
-// rests on: folding a fully-written uniform 64-line block into the
-// running FNV state via the composed transform h*mult + add[h&0xff] must
-// equal 64 consecutive mixLine folds, for any incoming state. The first
-// block of memory, blocks at both ends of the table, the last block below
-// 4 GiB and a spread of patterns (including ones whose low bytes collide
-// across lanes) are crossed with hash states covering every low-byte
-// lane.
-func TestBlockXformMatchesByteLoop(t *testing.T) {
-	var buf [addr.WordsPerLine]uint32
-	hs := []uint64{fnv64Offset, 0, 1, ^uint64(0), 0x0123456789abcdef}
-	// One state per low-byte lane: the add table is indexed by h&0xff.
-	for lane := 0; lane < 256; lane++ {
-		hs = append(hs, 0xdeadbeef00+uint64(lane))
+// byteLoopWords is the byte definition of folding a line's eight words
+// into h: each word widened to eight bytes, little-endian, one FNV-1a
+// step per byte.
+func byteLoopWords(h uint64, words *[addr.WordsPerLine]uint32) uint64 {
+	for _, w := range words {
+		v := uint64(w)
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= fnv64Prime
+			v >>= 8
+		}
+	}
+	return h
+}
+
+// TestPatternLaneMatchesByteLoop checks the identity the uniform-block
+// fold rests on. One lane step, h*p^64 + add[h&0xff], must equal the
+// byte loop over eight words of the pattern for a hash state in every
+// low-byte lane, and a store holding one painted block must fingerprint
+// equal to the line-by-line reference, wherever the block sits: the
+// first blocks of memory, both ends of the table and the last block
+// below 4 GiB. The patterns include ones whose bytes repeat across lanes
+// and one with a single high bit.
+func TestPatternLaneMatchesByteLoop(t *testing.T) {
+	hs := []uint64{fnv64Offset, 0, ^uint64(0)}
+	for lo := uint64(0); lo < 256; lo++ {
+		hs = append(hs, 0x9e3779b97f4a7c00^lo*0x0101010101010101)
 	}
 	tbl0 := int(addr.TableBase / blockBytes)
-	for _, bi := range []int{0, 7, tbl0, tbl0 + 255, tbl0 + tableBlocks - 1, 1<<32/blockBytes - 1} {
-		for _, pattern := range []uint32{0, ^uint32(0), 0xdeadbeef, 0x01010101} {
-			x := blockXformFor(bi, pattern)
-			for i := range buf {
-				buf[i] = pattern
+	for _, pattern := range []uint32{0, ^uint32(0), 0xdeadbeef, 0x01010101, 0x80000000} {
+		var lane patternLane
+		lane.build(pattern)
+		words := [addr.WordsPerLine]uint32{pattern, pattern, pattern, pattern, pattern, pattern, pattern, pattern}
+		for _, h0 := range hs {
+			if got, want := h0*fnv64Prime64+lane.add[h0&0xff], byteLoopWords(h0, &words); got != want {
+				t.Fatalf("pattern %#x h0 %#x: lane step %#x, byte loop %#x", pattern, h0, got, want)
 			}
-			for _, h0 := range hs {
-				want := h0
-				for j := 0; j < blockLines; j++ {
-					want = mixLine(want, addr.Line(bi*blockLines+j), &buf)
-				}
-				got := h0*x.mult + x.add[h0&0xff]
-				if got != want {
-					t.Fatalf("block %d pattern %#x h0 %#x: xform %#x, byte loop %#x",
-						bi, pattern, h0, got, want)
-				}
+		}
+		for _, bi := range []int{0, 7, tbl0, tbl0 + tableBlocks - 1, 1<<32/blockBytes - 1} {
+			s := NewStore()
+			s.FillTable(addr.Range{Base: addr.Addr(bi * blockBytes), Size: blockBytes}, pattern)
+			if got, want := s.Fingerprint(), slowFingerprint(s); got != want {
+				t.Fatalf("pattern %#x block %d: fingerprint %#x, reference %#x", pattern, bi, got, want)
 			}
 		}
 	}
@@ -74,24 +86,17 @@ func TestBlockXformMatchesByteLoop(t *testing.T) {
 // block shape Fingerprint discriminates, plus lines outside the table,
 // and demands Fingerprint agree bit for bit with the line-by-line
 // reference after each step. Each step also checks which path its block
-// took, by whether Fingerprint built its transform, so no shape
-// degenerates into another unnoticed.
+// takes (block.uniform, the predicate Fingerprint branches on), so no
+// shape degenerates into another unnoticed.
 func TestFingerprintFastPathMatchesLineWalk(t *testing.T) {
 	s := NewStore()
-	check := func(stage string, bi int, fast bool) {
+	check := func(stage string, bi int, uniform bool) {
 		t.Helper()
-		k := blockKey{int(blockAt(bi) / blockBytes), s.readBlock(blockAt(bi)).pattern}
-		xformMu.Lock()
-		delete(xformCache, k)
-		xformMu.Unlock()
 		if got, want := s.Fingerprint(), slowFingerprint(s); got != want {
 			t.Fatalf("%s: fast-path fingerprint %#x, reference %#x", stage, got, want)
 		}
-		xformMu.Lock()
-		built := xformCache[k] != nil
-		xformMu.Unlock()
-		if built != fast {
-			t.Fatalf("%s: block %d takes the fast path = %v, want %v", stage, bi, built, fast)
+		if b := s.readBlock(blockAt(bi)); b.uniform() != uniform {
+			t.Fatalf("%s: block %d takes the lane path = %v, want %v", stage, bi, b.uniform(), uniform)
 		}
 	}
 	paint := func(bi, n int, pattern uint32) {
@@ -110,10 +115,12 @@ func TestFingerprintFastPathMatchesLineWalk(t *testing.T) {
 	paint(tableBlocks-1, 1, ^uint32(0))
 	check("painted last block", tableBlocks-1, true)
 	paint(3, 1, 0)
-	check("painted all-zero block", 3, false)
+	check("painted all-zero block", 3, true)
 
 	fillBlock(s, 4, ^uint32(0))
 	check("uniform block written word by word", 4, false)
+	fillBlock(s, 6, 0)
+	check("all-zero block written word by word", 6, true)
 
 	paint(5, 1, ^uint32(0))
 	s.WriteWord(blockAt(5)+64, 0x1234)
@@ -128,10 +135,74 @@ func TestFingerprintFastPathMatchesLineWalk(t *testing.T) {
 	s.WriteWord(blockAt(5)+64, ^uint32(0))
 	check("copied-out block written back to its pattern", 5, false)
 
+	// A third pattern, between blocks of the other two: more lanes than
+	// Fingerprint's frame holds.
 	paint(3, 1, 0x5555aaaa)
 	check("block repainted with a new pattern", 3, true)
 	paint(5, 1, 0x5555aaaa)
 	check("copied-out block repainted", 5, true)
+}
+
+// presetBase is where the Cohesion preset's table lines start: painting
+// the 256 MiB incoherent heap writes the 512 blocks from here, at every
+// bank count.
+const presetBase = addr.TableBase + 0x40_0000
+
+// presetStore returns an image holding the Cohesion preset's 512 table
+// blocks painted with pattern.
+func presetStore(pattern uint32) *Store {
+	s := NewStore()
+	s.FillTable(addr.Range{Base: presetBase, Size: 512 * blockBytes}, pattern)
+	return s
+}
+
+var sink uint64 // keeps measured fingerprints alive
+
+// TestFingerprintRetainsNothing fingerprints a painted 512-block table
+// and drops the store: the live heap must come back to where it was,
+// because the lane table lives in Fingerprint's frame. A fingerprint of
+// a painted image allocates nothing.
+func TestFingerprintRetainsNothing(t *testing.T) {
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	func() {
+		s := presetStore(0x7e57_1a9e) // a pattern no other test paints
+		sink = s.Fingerprint()
+	}()
+	if grew := int64(live()) - int64(before); grew >= 64<<10 {
+		t.Errorf("live heap grew %d bytes across a dropped store's fingerprint, want under 64 KiB", grew)
+	}
+	s := presetStore(^uint32(0))
+	if n := testing.AllocsPerRun(10, func() { sink = s.Fingerprint() }); n != 0 {
+		t.Errorf("Fingerprint of a painted image allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkFingerprint sizes a fingerprint of the Cohesion preset image:
+// painted is its 512 table blocks alone, preset adds 6,000 heap lines
+// that a run has written, each mixed line by line.
+func BenchmarkFingerprint(b *testing.B) {
+	preset := presetStore(^uint32(0))
+	for i := 0; i < 6000; i++ {
+		preset.WriteWord(addr.HeapBase+addr.Addr(i*addr.LineBytes), uint32(i)+1)
+	}
+	for _, c := range []struct {
+		name string
+		s    *Store
+	}{{"painted", presetStore(^uint32(0))}, {"preset", preset}} {
+		lines := len(c.s.Lines())
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = c.s.Fingerprint()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+		})
+	}
 }
 
 // TestAbsentChunksReadZeroAndStayOut writes a heap line and blocks in two

@@ -109,15 +109,6 @@ func FuzzStoreMatchesLineMap(f *testing.F) {
 	))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		// Inputs paint random blocks with random patterns, and each pair
-		// keeps a 2 KiB process-global transform: bound what a fuzz
-		// worker holds (unbounded, the processes of a 30 s run on two
-		// CPUs grew to 580 MB).
-		xformMu.Lock()
-		if len(xformCache) > 4096 {
-			clear(xformCache)
-		}
-		xformMu.Unlock()
 		s, m := NewStore(), lineMap{}
 		for ; len(in) >= 8; in = in[8:] {
 			b := in[:8]

@@ -2,6 +2,7 @@ package region
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,6 +200,53 @@ func TestSetRangeMatchesPerLineSet(t *testing.T) {
 		}
 		if got, want := bulk.store.Fingerprint(), ref.store.Fingerprint(); got != want {
 			t.Fatalf("banks %d range %v: table image fingerprint %#x, per-line %#x", c.banks, r, got, want)
+		}
+	}
+}
+
+// TestCohesionPresetFingerprint presets a store as the runtime does in
+// Cohesion mode, SetRange over the whole 256 MiB incoherent heap, at
+// several bank counts. Each must paint the same 32,768 table lines, and
+// the store's fingerprint must equal the digest's byte definition:
+// FNV-1a over the written lines in address order, line number then
+// words, little-endian, each widened to eight bytes.
+func TestCohesionPresetFingerprint(t *testing.T) {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	var first []addr.Line
+	for _, banks := range []int{1, 2, 8, 32} {
+		store := dram.NewStore()
+		NewFineTable(store, banks).SetRange(addr.Range{Base: addr.CohHeapBase, Size: 256 << 20})
+		lines := store.Lines()
+		if len(lines) != 32768 {
+			t.Fatalf("banks %d: preset wrote %d table lines, want 32768", banks, len(lines))
+		}
+		if want := addr.TableBase + 0x40_0000; lines[0].Base() != want {
+			t.Fatalf("banks %d: preset's table lines start at %#x, want %#x", banks, uint64(lines[0].Base()), uint64(want))
+		}
+		if first == nil {
+			first = lines
+		} else if !slices.Equal(lines, first) {
+			t.Fatalf("banks %d: preset wrote other table lines than at 1 bank", banks)
+		}
+		h := uint64(offset)
+		mix64 := func(v uint64) {
+			for i := 0; i < 8; i++ {
+				h ^= v & 0xff
+				h *= prime
+				v >>= 8
+			}
+		}
+		for _, line := range lines {
+			mix64(uint64(line))
+			for _, w := range store.ReadLine(line) {
+				mix64(uint64(w))
+			}
+		}
+		if got := store.Fingerprint(); got != h {
+			t.Fatalf("banks %d: fingerprint %#x, byte-definition reference %#x", banks, got, h)
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 
 // selfCheckReport is the outcome of one selfCheckResume run.
 type selfCheckReport struct {
-	totalEvents uint64   // straight-through run length in events
-	depths      []uint64 // checkpoint depths exercised
-	resumed     int      // depths that resumed and matched bit for bit
+	totalEvents  uint64   // straight-through run length in events
+	dirEvictions uint64   // straight-through run's directory evictions
+	depths       []uint64 // checkpoint depths exercised
+	resumed      int      // depths that resumed and matched bit for bit
 
 	// Set when a divergence was found:
 	diverged       bool
@@ -43,7 +44,7 @@ func selfCheckResume(ctx context.Context, rc RunConfig, n int, dir string) (*sel
 	if err != nil {
 		return nil, fmt.Errorf("self-check straight-through run: %w", err)
 	}
-	report := &selfCheckReport{totalEvents: ref.Stats.Events}
+	report := &selfCheckReport{totalEvents: ref.Stats.Events, dirEvictions: ref.Stats.DirEvictions}
 	refStats := ref.Stats.Digest()
 	refEdges := refCov.CountsByName()
 
