@@ -13,6 +13,7 @@
 //	cohesion-fuzz -replay repro.json                # re-run a saved failure
 //	cohesion-fuzz -replay repro.json -shrink=false  # replay without shrinking
 //	cohesion-fuzz -replay repro.json -trace         # replay and export its trace
+//	cohesion-fuzz -replay repro.json -trace -line 0x20000040  # export one line's records
 //	cohesion-fuzz -iters 500 -checkpoint fuzz.ckpt  # interruptible batch
 //	cohesion-fuzz -iters 500 -checkpoint fuzz.ckpt -resume
 //	cohesion-fuzz -checkpoint-stress 3              # verify checkpoint/restore determinism
@@ -31,6 +32,7 @@ import (
 	"strings"
 	"syscall"
 
+	"cohesion/internal/addr"
 	"cohesion/internal/pool"
 	"cohesion/internal/simerr"
 	"cohesion/internal/snapshot"
@@ -52,6 +54,7 @@ func main() {
 		corrupt   = flag.Bool("corrupt", false, "plant a memory-corruption motif the oracle must catch")
 		traceOn   = flag.Bool("trace", false, "on failure (or a reproduced -replay), write the traced re-run's protocol trace to -trace-out")
 		traceOut  = flag.String("trace-out", "cohesion-fuzz-trace.json", "failure trace output file; .json emits Chrome trace-event format, anything else plain text")
+		line      = flag.Uint64("line", 0, "with -trace, export only the records of the line holding this address (0 = every line); the repro keeps its whole trace tail")
 		edges     = flag.Bool("edges", false, "aggregate protocol-transition edge coverage across all iterations and print the report")
 		out       = flag.String("out", "cohesion-fuzz-repro.json", "repro file written on failure")
 		replay    = flag.String("replay", "", "replay a saved repro file instead of fuzzing")
@@ -67,6 +70,12 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *line != 0 && !*traceOn {
+		fatal("-line needs -trace")
+	}
+	if *line >= 1<<32 {
+		fatal("-line %#x is outside the 32-bit address space", *line)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -95,7 +104,7 @@ func main() {
 	defer writeMemProfile()
 
 	if *replay != "" {
-		code := replayFile(*replay, *shrink, *maxShrink, *out, *traceOn, *traceOut)
+		code := replayFile(*replay, *shrink, *maxShrink, *out, *traceOn, *traceOut, *line)
 		writeMemProfile()
 		if *cpuprofile != "" {
 			pprof.StopCPUProfile()
@@ -272,7 +281,7 @@ func main() {
 			}
 			fmt.Printf("repro written to %s (category %s)\n", *out, category)
 			if *traceOn {
-				writeTrace(sink, *traceOut)
+				writeTrace(sink, *traceOut, *line)
 			}
 			exit(1)
 		}
@@ -363,8 +372,17 @@ func capture(p stress.Program, category string) (stress.Repro, *trace.Sink) {
 	return rep, sink
 }
 
-// writeTrace exports a failing program's protocol trace.
-func writeTrace(sink *trace.Sink, path string) {
+// writeTrace exports a failing program's protocol trace: with line
+// nonzero, only the records of the line holding that address.
+func writeTrace(sink *trace.Sink, path string, line uint64) {
+	if line != 0 {
+		only := trace.NewSink(0)
+		only.OnlyLine(uint64(addr.LineAlign(addr.Addr(line))))
+		for _, r := range sink.Records() {
+			only.Add(r)
+		}
+		sink = only
+	}
 	if err := sink.WriteFile(path); err != nil {
 		fatal("writing trace: %v", err)
 	}
@@ -378,7 +396,7 @@ func writeTrace(sink *trace.Sink, path string) {
 // malformed or truncated repro file (rejected at load time by schema
 // validation, with the offending field named, instead of letting the
 // replay panic mid-run).
-func replayFile(path string, shrink bool, maxShrink int, out string, traceOn bool, traceOut string) int {
+func replayFile(path string, shrink bool, maxShrink int, out string, traceOn bool, traceOut string, line uint64) int {
 	r, err := stress.LoadRepro(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cohesion-fuzz: %v\n", err)
@@ -410,7 +428,7 @@ func replayFile(path string, shrink bool, maxShrink int, out string, traceOn boo
 			opCount(p), opCount(r.Program), runs, out)
 	}
 	if traceOn {
-		writeTrace(sink, traceOut)
+		writeTrace(sink, traceOut, line)
 	}
 	return 0
 }

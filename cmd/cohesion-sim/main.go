@@ -9,6 +9,7 @@
 //	cohesion-sim -kernel kmeans -mode hwcc -table3   # full 1024-core machine
 //	cohesion-sim -kernel heat -faults -fault-seed 7  # fault injection + recovery
 //	cohesion-sim -kernel heat -trace -trace-out /dev/stdout  # print the protocol trace
+//	cohesion-sim -kernel heat -trace -line 0x40000480 -trace-out /dev/stdout  # one line's history
 //	cohesion-sim -kernel heat -checkpoint run.ckpt -checkpoint-every 100000
 //	cohesion-sim -resume run.ckpt                    # continue an interrupted run
 package main
@@ -44,6 +45,7 @@ func main() {
 		table3   = flag.Bool("table3", false, "use the paper's full 1024-core Table 3 machine")
 		traceOn  = flag.Bool("trace", false, "record a structured protocol trace and write it to -trace-out")
 		traceOut = flag.String("trace-out", "cohesion-trace.json", "trace output file; .json emits Chrome trace-event format, anything else plain text")
+		line     = flag.Uint64("line", 0, "with -trace, record only the steps on the line holding this address (0 = every line)")
 		metrics  = flag.Bool("metrics", false, "collect and print sim-time histograms (latency, port waits, occupancy) and the coroutine resume count")
 		edges    = flag.Bool("edges", false, "track protocol-transition edge coverage and print the report")
 		phases   = flag.Bool("phases", false, "print per-phase (barrier-to-barrier) cycle and message breakdown")
@@ -144,6 +146,15 @@ func main() {
 	var sink *cohesion.TraceSink
 	if *traceOn {
 		sink = cohesion.NewTraceSink(0)
+	}
+	if *line != 0 {
+		if sink == nil {
+			fatal("-line needs -trace")
+		}
+		if *line >= 1<<32 {
+			fatal("-line %#x is outside the 32-bit address space", *line)
+		}
+		sink.OnlyLine(*line &^ (cohesion.LineBytes - 1))
 	}
 	var cov *cohesion.Coverage
 	if *edges {

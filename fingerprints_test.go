@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"cohesion/internal/pool"
+	"cohesion/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files")
@@ -187,6 +189,39 @@ func TestGoldenRuns(t *testing.T) {
 func TestGoldenResumes(t *testing.T) {
 	got := goldenValues(t, func(r *Result) uint64 { return r.Stats.Resumes })
 	checkGolden(t, resumesFile, "coroutine resume counts", "TestGoldenResumes", got)
+}
+
+// TestTraceOnlyLine: a traced heat run whose sink keeps one line records
+// exactly the records an unfiltered run records for that line, in the same
+// order, and at least one.
+func TestTraceOnlyLine(t *testing.T) {
+	rc := RunConfig{Machine: ScaledConfig(2).WithMode(Cohesion), Kernel: "heat", Scale: 1, Seed: 42}
+	rc.TraceSink = NewTraceSink(0)
+	if _, err := Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	all := rc.TraceSink.Records()
+	if rc.TraceSink.Dropped() != 0 || len(all) == 0 {
+		t.Fatalf("unfiltered run kept %d records and dropped %d, want a whole trace", len(all), rc.TraceSink.Dropped())
+	}
+	line := all[len(all)/2].Line
+	var want []trace.Record
+	for _, r := range all {
+		if r.Line == line {
+			want = append(want, r)
+		}
+	}
+
+	rc.TraceSink = NewTraceSink(0)
+	rc.TraceSink.OnlyLine(line)
+	if _, err := Run(rc); err != nil {
+		t.Fatal(err)
+	}
+	got := rc.TraceSink.Records()
+	t.Logf("line %#x: %d of %d records", line, len(got), len(all))
+	if len(got) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("filtered run kept %d records of line %#x, want the unfiltered run's %d, in order", len(got), line, len(want))
+	}
 }
 
 // TestObservabilityDoesNotPerturbSimulation runs the same simulation bare,

@@ -44,8 +44,12 @@ const (
 // addresses always fit in 32 bits.
 type Addr uint64
 
-// Line identifies a 32-byte cache line (Addr >> LineShift).
-type Line uint64
+// Line identifies a 32-byte cache line (Addr >> LineShift). A valid
+// address has 32 bits, so a line number has 27 (the largest is 2^27-1)
+// and a uint32 holds it: every cache entry, directory entry and message
+// that names a line carries four bytes for it. Base widens back to Addr
+// before shifting, so a line's base address never wraps.
+type Line uint32
 
 // LineOf returns the cache line containing a.
 func LineOf(a Addr) Line { return Line(a >> LineShift) }

@@ -28,6 +28,17 @@ func TestLineArithmetic(t *testing.T) {
 	}
 }
 
+// TestLastLine: the last line of the 32-bit address space has a number
+// that fits a Line, and its base widens to an Addr without wrapping.
+func TestLastLine(t *testing.T) {
+	if b := LineOf(0xFFFF_FFFF).Base(); b != 0xFFFF_FFE0 {
+		t.Fatalf("LineOf(0xFFFF_FFFF).Base() = %#x, want 0xffffffe0", uint64(b))
+	}
+	if l := LineOf(0xFFFF_FFFF); l != 1<<27-1 {
+		t.Fatalf("LineOf(0xFFFF_FFFF) = %#x, want %#x", uint64(l), 1<<27-1)
+	}
+}
+
 func TestLinesCovering(t *testing.T) {
 	if got := LinesCovering(0x100, 0); got != nil {
 		t.Fatalf("zero size: %v", got)

@@ -16,8 +16,11 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"cohesion/internal/addr"
 )
@@ -32,19 +35,22 @@ const (
 
 // Slot is one line's worth of state in an array whose entries carry a D
 // payload.
+//
+// The fields are ordered widest first: the data words, then the four-byte
+// line and LRU stamp, then six single bytes. An L2 entry packs into 48
+// bytes (32 of them data) and a tag into 16.
 type Slot[D any] struct {
 	// Data comes first: Go pads a struct whose last field has zero size,
 	// which would grow a Tag by a word.
 	Data       D
 	Line       addr.Line
+	lastUse    uint32
 	Valid      bool
 	Pinned     bool // a transaction is in flight; not evictable
 	Incoherent bool // line belongs to the SWcc domain (paper's per-line bit)
 	State      uint8
 	ValidMask  uint8 // bit w: word w holds valid data
 	DirtyMask  uint8 // bit w: word w is dirty locally
-
-	lastUse uint64
 }
 
 // Entry is an L2 line: its tag, state and data words. The Data words are
@@ -58,12 +64,18 @@ type Tag = Slot[struct{}]
 const FullMask = uint8(1<<addr.WordsPerLine - 1)
 
 // Array is a set-associative array with LRU replacement.
+//
+// Every Lookup and Allocate stamps its entry with the next tick, and a
+// full set evicts its least recently stamped unpinned entry. Stamps are 32
+// bits: when the tick would pass 2^32-1, renumber replaces each set's
+// stamps by their ranks and the tick continues after the largest rank.
+// Replacement compares stamps only within a set, so no choice changes.
 type Array[D any] struct {
 	ents  []Slot[D] // slot set*ways+way
-	nsets int
 	ways  int
-	mask  uint64 // nsets-1 when nsets is a power of two, else 0
-	tick  uint64
+	mask  uint64 // nsets-1 when nsets is a power of two
+	div   uint64 // nsets when it is not a power of two, else 0
+	tick  uint32
 	valid int
 
 	// occ has one bit per slot (set*ways+way), set while the slot holds a
@@ -93,15 +105,17 @@ func newArray[D any](sizeBytes, assoc int) *Array[D] {
 		panic(fmt.Sprintf("cache: bad geometry %d bytes %d-way", sizeBytes, assoc))
 	}
 	nsets := lines / assoc
-	c := &Array[D]{ents: make([]Slot[D], lines), nsets: nsets, ways: assoc, occ: make([]uint64, (lines+63)/64)}
+	c := &Array[D]{ents: make([]Slot[D], lines), ways: assoc, occ: make([]uint64, (lines+63)/64)}
 	if nsets&(nsets-1) == 0 {
 		c.mask = uint64(nsets - 1)
+	} else {
+		c.div = uint64(nsets)
 	}
 	return c
 }
 
 // Sets and Ways report the geometry; Lines the total capacity in lines.
-func (c *Array[D]) Sets() int  { return c.nsets }
+func (c *Array[D]) Sets() int  { return len(c.ents) / c.ways }
 func (c *Array[D]) Ways() int  { return c.ways }
 func (c *Array[D]) Lines() int { return len(c.ents) }
 
@@ -118,12 +132,14 @@ func (c *Array[D]) set(si uint64) []Slot[D] {
 // setIdx returns the set for a line. Set counts are powers of two in every
 // real geometry, so indexing is a mask; the modulo fallback (a hardware
 // divide, measurably hot at one per cache access) only runs for odd
-// test-constructed geometries.
+// test-constructed geometries. One test of div chooses between them: with
+// the widening of a 32-bit line counted, a costlier test would push Peek
+// over the inlining budget.
 func (c *Array[D]) setIdx(line addr.Line) uint64 {
-	if c.mask != 0 || c.nsets == 1 {
-		return uint64(line) & c.mask
+	if c.div != 0 {
+		return uint64(line) % c.div
 	}
-	return uint64(line) % uint64(c.nsets)
+	return uint64(line) & c.mask
 }
 
 // markSlot and clearSlot maintain the occupancy bitmap for slot w of the
@@ -141,12 +157,14 @@ func (c *Array[D]) clearSlot(setIdx uint64, w int) {
 // Lookup returns the entry holding line and refreshes its LRU position, or
 // nil on a miss. The returned pointer stays valid until the entry is
 // evicted; callers mutate protocol state through it.
+//
+// Lookup, Peek and Invalidate test a way's line before its valid bit:
+// most ways hold another line, so a scan mostly reads one field.
 func (c *Array[D]) Lookup(line addr.Line) *Slot[D] {
 	set := c.set(c.setIdx(line))
 	for i := range set {
-		if set[i].Valid && set[i].Line == line {
-			c.tick++
-			set[i].lastUse = c.tick
+		if set[i].Line == line && set[i].Valid {
+			set[i].lastUse = c.next()
 			return &set[i]
 		}
 	}
@@ -161,7 +179,7 @@ func (c *Array[D]) Peek(line addr.Line) *Slot[D] {
 	end := base + uint64(c.ways)
 	set := c.ents[base:end:end]
 	for i := range set {
-		if set[i].Valid && set[i].Line == line {
+		if set[i].Line == line && set[i].Valid {
 			return &set[i]
 		}
 	}
@@ -204,11 +222,41 @@ func (c *Array[D]) Allocate(line addr.Line) (entry *Slot[D], victim Slot[D], evi
 		victim, evicted = *slot, true
 		c.valid--
 	}
-	c.tick++
-	*slot = Slot[D]{Line: line, Valid: true, lastUse: c.tick}
+	*slot = Slot[D]{Line: line, Valid: true, lastUse: c.next()}
 	c.valid++
 	c.markSlot(si, slotW)
 	return slot, victim, evicted
+}
+
+// next advances the tick and returns it, renumbering first when it is at
+// its largest value.
+func (c *Array[D]) next() uint32 {
+	if c.tick == math.MaxUint32 {
+		c.renumber()
+	}
+	c.tick++
+	return c.tick
+}
+
+// renumber replaces the stamps of each set's valid entries by their ranks
+// in LRU order (1 for the least recent) and sets the tick to the largest
+// rank. Invalid entries keep stamp 0 and are never compared.
+func (c *Array[D]) renumber() {
+	c.tick = 0
+	var order []*Slot[D]
+	for base := 0; base < len(c.ents); base += c.ways {
+		order = order[:0]
+		for i := base; i < base+c.ways; i++ {
+			if c.ents[i].Valid {
+				order = append(order, &c.ents[i])
+			}
+		}
+		slices.SortFunc(order, func(a, b *Slot[D]) int { return cmp.Compare(a.lastUse, b.lastUse) })
+		for r, e := range order {
+			e.lastUse = uint32(r + 1)
+		}
+		c.tick = max(c.tick, uint32(len(order)))
+	}
 }
 
 // Invalidate drops line if present, returning a copy of the dropped entry.
@@ -216,7 +264,7 @@ func (c *Array[D]) Invalidate(line addr.Line) (dropped Slot[D], was bool) {
 	si := c.setIdx(line)
 	set := c.set(si)
 	for i := range set {
-		if set[i].Valid && set[i].Line == line {
+		if set[i].Line == line && set[i].Valid {
 			dropped, was = set[i], true
 			set[i] = Slot[D]{}
 			c.valid--
@@ -248,8 +296,8 @@ const partSets = 8
 // that is not a multiple of partSets keeps a single part.
 //
 // Replacement is the flat array's: LRU compares lastUse only within a
-// set, each set lives in exactly one part, and that part's tick only
-// grows.
+// set, each set lives in exactly one part, and that part's stamps keep
+// their order within each set, across a renumbering too.
 type LazyTags struct {
 	parts     []*Tags
 	partBytes int // one part's capacity

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -69,14 +70,14 @@ func TestNewAllocatesPerCacheNotPerSet(t *testing.T) {
 }
 
 // TestEntrySizes holds each payload's entry to its footprint: a tag entry
-// is its line, flags, masks and LRU stamp with no padding after them, and
-// an L2 entry adds its data words.
+// is its four-byte line and LRU stamp, flags and masks with no padding
+// after them, and an L2 entry adds its 32 bytes of data words.
 func TestEntrySizes(t *testing.T) {
-	if n := unsafe.Sizeof(Tag{}); n > 24 {
-		t.Errorf("a tag entry is %d bytes, want at most 24", n)
+	if n := unsafe.Sizeof(Tag{}); n > 16 {
+		t.Errorf("a tag entry is %d bytes, want at most 16", n)
 	}
-	if n := unsafe.Sizeof(Entry{}); n > 56 {
-		t.Errorf("an L2 entry is %d bytes, want at most 56", n)
+	if n := unsafe.Sizeof(Entry{}); n > 48 {
+		t.Errorf("an L2 entry is %d bytes, want at most 48", n)
 	}
 }
 
@@ -285,26 +286,76 @@ func (m *lruModel) victim(line addr.Line) (v addr.Line, evict, ok bool) {
 	return 0, false, false
 }
 
-// Property: the cache agrees with an LRU reference model under a random
-// stream of allocate/lookup/peek/invalidate/pin operations, on a
-// power-of-two and a non-power-of-two set count and with both payloads:
-// the same lines resident, the same stamps, and the same victim chosen on
-// every allocation.
-func TestQuickGoldenModel(t *testing.T) {
-	bothPayloads(t, testGoldenModel(New), testGoldenModel(NewTags))
+// rearm moves c's tick up to a few steps below the largest stamp every
+// 64th operation, so the next few Lookups and Allocates renumber. Moving
+// the tick forward keeps every stamp below it, so it is a state the array
+// could reach by counting, and a 2000-operation run crosses up to about
+// thirty renumberings, each from a different set of residents.
+func rearm[D any](c *Array[D], op int, rng *rand.Rand) {
+	if op%64 == 0 {
+		c.tick = max(c.tick, math.MaxUint32-uint32(rng.Intn(4)))
+	}
 }
 
-func testGoldenModel[D any](build func(int, int) *Array[D]) func(*testing.T) {
+// inStampOrder reports whether the arrays (nil ones skipped) hold
+// exactly the model's lines, each set's LRU stamps strictly increasing
+// along the model's recency list. Stamps are compared by order, not
+// value: a renumbering rewrites them all. Lines must be below 256.
+func inStampOrder[D any](m *lruModel, arrays ...*Array[D]) bool {
+	var stamps [256]uint32
+	n := 0
+	for _, c := range arrays {
+		if c != nil {
+			c.ForEach(func(e *Slot[D]) { stamps[e.Line], n = e.lastUse, n+1 })
+		}
+	}
+	for _, set := range m.sets {
+		prev := uint32(0)
+		for _, l := range set {
+			if stamps[l] <= prev {
+				return false
+			}
+			prev, n = stamps[l], n-1
+		}
+	}
+	return n == 0
+}
+
+// Property: the cache agrees with an LRU reference model under a random
+// stream of allocate/lookup/peek/invalidate/pin operations, on
+// power-of-two and non-power-of-two set counts and with both payloads:
+// the same lines resident, the same payload stamps, and the same victim
+// chosen on every allocation.
+func TestQuickGoldenModel(t *testing.T) {
+	bothPayloads(t, testGoldenModel(New, false), testGoldenModel(NewTags, false))
+}
+
+// Property: TestQuickGoldenModel's agreement holds across LRU stamp
+// renumberings. The tick is rearmed near 2^32-1 throughout the stream,
+// and before every operation each set's LRU stamps must be distinct and
+// order its lines as the model's recency list does.
+func TestQuickStampWrap(t *testing.T) {
+	bothPayloads(t, testGoldenModel(New, true), testGoldenModel(NewTags, true))
+}
+
+func testGoldenModel[D any](build func(int, int) *Array[D], wrap bool) func(*testing.T) {
 	return func(t *testing.T) {
 		for _, g := range []struct{ size, assoc int }{
 			{512, 2}, // 16 lines, 8 sets
 			{192, 2}, // 6 lines, 3 sets: the modulo set index
+			{512, 8}, // 16 lines, 2 sets of 8 ways
 		} {
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				c := build(g.size, g.assoc)
 				m := newLRUModel(c.Sets(), c.Ways())
 				for op := 0; op < 2000; op++ {
+					if wrap {
+						if !inStampOrder(m, c) {
+							return false
+						}
+						rearm(c, op, rng)
+					}
 					line := addr.Line(rng.Intn(64))
 					v, inModel := m.data[line]
 					switch rng.Intn(4) {
@@ -363,7 +414,7 @@ func testGoldenModel[D any](build func(int, int) *Array[D]) func(*testing.T) {
 						return false
 					}
 				}
-				return true
+				return !wrap || inStampOrder(m, c)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 				t.Fatalf("%d bytes %d-way: %v", g.size, g.assoc, err)
@@ -405,7 +456,16 @@ func tagFields(e Tag) Tag {
 // reference model and with each other: the same hits, the same victims,
 // the same masks. The geometries cover a masked and a modulo set index
 // over several parts, and a set count that is not a multiple of 8.
-func TestQuickLazyTagsMatchFlat(t *testing.T) {
+func TestQuickLazyTagsMatchFlat(t *testing.T) { testLazyTagsMatchFlat(t, false) }
+
+// Property: TestQuickLazyTagsMatchFlat's agreement holds across LRU stamp
+// renumberings. The flat array's tick and each allocated part's are
+// rearmed near 2^32-1 independently, and before every operation the flat
+// array and the parts must order each set's lines by stamp as the model
+// does.
+func TestQuickLazyTagsStampWrap(t *testing.T) { testLazyTagsMatchFlat(t, true) }
+
+func testLazyTagsMatchFlat(t *testing.T, wrap bool) {
 	for _, g := range []struct{ size, assoc int }{
 		{4 << 10, 2}, // 64 sets: 8 parts
 		{1536, 2},    // 24 sets: 3 parts, the modulo set index
@@ -424,6 +484,17 @@ func TestQuickLazyTagsMatchFlat(t *testing.T) {
 				return le == nil || (tagFields(*le) == tagFields(*fe) && stampOf(le) == int(v))
 			}
 			for op := 0; op < 2000; op++ {
+				if wrap {
+					if !inStampOrder(m, flat) || !inStampOrder(m, lazy.parts...) {
+						return false
+					}
+					rearm(flat, op, rng)
+					for _, p := range lazy.parts {
+						if p != nil {
+							rearm(p, op, rng)
+						}
+					}
+				}
 				line := addr.Line(rng.Intn(256))
 				switch rng.Intn(3) {
 				case 0: // allocate or touch
@@ -467,7 +538,7 @@ func TestQuickLazyTagsMatchFlat(t *testing.T) {
 					}
 				}
 			}
-			return true
+			return !wrap || inStampOrder(m, flat) && inStampOrder(m, lazy.parts...)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 			t.Fatalf("%d bytes %d-way: %v", g.size, g.assoc, err)

@@ -82,14 +82,16 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// Op is one operation yielded by a workload program.
+// Op is one operation yielded by a workload program. The fields are
+// ordered widest first, so an Op packs into 32 bytes: every core queues
+// the operations its program runs ahead.
 type Op struct {
-	Kind   OpKind
 	Addr   addr.Addr
-	Value  uint32
-	AOp    msg.AtomicOp
-	Op2    uint32
 	Cycles int64 // OpWork only
+	Value  uint32
+	Op2    uint32
+	Kind   OpKind
+	AOp    msg.AtomicOp
 }
 
 // Core is one in-order core. Programs interact with it only through Do,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"unsafe"
 
 	"cohesion/internal/addr"
 	"cohesion/internal/cache"
@@ -10,6 +11,14 @@ import (
 	"cohesion/internal/msg"
 	"cohesion/internal/stats"
 )
+
+// TestOpFits32Bytes locks in the field order that packs an Op into 32
+// bytes: a core queues every operation its program runs ahead.
+func TestOpFits32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 32 {
+		t.Fatalf("Op is %d bytes, want at most 32", n)
+	}
+}
 
 // fakeHome scripts the home side of the protocol: every outbound request
 // is recorded, and a responder decides the reply (immediately, with a

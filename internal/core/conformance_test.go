@@ -158,7 +158,7 @@ func checkFinal(t *testing.T, h *harness, req msg.Req, want dirState) {
 			t.Fatalf("final entry = %+v, want M owner 0", e)
 		}
 	case stMOther:
-		if e == nil || e.State != directory.Modified || e.Owner != req.Cluster {
+		if e == nil || e.State != directory.Modified || int(e.Owner) != req.Cluster {
 			t.Fatalf("final entry = %+v, want M owner %d", e, req.Cluster)
 		}
 	default:

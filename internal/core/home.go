@@ -676,7 +676,7 @@ func (h *Home) handleEvict(req msg.Req) {
 	}
 	h.edge(trace.EdgeHomeEvictMerge, req.Line, req.Cluster)
 	if h.dir != nil {
-		if e := h.dir.Lookup(req.Line); e != nil && e.State == directory.Modified && e.Owner == req.Cluster {
+		if e := h.dir.Lookup(req.Line); e != nil && e.State == directory.Modified && int(e.Owner) == req.Cluster {
 			h.dir.Remove(req.Line)
 		}
 	}
@@ -759,7 +759,7 @@ func (h *Home) allocDone(s *svc, e *directory.Entry) {
 	req := s.req
 	if req.Kind == msg.ReqWrite {
 		e.State = directory.Modified
-		e.Owner = req.Cluster
+		e.Owner = int32(req.Cluster)
 		s.grant = msg.GrantModified
 		h.edge(trace.EdgeHomeWriteMissAllocM, req.Line, req.Cluster)
 	} else {
@@ -792,7 +792,7 @@ func (h *Home) dispatchHWHit(s *svc, e *directory.Entry) {
 
 	case msg.ReqWrite:
 		if e.State == directory.Modified {
-			if e.Owner == req.Cluster {
+			if int(e.Owner) == req.Cluster {
 				// The requester already owns the line: a duplicate or
 				// retransmission that slipped past dedup. Re-grant in place —
 				// recalling would probe the requester for its own writeback.
@@ -832,7 +832,7 @@ func (h *Home) upgradeFinish(s *svc) {
 	req := s.req
 	s.dirEntry = nil
 	e.State = directory.Modified
-	e.Owner = req.Cluster
+	e.Owner = int32(req.Cluster)
 	e.Broadcast = false
 	e.Sharers = directory.Sharers{}
 	h.addSharer(e, req.Cluster)
@@ -895,7 +895,7 @@ func (h *Home) recallEntry(line addr.Line, e *directory.Entry, cont func()) {
 	e.Pinned = true
 	if e.State == directory.Modified {
 		r := h.allocRecall(line, cont)
-		h.sendProbe(e.Owner, msg.Probe{Kind: msg.ProbeWB, Line: line}, r.wbRepFn)
+		h.sendProbe(int(e.Owner), msg.Probe{Kind: msg.ProbeWB, Line: line}, r.wbRepFn)
 		return
 	}
 	targets := h.probeTargets(e, -1)

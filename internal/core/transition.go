@@ -225,7 +225,7 @@ func (h *Home) captureDecide(line addr.Line, replies []msg.ProbeReply, cont func
 		h.edge(trace.EdgeCohToHWUpgrade, line, owner)
 		h.allocEntry(line, nil, func(e *directory.Entry) {
 			e.State = directory.Modified
-			e.Owner = owner
+			e.Owner = int32(owner)
 			h.addSharer(e, owner)
 			h.sendProbe(owner, msg.Probe{Kind: msg.ProbeUpgradeOwner, Line: line}, func(rep msg.ProbeReply) {
 				if rep.Kind == msg.ReplyNotPresent {

@@ -26,7 +26,10 @@
 package directory
 
 import (
+	"cmp"
+	"math"
 	"math/bits"
+	"slices"
 
 	"cohesion/internal/addr"
 	"cohesion/internal/linetab"
@@ -108,12 +111,14 @@ func (s State) String() string {
 // directories Broadcast means the precise sharer set was lost to pointer
 // overflow and invalidations must go to every cluster.
 //
-// The fields are ordered widest first so an Entry packs into 48 bytes.
+// The fields are ordered widest first (the sixteen-byte sharer set, then
+// the four-byte line, owner and LRU stamp, then three single bytes), so an
+// Entry packs into 32 bytes and a sparse chunk of 16 into 512.
 type Entry struct {
-	Line    addr.Line
 	Sharers Sharers
-	Owner   int
-	lastUse uint64
+	Line    addr.Line
+	Owner   int32
+	lastUse uint32
 
 	State     State
 	Broadcast bool
@@ -256,7 +261,7 @@ type sparse struct {
 	nsets   int
 	ways    int
 	mask    uint64 // nsets-1 when nsets is a power of two, else 0
-	tick    uint64
+	tick    uint32 // renumbered near 2^32-1, as cache.Array's is
 	count   int
 	limited bool
 	byClass [addr.NumClasses]uint64
@@ -264,8 +269,8 @@ type sparse struct {
 	// occ has one bit per slot, set while the slot is allocated. Every
 	// operation finds entries and free ways through it, so a chunk no
 	// entry ever used is never read or allocated. The Table 3 sparse
-	// geometry is 16K entries per bank in 128 sets × 128 ways of 48-byte
-	// entries, 786,432 bytes if all were allocated, and a run uses few
+	// geometry is 16K entries per bank in 128 sets × 128 ways of 32-byte
+	// entries, 524,288 bytes if all were allocated, and a run uses few
 	// of them.
 	occ []uint64
 }
@@ -357,8 +362,7 @@ func (d *sparse) Limited() bool { return d.limited }
 func (d *sparse) Lookup(line addr.Line) *Entry {
 	if i := d.findSlot(line); i >= 0 {
 		e := d.entry(uint64(i))
-		d.tick++
-		e.lastUse = d.tick
+		e.lastUse = d.next()
 		return e
 	}
 	return nil
@@ -401,13 +405,44 @@ func (d *sparse) Allocate(line addr.Line) *Entry {
 		c = new([chunkSize]Entry)
 		d.chunks[i>>chunkShift] = c
 	}
-	d.tick++
 	e := &c[i&chunkMask]
-	*e = Entry{Line: line, lastUse: d.tick}
+	*e = Entry{Line: line, lastUse: d.next()}
 	d.count++
 	d.byClass[addr.Classify(line.Base())]++
 	d.occ[i>>6] |= 1 << (i & 63)
 	return e
+}
+
+// next advances the tick and returns it, renumbering first when it is at
+// its largest value.
+func (d *sparse) next() uint32 {
+	if d.tick == math.MaxUint32 {
+		d.renumber()
+	}
+	d.tick++
+	return d.tick
+}
+
+// renumber replaces the stamps of each set's entries by their ranks in LRU
+// order (1 for the least recent) and sets the tick to the largest rank.
+// Victim compares stamps only within a set, so no choice changes.
+func (d *sparse) renumber() {
+	d.tick = 0
+	var order []*Entry
+	for lo := uint64(0); lo < uint64(d.nsets*d.ways); lo += uint64(d.ways) {
+		order = order[:0]
+		hi := lo + uint64(d.ways)
+		for base := lo &^ 63; base < hi; base += 64 {
+			for w := inSet(d.occ[base>>6], base, lo, hi); w != 0; w &= w - 1 {
+				order = append(order, d.entry(base+uint64(bits.TrailingZeros64(w))))
+			}
+		}
+		slices.SortFunc(order, func(a, b *Entry) int { return cmp.Compare(a.lastUse, b.lastUse) })
+		for r, e := range order {
+			e.lastUse = uint32(r + 1)
+		}
+		d.tick = max(d.tick, uint32(len(order)))
+	}
 }
 
 func (d *sparse) Remove(line addr.Line) {

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -117,16 +118,16 @@ func TestNewSparseAllocatesPerBankNotPerSet(t *testing.T) {
 	}
 }
 
-// TestEntryFits48Bytes locks in the field order that packs an Entry into
-// 48 bytes, and so a 16-entry chunk into 768.
-func TestEntryFits48Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n > 48 {
-		t.Fatalf("Entry is %d bytes, want at most 48", n)
+// TestEntryFits32Bytes locks in the field order that packs an Entry into
+// 32 bytes, and so a 16-entry chunk into 512.
+func TestEntryFits32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n > 32 {
+		t.Fatalf("Entry is %d bytes, want at most 32", n)
 	}
 }
 
 // TestNewSparseHoldsNoEntries: a Table 3 bank's directory is built
-// without any of its 16K entries (786,432 bytes); only the chunk index
+// without any of its 16K entries (524,288 bytes); only the chunk index
 // and the occupancy bitmap are allocated up front.
 func TestNewSparseHoldsNoEntries(t *testing.T) {
 	const runs = 10
@@ -378,13 +379,42 @@ func (m *lruModel) victim(line addr.Line) (v addr.Line, full, ok bool) {
 	return 0, true, false
 }
 
+// inStampOrder reports whether d holds exactly the model's lines, each
+// set's LRU stamps strictly increasing along the model's recency list.
+// Stamps are compared by order, not value: a renumbering rewrites them
+// all. stamps is scratch space with a slot for every line the model
+// draws.
+func inStampOrder(d Directory, m *lruModel, stamps []uint32) bool {
+	clear(stamps)
+	n := 0
+	d.ForEach(func(e *Entry) { stamps[e.Line], n = e.lastUse, n+1 })
+	for _, set := range m.sets {
+		prev := uint32(0)
+		for _, l := range set {
+			if stamps[l] <= prev {
+				return false
+			}
+			prev, n = stamps[l], n-1
+		}
+	}
+	return n == 0
+}
+
 // Property: sparse storage agrees with an LRU reference model when the
 // controller respects Victim discipline, on power-of-two and
 // non-power-of-two set counts and on sets that span several chunks or
 // exactly one: Lookup and Allocate make a line most recent, Victim is nil
 // while the set has room and otherwise names the least recent unpinned
 // line, and HasRoom and Count agree throughout.
-func TestQuickSparseModel(t *testing.T) {
+func TestQuickSparseModel(t *testing.T) { testSparseModel(t, false) }
+
+// Property: TestQuickSparseModel's agreement holds across LRU stamp
+// renumberings. Every 64th operation moves the tick up to a few steps
+// below 2^32-1, and before every operation each set's stamps must be
+// distinct and order its lines as the model's recency list does.
+func TestQuickSparseStampWrap(t *testing.T) { testSparseModel(t, true) }
+
+func testSparseModel(t *testing.T, wrap bool) {
 	for _, g := range []struct{ entries, assoc, lines, ops int }{
 		{16, 4, 64, 1000},   // 4 sets
 		{12, 4, 64, 1000},   // 3 sets: the modulo set index
@@ -397,7 +427,16 @@ func TestQuickSparseModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			d := NewSparse(g.entries, g.assoc, false)
 			m := &lruModel{sets: make([][]addr.Line, g.entries/g.assoc), pinned: map[addr.Line]bool{}, ways: g.assoc}
+			stamps := make([]uint32, g.lines)
 			for i := 0; i < g.ops; i++ {
+				if wrap {
+					if !inStampOrder(d, m, stamps) {
+						return false
+					}
+					if i%64 == 0 {
+						d.(*sparse).tick = max(d.(*sparse).tick, math.MaxUint32-uint32(rng.Intn(4)))
+					}
+				}
 				line := addr.Line(rng.Intn(g.lines))
 				switch rng.Intn(4) {
 				case 0: // allocate on a miss, evicting the predicted victim
@@ -445,7 +484,7 @@ func TestQuickSparseModel(t *testing.T) {
 					return false
 				}
 			}
-			return true
+			return !wrap || inStampOrder(d, m, stamps)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 			t.Fatalf("NewSparse(%d, %d): %v", g.entries, g.assoc, err)

@@ -246,7 +246,8 @@ func mixLine(h uint64, line addr.Line, words *[addr.WordsPerLine]uint32) uint64 
 	return mixWords(mixNumber(h, line), words)
 }
 
-// mixNumber folds a line number into h.
+// mixNumber folds a line number into h: its four bytes, then the four
+// zero bytes that widen it to eight.
 func mixNumber(h uint64, line addr.Line) uint64 {
 	v := uint64(line)
 	for i := 0; i < 4; i++ {
@@ -254,15 +255,7 @@ func mixNumber(h uint64, line addr.Line) uint64 {
 		h *= fnv64Prime
 		v >>= 8
 	}
-	if v == 0 { // always, in a 32-bit address space
-		return h * fnv64Prime4
-	}
-	for i := 0; i < 4; i++ {
-		h ^= v & 0xff
-		h *= fnv64Prime
-		v >>= 8
-	}
-	return h
+	return h * fnv64Prime4
 }
 
 // mixWords folds a line's eight words into h.

@@ -34,19 +34,37 @@ func fillBlock(s *Store, bi int, pattern uint32) {
 	}
 }
 
-// byteLoopWords is the byte definition of folding a line's eight words
-// into h: each word widened to eight bytes, little-endian, one FNV-1a
-// step per byte.
-func byteLoopWords(h uint64, words *[addr.WordsPerLine]uint32) uint64 {
-	for _, w := range words {
-		v := uint64(w)
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnv64Prime
-			v >>= 8
-		}
+// byteLoop is the byte definition of folding a value into h: widened to
+// eight bytes, little-endian, one FNV-1a step per byte.
+func byteLoop(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnv64Prime
+		v >>= 8
 	}
 	return h
+}
+
+// byteLoopWords is the byte definition of folding a line's eight words
+// into h.
+func byteLoopWords(h uint64, words *[addr.WordsPerLine]uint32) uint64 {
+	for _, w := range words {
+		h = byteLoop(h, uint64(w))
+	}
+	return h
+}
+
+// TestMixNumberMatchesByteLoop: a line number folds as its eight widened
+// bytes, the upper four always zero, for the first and last lines of the
+// 32-bit address space and every value a uint32 line number can hold.
+func TestMixNumberMatchesByteLoop(t *testing.T) {
+	for _, l := range []addr.Line{0, 1, 0xff, 0x1234_5678, addr.LineOf(addr.TableBase), addr.LineOf(1<<32 - 1), ^addr.Line(0)} {
+		for _, h0 := range []uint64{fnv64Offset, 0, ^uint64(0)} {
+			if got, want := mixNumber(h0, l), byteLoop(h0, uint64(l)); got != want {
+				t.Fatalf("line %#x h0 %#x: mixNumber %#x, byte loop %#x", uint64(l), h0, got, want)
+			}
+		}
+	}
 }
 
 // TestPatternLaneMatchesByteLoop checks the identity the uniform-block
@@ -74,7 +92,7 @@ func TestPatternLaneMatchesByteLoop(t *testing.T) {
 		}
 		for _, bi := range []int{0, 7, tbl0, tbl0 + tableBlocks - 1, 1<<32/blockBytes - 1} {
 			s := NewStore()
-			s.FillTable(addr.Range{Base: addr.Addr(bi * blockBytes), Size: blockBytes}, pattern)
+			s.FillTable(addr.Range{Base: addr.Addr(bi) * blockBytes, Size: blockBytes}, pattern)
 			if got, want := s.Fingerprint(), slowFingerprint(s); got != want {
 				t.Fatalf("pattern %#x block %d: fingerprint %#x, reference %#x", pattern, bi, got, want)
 			}

@@ -21,8 +21,8 @@ func TestNewCostsWhatARunReaches(t *testing.T) {
 		cfg   config.Machine
 		bound uint64
 	}{
-		{"Scaled(8)", config.Scaled(8).WithMode(config.HWcc), 1_280 << 10}, // 1.25 MiB
-		{"Table 3", config.Table3().WithMode(config.HWcc), 20 << 20},
+		{"Scaled(8)", config.Scaled(8).WithMode(config.HWcc), 896 << 10},
+		{"Table 3", config.Table3().WithMode(config.HWcc), 14 << 20},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

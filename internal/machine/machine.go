@@ -635,7 +635,7 @@ func (m *Machine) CheckInvariants() error {
 				return
 			}
 			if e.State == directory.Modified {
-				le := holds(e.Owner, e.Line)
+				le := holds(int(e.Owner), e.Line)
 				if le == nil {
 					err = fmt.Errorf("bank %d line %#x: M entry but owner %d does not hold it", b, uint64(e.Line), e.Owner)
 					return
@@ -687,7 +687,7 @@ func (m *Machine) CheckInvariants() error {
 				return
 			}
 			if le.State == cache.StateModified {
-				if e.State != directory.Modified || e.Owner != cid {
+				if e.State != directory.Modified || int(e.Owner) != cid {
 					err = fmt.Errorf("cluster %d line %#x: L2 Modified but directory disagrees", cid, uint64(line))
 				}
 				return

@@ -58,6 +58,10 @@ type Sink struct {
 	records []Record
 	next    int
 	total   uint64
+
+	// With onlyLine set, Add keeps only the records whose Line is line.
+	onlyLine bool
+	line     uint64
 }
 
 // DefaultSinkCapacity bounds a sink when the caller does not choose one:
@@ -78,8 +82,17 @@ func NewSink(capacity int) *Sink {
 	return &Sink{cap: capacity}
 }
 
+// OnlyLine makes s keep only the records of one line from now on: those
+// whose Line is base, the line's base address. The others are not added
+// and not counted, so the rest of a long run cannot push that line's
+// history out of the ring.
+func (s *Sink) OnlyLine(base uint64) { s.onlyLine, s.line = true, base }
+
 // Add appends a record, evicting the oldest when full.
 func (s *Sink) Add(r Record) {
+	if s.onlyLine && r.Line != s.line {
+		return
+	}
 	s.total++
 	if len(s.records) < s.cap {
 		s.records = append(s.records, r)
